@@ -81,11 +81,49 @@ void BufferCache::Unpin(CacheBlock* block) {
   --block->pin_count_;
 }
 
-void BufferCache::TouchLru(const BlockKey& key) {
-  auto it = map_.find(key);
-  assert(it != map_.end());
-  lru_.splice(lru_.begin(), lru_, it->second);
-  it->second = lru_.begin();
+CacheBlock& BufferCache::Touch(LruList::iterator it) {
+  // Splicing within one list keeps `it` (and the map's copy of it) valid.
+  lru_.splice(lru_.begin(), lru_, it);
+  it->block.last_use_ = ++use_clock_;
+  return it->block;
+}
+
+CacheBlock& BufferCache::Insert(const BlockKey& key) {
+  lru_.emplace_front();
+  CacheBlock& block = lru_.front().block;
+  block.key_ = key;
+  block.last_use_ = ++use_clock_;
+  map_.emplace(key, lru_.begin());
+  objects_[key.object_id].insert(key.index);
+  return block;
+}
+
+void BufferCache::Erase(LruList::iterator it) {
+  const BlockKey key = it->block.key();
+  MarkClean(&it->block);
+  auto object = objects_.find(key.object_id);
+  object->second.erase(key.index);
+  if (object->second.empty()) {
+    objects_.erase(object);
+  }
+  map_.erase(key);
+  if (in_writeback_) {
+    retired_.splice(retired_.end(), lru_, it);
+  } else {
+    lru_.erase(it);
+  }
+}
+
+bool BufferCache::EvictOne() {
+  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+    if (!it->block.dirty() && !it->block.pinned()) {
+      Erase(std::next(it).base());
+      ++stats_.evictions;
+      Metrics().evictions.Increment();
+      return true;
+    }
+  }
+  return false;
 }
 
 Status BufferCache::EnsureCapacity() {
@@ -93,16 +131,8 @@ Status BufferCache::EnsureCapacity() {
     return OkStatus();
   }
   // First choice: evict the least recently used clean, unpinned block.
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    CacheBlock& block = it->block;
-    if (!block.dirty() && !block.pinned()) {
-      auto fwd = std::next(it).base();
-      map_.erase(block.key());
-      lru_.erase(fwd);
-      ++stats_.evictions;
-      Metrics().evictions.Increment();
-      return OkStatus();
-    }
+  if (EvictOne()) {
+    return OkStatus();
   }
   // All clean blocks pinned (or none): write everything dirty back, then
   // retry the eviction scan once. Re-entrant flushes (a writeback handler
@@ -112,18 +142,13 @@ Status BufferCache::EnsureCapacity() {
     return BusyError("cache exhausted during writeback");
   }
   RETURN_IF_ERROR(FlushAll());
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    CacheBlock& block = it->block;
-    if (!block.dirty() && !block.pinned()) {
-      auto fwd = std::next(it).base();
-      map_.erase(block.key());
-      lru_.erase(fwd);
-      ++stats_.evictions;
-      Metrics().evictions.Increment();
-      return OkStatus();
-    }
-  }
-  return BusyError("cache full of pinned blocks");
+  return EvictOne() ? OkStatus() : BusyError("cache full of pinned blocks");
+}
+
+Result<CacheBlock*> BufferCache::MakeRoomFor(const BlockKey& key) {
+  RETURN_IF_ERROR(EnsureCapacity());
+  auto it = map_.find(key);
+  return it != map_.end() ? &Touch(it->second) : nullptr;
 }
 
 Result<CacheRef> BufferCache::Acquire(const BlockKey& key, const FetchFn& fetch) {
@@ -131,22 +156,21 @@ Result<CacheRef> BufferCache::Acquire(const BlockKey& key, const FetchFn& fetch)
   if (it != map_.end()) {
     ++stats_.hits;
     Metrics().hits.Increment();
-    TouchLru(key);
-    return CacheRef(this, &map_.find(key)->second->block);
+    return CacheRef(this, &Touch(it->second));
   }
   ++stats_.misses;
   Metrics().misses.Increment();
-  RETURN_IF_ERROR(EnsureCapacity());
-  lru_.emplace_front();
-  CacheBlock& block = lru_.front().block;
-  block.key_ = key;
+  ASSIGN_OR_RETURN(CacheBlock * cached, MakeRoomFor(key));
+  if (cached != nullptr) {
+    return CacheRef(this, cached);
+  }
+  CacheBlock& block = Insert(key);
   block.data_.resize(block_size_);
   Status fetched = fetch(std::span<std::byte>(block.data_));
   if (!fetched.ok()) {
-    lru_.pop_front();
+    InvalidateBlock(key);
     return fetched;
   }
-  map_.emplace(key, lru_.begin());
   return CacheRef(this, &block);
 }
 
@@ -158,17 +182,16 @@ Result<CacheRef> BufferCache::Install(const BlockKey& key, std::span<const std::
   if (it != map_.end()) {
     ++stats_.hits;
     Metrics().hits.Increment();
-    TouchLru(key);
-    return CacheRef(this, &map_.find(key)->second->block);
+    return CacheRef(this, &Touch(it->second));
   }
   ++stats_.misses;
   Metrics().misses.Increment();
-  RETURN_IF_ERROR(EnsureCapacity());
-  lru_.emplace_front();
-  CacheBlock& block = lru_.front().block;
-  block.key_ = key;
+  ASSIGN_OR_RETURN(CacheBlock * cached, MakeRoomFor(key));
+  if (cached != nullptr) {
+    return CacheRef(this, cached);
+  }
+  CacheBlock& block = Insert(key);
   block.data_.assign(data.begin(), data.end());
-  map_.emplace(key, lru_.begin());
   return CacheRef(this, &block);
 }
 
@@ -179,8 +202,7 @@ CacheRef BufferCache::AcquireIfPresent(const BlockKey& key) {
   }
   ++stats_.hits;
   Metrics().hits.Increment();
-  TouchLru(key);
-  return CacheRef(this, &map_.find(key)->second->block);
+  return CacheRef(this, &Touch(it->second));
 }
 
 Result<CacheRef> BufferCache::Create(const BlockKey& key) {
@@ -188,17 +210,16 @@ Result<CacheRef> BufferCache::Create(const BlockKey& key) {
   if (it != map_.end()) {
     // Re-creating a cached block (e.g. rewriting a freshly truncated file):
     // zero it and hand it back.
-    CacheBlock& existing = it->second->block;
+    CacheBlock& existing = Touch(it->second);
     std::memset(existing.data_.data(), 0, existing.data_.size());
-    TouchLru(key);
     return CacheRef(this, &existing);
   }
-  RETURN_IF_ERROR(EnsureCapacity());
-  lru_.emplace_front();
-  CacheBlock& block = lru_.front().block;
-  block.key_ = key;
+  ASSIGN_OR_RETURN(CacheBlock * cached, MakeRoomFor(key));
+  if (cached != nullptr) {
+    return CacheRef(this, cached);  // Write-back just cached it: keep its bytes.
+  }
+  CacheBlock& block = Insert(key);
   block.data_.assign(block_size_, std::byte{0});
-  map_.emplace(key, lru_.begin());
   return CacheRef(this, &block);
 }
 
@@ -206,19 +227,18 @@ void BufferCache::MarkDirty(CacheBlock* block) {
   if (!block->dirty_) {
     block->dirty_ = true;
     block->dirty_since_ = clock_ != nullptr ? clock_->Now() : 0.0;
-    ++dirty_count_;
+    block->dirty_pos_ = dirty_.insert(dirty_.end(), block);
   }
 }
 
 void BufferCache::MarkClean(CacheBlock* block) {
   if (block->dirty_) {
     block->dirty_ = false;
-    assert(dirty_count_ > 0);
-    --dirty_count_;
+    dirty_.erase(block->dirty_pos_);
   }
 }
 
-bool BufferCache::NeedsWriteback() const { return dirty_count_ >= policy_.dirty_high_watermark; }
+bool BufferCache::NeedsWriteback() const { return dirty_.size() >= policy_.dirty_high_watermark; }
 
 Status BufferCache::WriteBackBlocks(std::vector<CacheBlock*> blocks) {
   if (blocks.empty()) {
@@ -236,10 +256,15 @@ Status BufferCache::WriteBackBlocks(std::vector<CacheBlock*> blocks) {
   in_writeback_ = true;
   Status written = writeback_->WriteBack(blocks);
   in_writeback_ = false;
-  RETURN_IF_ERROR(written);
-  for (CacheBlock* block : blocks) {
-    MarkClean(block);
+  if (written.ok()) {
+    // Blocks the handler let go of (marked clean, then evicted to make
+    // room) sit in retired_ and are already clean.
+    for (CacheBlock* block : blocks) {
+      MarkClean(block);
+    }
   }
+  retired_.clear();
+  RETURN_IF_ERROR(written);
   ++stats_.writeback_batches;
   stats_.blocks_written_back += blocks.size();
   Metrics().writeback_batches.Increment();
@@ -248,30 +273,15 @@ Status BufferCache::WriteBackBlocks(std::vector<CacheBlock*> blocks) {
 }
 
 Status BufferCache::MaybeWriteBackByAge() {
-  if (clock_ == nullptr || dirty_count_ == 0) {
-    return OkStatus();
-  }
-  const double now = clock_->Now();
-  std::vector<CacheBlock*> old_blocks;
-  bool any_old = false;
-  for (auto& entry : lru_) {
-    if (entry.block.dirty() &&
-        now - entry.block.dirty_since() >= policy_.writeback_age_seconds) {
-      any_old = true;
-      break;
-    }
-  }
-  if (!any_old) {
+  // Blocks join the dirty list as they become dirty and simulated time
+  // never runs backwards, so the head is the oldest dirty block.
+  if (clock_ == nullptr || dirty_.empty() ||
+      clock_->Now() - dirty_.front()->dirty_since() < policy_.writeback_age_seconds) {
     return OkStatus();
   }
   // The paper's write-back flushes everything dirty once the age trigger
   // fires, so the resulting segment write is as large as possible.
-  for (auto& entry : lru_) {
-    if (entry.block.dirty()) {
-      old_blocks.push_back(&entry.block);
-    }
-  }
-  return WriteBackBlocks(std::move(old_blocks));
+  return WriteBackBlocks(std::vector<CacheBlock*>(dirty_.begin(), dirty_.end()));
 }
 
 Status BufferCache::FlushAll() {
@@ -279,36 +289,25 @@ Status BufferCache::FlushAll() {
   // indirect block not in the batch); loop until the cache is clean, with a
   // bound to turn a misbehaving handler into an error instead of a hang.
   for (int round = 0; round < 16; ++round) {
-    if (dirty_count_ == 0) {
+    if (dirty_.empty()) {
       return OkStatus();
     }
-    RETURN_IF_ERROR(WriteBackBlocks(DirtyBlocks()));
+    RETURN_IF_ERROR(WriteBackBlocks(std::vector<CacheBlock*>(dirty_.begin(), dirty_.end())));
   }
-  return dirty_count_ == 0 ? OkStatus()
-                           : IoError("writeback handler keeps producing dirty blocks");
-}
-
-Status BufferCache::FlushObject(uint64_t object_id) {
-  std::vector<CacheBlock*> dirty;
-  for (auto& entry : lru_) {
-    if (entry.block.dirty() && entry.block.key().object_id == object_id) {
-      dirty.push_back(&entry.block);
-    }
-  }
-  return WriteBackBlocks(std::move(dirty));
+  return dirty_.empty() ? OkStatus()
+                        : IoError("writeback handler keeps producing dirty blocks");
 }
 
 void BufferCache::InvalidateObject(uint64_t object_id, uint64_t first_index) {
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    CacheBlock& block = it->block;
-    if (block.key().object_id == object_id && block.key().index >= first_index) {
-      assert(!block.pinned() && "invalidating a pinned block");
-      MarkClean(&block);
-      map_.erase(block.key());
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
+  auto object = objects_.find(object_id);
+  if (object == objects_.end()) {
+    return;
+  }
+  // Copy the doomed indices out: erasing the last one drops the set itself.
+  const std::vector<uint64_t> doomed(object->second.lower_bound(first_index),
+                                     object->second.end());
+  for (uint64_t index : doomed) {
+    InvalidateBlock(BlockKey{object_id, index});
   }
 }
 
@@ -317,31 +316,25 @@ void BufferCache::InvalidateBlock(const BlockKey& key) {
   if (it == map_.end()) {
     return;
   }
-  CacheBlock& block = it->second->block;
-  assert(!block.pinned() && "invalidating a pinned block");
-  MarkClean(&block);
-  lru_.erase(it->second);
-  map_.erase(it);
+  assert(!it->second->block.pinned() && "invalidating a pinned block");
+  Erase(it->second);
 }
 
 void BufferCache::DropClean() {
   for (auto it = lru_.begin(); it != lru_.end();) {
+    auto next = std::next(it);
     if (!it->block.dirty() && !it->block.pinned()) {
-      map_.erase(it->block.key());
-      it = lru_.erase(it);
-    } else {
-      ++it;
+      Erase(it);
     }
+    it = next;
   }
 }
 
 std::vector<CacheBlock*> BufferCache::DirtyBlocks() const {
-  std::vector<CacheBlock*> dirty;
-  for (auto& entry : const_cast<LruList&>(lru_)) {
-    if (entry.block.dirty()) {
-      dirty.push_back(&entry.block);
-    }
-  }
+  std::vector<CacheBlock*> dirty(dirty_.begin(), dirty_.end());
+  std::sort(dirty.begin(), dirty.end(), [](const CacheBlock* a, const CacheBlock* b) {
+    return a->last_use_ > b->last_use_;
+  });
   return dirty;
 }
 

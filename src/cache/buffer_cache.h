@@ -14,13 +14,26 @@
 //   * their age exceeds `writeback_age_seconds` (paper: 30 s), checked by
 //     the file system calling MaybeWriteBackByAge() at operation boundaries;
 //   * the dirty count reaches the high watermark ("cache full" trigger);
-//   * the file system syncs (FlushAll / FlushObject).
+//   * the file system syncs (FlushAll).
+//
+// No trigger walks the whole cache. Dirty blocks sit on their own list in
+// first-dirty order, and a per-object index maps each object id to the
+// indices of its cached blocks. With c cached blocks, d of them dirty and b
+// belonging to the object at hand:
+//   * MaybeWriteBackByAge: O(1) to decide (simulated time is monotone, so
+//     the head of the dirty list is the oldest block), O(d log d) to flush;
+//   * FlushAll: O(d log d) per round (the batch is sorted by key);
+//   * DirtyBlocks: O(d log d) (sorted by last use);
+//   * InvalidateObject: O(b log b), independent of c;
+//   * eviction scans from the LRU tail to the first clean, unpinned block.
+// Only DropClean, the explicit "empty the cache" step, is O(c).
 #ifndef LOGFS_SRC_CACHE_BUFFER_CACHE_H_
 #define LOGFS_SRC_CACHE_BUFFER_CACHE_H_
 
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <set>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -69,6 +82,11 @@ class CacheBlock {
   bool dirty_ = false;
   double dirty_since_ = 0.0;
   uint32_t pin_count_ = 0;
+  // Stamp of the last Acquire/Install/Create that returned this block;
+  // orders DirtyBlocks() exactly as the LRU list orders blocks.
+  uint64_t last_use_ = 0;
+  // Position on the cache's dirty list; valid only while dirty_.
+  std::list<CacheBlock*>::iterator dirty_pos_;
 };
 
 // RAII pin on a cache block: the block cannot be evicted while a CacheRef
@@ -134,7 +152,7 @@ class BufferCache {
   size_t block_size() const { return block_size_; }
   const CachePolicy& policy() const { return policy_; }
   size_t size() const { return map_.size(); }
-  size_t dirty_count() const { return dirty_count_; }
+  size_t dirty_count() const { return dirty_.size(); }
   const CacheStats& stats() const { return stats_; }
   void ResetStats() { stats_ = CacheStats{}; }
 
@@ -174,9 +192,6 @@ class BufferCache {
   // Flush every dirty block.
   Status FlushAll();
 
-  // Flush dirty blocks of one object (fsync).
-  Status FlushObject(uint64_t object_id);
-
   // Drop blocks of an object without writing them (delete/truncate). Blocks
   // with index >= first_index are dropped; pinned blocks are a caller bug.
   void InvalidateObject(uint64_t object_id, uint64_t first_index = 0);
@@ -187,7 +202,7 @@ class BufferCache {
   // Drop all clean blocks (the benchmark "flush the file cache" step).
   void DropClean();
 
-  // Enumerate dirty blocks (for checkers and tests).
+  // Enumerate dirty blocks, most recently used first.
   std::vector<CacheBlock*> DirtyBlocks() const;
 
  private:
@@ -202,9 +217,20 @@ class BufferCache {
 
   void Pin(CacheBlock* block);
   void Unpin(CacheBlock* block);
-  void TouchLru(const BlockKey& key);
+  // Moves a cached block to the LRU front and stamps its use.
+  CacheBlock& Touch(LruList::iterator it);
+  // Adds a new block for `key` at the LRU front; the caller fills its data.
+  CacheBlock& Insert(const BlockKey& key);
+  // Removes a block from every structure (dirty ones count as cleaned).
+  void Erase(LruList::iterator it);
+  // Evicts the least recently used clean, unpinned block, if any.
+  bool EvictOne();
   // Make room for one more block; may trigger write-back of dirty blocks.
   Status EnsureCapacity();
+  // EnsureCapacity for a miss on `key`. The write-back it may run can cache
+  // `key` itself (LFS creating an indirect block, say): that block is then
+  // returned, touched, and the caller must not insert another.
+  Result<CacheBlock*> MakeRoomFor(const BlockKey& key);
   Status WriteBackBlocks(std::vector<CacheBlock*> blocks);
 
   size_t block_size_;
@@ -214,7 +240,15 @@ class BufferCache {
 
   LruList lru_;  // Front = most recently used.
   std::unordered_map<BlockKey, LruList::iterator, BlockKeyHash> map_;
-  size_t dirty_count_ = 0;
+  // Dirty blocks in the order they became dirty: the front is the oldest.
+  std::list<CacheBlock*> dirty_;
+  // Object id -> indices of its cached blocks.
+  std::unordered_map<uint64_t, std::set<uint64_t>> objects_;
+  // Blocks erased while a write-back handler runs. The batch handed to it
+  // may still point at them, so their storage lives until the batch has
+  // been marked clean.
+  LruList retired_;
+  uint64_t use_clock_ = 0;
   bool in_writeback_ = false;
   CacheStats stats_;
 };

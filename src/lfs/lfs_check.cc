@@ -51,6 +51,22 @@ Result<LfsCheckReport> LfsChecker::Check(bool verify_data) {
   if (!quiesce.ok() && !report.read_only) {
     return quiesce;
   }
+  // --- 0. in-core write-behind state after a successful sync ---
+  // Nothing may stay dirty, and the dirty-inode set must agree with the
+  // per-inode flags it shadows.
+  if (quiesce.ok()) {
+    if (fs_->cache_.dirty_count() != 0) {
+      complain(std::to_string(fs_->cache_.dirty_count()) + " cache blocks dirty after sync");
+    }
+    if (!fs_->dirty_inodes_.empty()) {
+      complain(std::to_string(fs_->dirty_inodes_.size()) + " inodes left in the dirty set");
+    }
+    for (const auto& [ino, cached] : fs_->inodes_) {
+      if (cached.ino != ino || cached.dirty) {
+        complain("in-core inode " + std::to_string(ino) + " mislabeled or dirty after sync");
+      }
+    }
+  }
 
   const LfsSuperblock& sb = fs_->sb_;
   const InodeMap& imap = fs_->imap_;

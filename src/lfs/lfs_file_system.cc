@@ -106,6 +106,7 @@ Status LfsFileSystem::InitializeRoot() {
     return CorruptedError("root inode number unavailable");
   }
   CachedInode root;
+  root.ino = kRootIno;
   root.inode.type = FileType::kDirectory;
   root.inode.nlink = 2;
   root.inode.generation = 1;
@@ -348,9 +349,11 @@ LfsFileSystem::OpScope::~OpScope() {
   // every operation on the tracer's global mutex. Exception: an op running
   // under a trace context is always recorded — its trace tree needs the leaf
   // regardless, and traced ops are a request-rate (not cache-hit-rate)
-  // population.
+  // population. With tracing switched off an untraced span would be
+  // dropped by the tracer, so its arguments are not even formatted.
   const obs::TraceContext ctx = obs::CurrentTraceContext();
-  if (disk > 0.0 || cleaner > 0.0 || retry > 0.0 || ctx.active()) {
+  if (ctx.active() ||
+      (obs::TracingEnabled() && (disk > 0.0 || cleaner > 0.0 || retry > 0.0))) {
     std::vector<std::pair<std::string, std::string>> args = {
         {"disk_us", std::to_string(Micros(disk))},
         {"cleaner_us", std::to_string(Micros(cleaner))},
@@ -503,7 +506,7 @@ Result<LfsFileSystem::CachedInode*> LfsFileSystem::GetInode(InodeNum ino) {
     const ImapEntry& sib_entry = imap_.Get(sibling);
     if (sib_entry.allocated && sib_entry.block_addr == entry.block_addr &&
         sib_entry.slot == k && !inodes_.contains(sibling)) {
-      inodes_.emplace(sibling, CachedInode{packed[k].inode, false});
+      inodes_.emplace(sibling, CachedInode{sibling, packed[k].inode, false});
     }
   }
   it = inodes_.find(ino);
@@ -522,15 +525,14 @@ void LfsFileSystem::MarkInodeDirty(InodeNum ino) {
 void LfsFileSystem::SetInodeDirty(CachedInode* ci) {
   if (!ci->dirty) {
     ci->dirty = true;
-    ++dirty_inode_count_;
+    dirty_inodes_.insert(ci->ino);
   }
 }
 
 void LfsFileSystem::SetInodeClean(CachedInode* ci) {
   if (ci->dirty) {
     ci->dirty = false;
-    assert(dirty_inode_count_ > 0);
-    --dirty_inode_count_;
+    dirty_inodes_.erase(ci->ino);
   }
 }
 
@@ -910,13 +912,13 @@ Status LfsFileSystem::WriteBack(std::span<CacheBlock* const> blocks) {
     // we return; MarkClean is idempotent).
     cache_.MarkClean(block);
   }
-  RETURN_IF_ERROR(FlushDirtyIndirect(blocks));
+  RETURN_IF_ERROR(FlushDirtyIndirect());
   RETURN_IF_ERROR(FlushDirtyInodes());
   RETURN_IF_ERROR(FlushPendingFrees());
   return FlushPartial();
 }
 
-Status LfsFileSystem::FlushDirtyIndirect(std::span<CacheBlock* const> /*batch*/) {
+Status LfsFileSystem::FlushDirtyIndirect() {
   // Leaves (slot >= 2) first: appending a leaf updates the double-indirect
   // root, which must therefore be appended after all its leaves.
   for (int pass = 0; pass < 2; ++pass) {
@@ -954,16 +956,11 @@ Status LfsFileSystem::FlushDirtyIndirect(std::span<CacheBlock* const> /*batch*/)
 }
 
 Status LfsFileSystem::FlushDirtyInodes() {
-  std::vector<InodeNum> dirty;
-  for (const auto& [ino, cached] : inodes_) {
-    if (cached.dirty) {
-      dirty.push_back(ino);
-    }
-  }
-  if (dirty.empty()) {
+  if (dirty_inodes_.empty()) {
     return OkStatus();
   }
-  std::sort(dirty.begin(), dirty.end());
+  // A copy: SetInodeClean below shrinks the set.
+  const std::vector<InodeNum> dirty(dirty_inodes_.begin(), dirty_inodes_.end());
   const size_t per_block = InodesPerLfsBlock(BlockSize());
   const uint32_t quantum = InodeLiveQuantum();
   for (size_t start = 0; start < dirty.size(); start += per_block) {
@@ -1020,7 +1017,7 @@ Status LfsFileSystem::FlushEverything() {
   RETURN_IF_ERROR(cache_.FlushAll());
   // Cover the cases where no cache blocks were dirty but inodes or frees
   // are pending (e.g. pure truncates).
-  RETURN_IF_ERROR(FlushDirtyIndirect({}));
+  RETURN_IF_ERROR(FlushDirtyIndirect());
   RETURN_IF_ERROR(FlushDirtyInodes());
   RETURN_IF_ERROR(FlushPendingFrees());
   return FlushPartial();

@@ -22,6 +22,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -296,6 +297,7 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   friend class LfsChecker;
 
   struct CachedInode {
+    InodeNum ino = 0;  // Keys dirty_inodes_ when the inode is dirtied.
     Inode inode;
     bool dirty = false;
   };
@@ -337,8 +339,10 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   // --- in-core inodes ---
   Result<CachedInode*> GetInode(InodeNum ino);
   void MarkInodeDirty(InodeNum ino);
-  // All in-core dirty-flag transitions go through these so the dirty count
-  // stays O(1) to read (DirtyBytesEstimate runs on every write).
+  // All in-core dirty-flag transitions go through these so dirty_inodes_
+  // names exactly the dirty inodes: its size is O(1) to read
+  // (DirtyBytesEstimate runs on every write) and FlushDirtyInodes walks it
+  // instead of every cached inode.
   void SetInodeDirty(CachedInode* ci);
   void SetInodeClean(CachedInode* ci);
 
@@ -435,7 +439,7 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
 
   // --- write-back machinery ---
   Status WriteBack(std::span<CacheBlock* const> blocks) override;  // WritebackHandler.
-  Status FlushDirtyIndirect(std::span<CacheBlock* const> batch);
+  Status FlushDirtyIndirect();
   Status FlushDirtyInodes();
   Status FlushPendingFrees();
   // Full data flush: cache + indirect + inodes + meta-log + partial.
@@ -540,7 +544,7 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   // stream and all simulated stats are identical either way).
   bool zero_copy_writeback_ = false;
   std::unordered_map<InodeNum, CachedInode> inodes_;
-  uint32_t dirty_inode_count_ = 0;
+  std::set<InodeNum> dirty_inodes_;  // Ascending: the inode-block packing order.
   std::vector<FreeRecord> pending_frees_;
   // Current homes of the inode-map and usage blocks (kNoAddr = never
   // written; such blocks decode as all-free / all-clean).

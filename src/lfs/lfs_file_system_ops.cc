@@ -232,8 +232,7 @@ Status LfsFileSystem::ReleaseBlocksFrom(InodeNum ino, uint64_t first_index) {
 }
 
 Status LfsFileSystem::ReleaseInode(InodeNum ino) {
-  RETURN_IF_ERROR(ReleaseBlocksFrom(ino, 0));
-  cache_.InvalidateObject(DataObject(ino));
+  RETURN_IF_ERROR(ReleaseBlocksFrom(ino, 0));  // Drops the cached data blocks too.
   cache_.InvalidateObject(IndirectObject(ino));
   // Release the inode's own residency in its inode block.
   const ImapEntry& entry = imap_.Get(ino);
@@ -262,7 +261,7 @@ uint64_t LfsFileSystem::UsableBytes() const {
 
 uint64_t LfsFileSystem::DirtyBytesEstimate() const {
   return static_cast<uint64_t>(cache_.dirty_count()) * BlockSize() +
-         static_cast<uint64_t>(dirty_inode_count_) * InodeLiveQuantum() +
+         static_cast<uint64_t>(dirty_inodes_.size()) * InodeLiveQuantum() +
          static_cast<uint64_t>(builder_.pending()) * BlockSize() +
          pending_frees_.size() * 8;
 }
@@ -338,6 +337,7 @@ Result<InodeNum> LfsFileSystem::Create(InodeNum dir, std::string_view name, File
   ASSIGN_OR_RETURN(InodeNum ino, imap_.Allocate(next_ino_hint_));
   next_ino_hint_ = ino + 1;
   CachedInode fresh;
+  fresh.ino = ino;
   fresh.inode.type = type;
   fresh.inode.nlink = type == FileType::kDirectory ? 2 : 1;
   fresh.inode.generation = imap_.Get(ino).version;

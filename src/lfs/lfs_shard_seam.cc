@@ -54,6 +54,7 @@ Result<InodeNum> LfsFileSystem::ShardAllocInode(FileType type, InodeNum parent_d
   ASSIGN_OR_RETURN(InodeNum ino, imap_.Allocate(next_ino_hint_));
   next_ino_hint_ = ino + 1;
   CachedInode fresh;
+  fresh.ino = ino;
   fresh.inode.type = type;
   fresh.inode.nlink = type == FileType::kDirectory ? 2 : 1;
   fresh.inode.generation = imap_.Get(ino).version;

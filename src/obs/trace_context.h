@@ -41,8 +41,10 @@ struct TraceContext {
   bool active() const { return trace_id != 0; }
 };
 
-// Runtime gate. Minting respects it; recording spans for an already-minted
-// context does not need to re-check (an inactive context records nothing).
+// Runtime gate (default on). While off, nothing is minted and the tracer
+// keeps no untraced event: RecordSpan, RecordInstant and so SpanTimer
+// record nothing. Events that carry a trace id (RecordSpanIds) still land,
+// so a context minted before the switch keeps its tree whole.
 bool TracingEnabled();
 void SetTracingEnabled(bool enabled);
 

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/obs/trace_context.h"
+
 namespace logfs::obs {
 namespace {
 
@@ -96,8 +98,7 @@ void StructuredTracer::Push(TraceEvent ev) {
 void StructuredTracer::RecordSpan(
     std::string_view category, std::string_view name, double start_seconds,
     double end_seconds, std::vector<std::pair<std::string, std::string>> args) {
-  if constexpr (!kMetricsEnabled) {
-    (void)category; (void)name; (void)start_seconds; (void)end_seconds; (void)args;
+  if (!TracingEnabled()) {
     return;
   }
   TraceEvent ev;
@@ -137,8 +138,7 @@ void StructuredTracer::RecordSpanIds(
 void StructuredTracer::RecordInstant(
     std::string_view category, std::string_view name, double at_seconds,
     std::vector<std::pair<std::string, std::string>> args) {
-  if constexpr (!kMetricsEnabled) {
-    (void)category; (void)name; (void)at_seconds; (void)args;
+  if (!TracingEnabled()) {
     return;
   }
   TraceEvent ev;

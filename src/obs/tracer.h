@@ -7,7 +7,9 @@
 // Spans are recorded at completion (begin time carried in the RAII
 // SpanTimer), so the ring holds finished work only and a crash mid-span
 // loses just that span. Like the metrics registry, the tracer compiles to
-// no-ops under LOGFS_METRICS=OFF.
+// no-ops under LOGFS_METRICS=OFF; while tracing is switched off at run time
+// (SetTracingEnabled, trace_context.h) it keeps only events that carry a
+// trace id.
 #ifndef LOGFS_SRC_OBS_TRACER_H_
 #define LOGFS_SRC_OBS_TRACER_H_
 

@@ -28,6 +28,7 @@ class ObsTest : public ::testing::Test {
     obs::Registry().ResetAll();
     obs::Tracer().Clear();
   }
+  void TearDown() override { obs::SetTracingEnabled(true); }
 };
 
 TEST_F(ObsTest, CounterAndGaugeBasics) {
@@ -493,6 +494,29 @@ TEST_F(ObsTest, TraceIdsResetWithClear) {
   const obs::TraceContext ctx = obs::MintTrace();
   EXPECT_EQ(ctx.trace_id, 1u);
   EXPECT_EQ(ctx.span_id, 2u);
+}
+
+TEST_F(ObsTest, DisabledTracingKeepsOnlyTracedEvents) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  LfsInstance inst;
+  obs::Tracer().Clear();
+  obs::SetTracingEnabled(false);
+  obs::Tracer().RecordSpan("plain", "span", 1.0, 2.0, {{"k", "v"}});
+  obs::Tracer().RecordInstant("plain", "instant", 3.0);
+  { obs::SpanTimer timer(inst.clock.get(), "plain", "timer"); }
+  // An LFS op that reaches the device would record an untraced "op" span.
+  ASSERT_TRUE(inst.paths->WriteFile("/f", std::vector<std::byte>(8192)).ok());
+  ASSERT_TRUE(inst.fs->Sync().ok());
+  EXPECT_EQ(obs::Tracer().size(), 0u);
+  EXPECT_EQ(obs::Tracer().dropped(), 0u);
+
+  // An event that carries a trace id still lands.
+  obs::Tracer().RecordSpanIds("traced", "child", 4.0, 5.0, /*trace_id=*/7,
+                              /*span_id=*/8, /*parent_id=*/0);
+  obs::SetTracingEnabled(true);
+  const std::vector<obs::TraceEvent> events = obs::Tracer().Events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].trace_id, 7u);
 }
 
 TEST_F(ObsTest, TraceContextScopeNestsAndRestores) {

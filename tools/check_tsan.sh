@@ -20,7 +20,8 @@
 # -DLOGFS_SANITIZE=address,undefined (pass --asan to run it too). The
 # crash and fault labels include the cross-shard intent matrix
 # (sharded_crash_test) and the intent fault/repair suite
-# (sharded_intent_test).
+# (sharded_intent_test); the cache label adds the buffer cache's
+# differential suite (iterators stored inside cached blocks).
 #
 # Usage: tools/check_tsan.sh [--asan] [build-dir]   (default: build-tsan)
 set -e
@@ -49,6 +50,6 @@ echo "LOGFS_SANITIZE=thread: concurrent suite + scaling bench race-free"
 if [ "$RUN_ASAN" = "1" ]; then
   cmake -B build-asan -S . -DLOGFS_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j
-  (cd build-asan && ctest --output-on-failure -L "crash|fault|serve|concurrent|obs")
-  echo "LOGFS_SANITIZE=address,undefined: crash|fault|serve|concurrent|obs sweep clean"
+  (cd build-asan && ctest --output-on-failure -L "crash|fault|serve|concurrent|obs|cache")
+  echo "LOGFS_SANITIZE=address,undefined: crash|fault|serve|concurrent|obs|cache sweep clean"
 fi

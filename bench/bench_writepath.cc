@@ -1,17 +1,17 @@
-// Wall-clock perf harness for the zero-copy segment I/O pipeline (PR 2).
+// Wall-clock perf harness for the segment I/O pipeline.
 //
 // Unlike every other bench in this directory, which reports *simulated*
 // seconds from the SimClock, this one measures *host* CPU time: the copies
 // and checksums the write path performs are real work on the host, and the
-// point of the zero-copy pipeline is to shrink exactly that work. Four
-// measurements:
+// pipeline exists to shrink exactly that work. Four measurements:
 //
 //   1. crc32          — the slice-by-8 kernel vs the one-table bytewise
 //                       reference, MB/s and ns per 4 KB block.
 //   2. segment_flush  — the seed's copy-per-block flush (memcpy staging +
 //                       bytewise CRC + scalar write), emulated faithfully,
-//                       vs the real SegmentBuilder zero-copy path
-//                       (AppendExternal + streamed CRC + vectored write).
+//                       vs the real SegmentBuilder path LFS write-back runs
+//                       (Append's one memcpy + slice-by-8 CRC + one
+//                       vectored {summary, content} write).
 //   3. decode_summary — the seed's clone-the-summary-block decode emulated
 //                       (copy + zero the CRC field + bytewise CRC) vs the
 //                       real clone-free DecodeSummary.
@@ -178,8 +178,8 @@ BeforeAfter BenchSegmentFlush(bool smoke) {
   const double after = SecondsPerIteration(min_seconds, [&] {
     builder.StartAt(seg, 0);
     for (size_t i = 0; i < nblocks; ++i) {
-      auto addr = builder.AppendExternal(BlockKind::kData, 1, 1,
-                                         static_cast<int64_t>(i), pool[i % pool.size()]);
+      auto addr = builder.Append(BlockKind::kData, 1, 1, static_cast<int64_t>(i),
+                                 pool[i % pool.size()]);
       if (!addr.ok()) {
         status = addr.status();
         return;
@@ -189,7 +189,7 @@ BeforeAfter BenchSegmentFlush(bool smoke) {
     seg = (seg + 1) % 4;
   });
   if (!status.ok()) {
-    std::cerr << "zero-copy flush failed: " << status.ToString() << "\n";
+    std::cerr << "builder flush failed: " << status.ToString() << "\n";
     return {};
   }
 
@@ -328,7 +328,7 @@ int RunBench(bool smoke, const std::string& out_path, const std::string& metrics
             << crc.after_mb_s << " MB/s  (" << crc.Speedup() << "x)\n";
 
   const BeforeAfter flush = BenchSegmentFlush(smoke);
-  std::cout << "segment flush:  copy-path " << flush.before_mb_s << " MB/s, zero-copy "
+  std::cout << "segment flush:  copy-path " << flush.before_mb_s << " MB/s, builder "
             << flush.after_mb_s << " MB/s  (" << flush.Speedup() << "x)\n";
 
   const BeforeAfter decode = BenchDecodeSummary(smoke);
@@ -351,7 +351,7 @@ int RunBench(bool smoke, const std::string& out_path, const std::string& metrics
       << "  \"bench\": \"writepath\",\n"
       << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n";
   PrintSection(out, "crc32", crc, "bytewise", "slice8", false);
-  PrintSection(out, "segment_flush", flush, "copy_path", "zero_copy", false);
+  PrintSection(out, "segment_flush", flush, "copy_path", "builder", false);
   PrintSection(out, "decode_summary", decode, "clone", "in_place", false);
   out << "  \"cleaner\": {\n"
       << "    \"segments_cleaned\": " << cleaner.segments_cleaned << ",\n"
@@ -370,7 +370,7 @@ int RunBench(bool smoke, const std::string& out_path, const std::string& metrics
   }
   std::cout << "report: " << out_path << "\n"
             << "Shape check: " << (sane ? "PASS" : "WARN")
-            << " (zero-copy and slice8 must not be slower than the paths they replace)\n";
+            << " (the builder and slice8 must not be slower than the paths they replace)\n";
   return sane ? 0 : 1;
 }
 

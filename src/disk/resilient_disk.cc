@@ -23,8 +23,6 @@ ResilientMetrics& Metrics() {
       init.exhausted = &obs::Registry().GetCounter("logfs.resilient.exhausted");
       init.media_errors = &obs::Registry().GetCounter("logfs.resilient.media_errors");
       // Cumulative sim-time spent sleeping between retries, in microseconds.
-      // LfsFileSystem's per-op attribution diffs this around each operation
-      // to split retry backoff out of the disk component.
       init.backoff_us = &obs::Registry().GetCounter("logfs.resilient.backoff_us");
     }
     return init;

@@ -17,8 +17,8 @@
 // (requests that failed at least once and then succeeded), .exhausted
 // (requests reclassified after the budget ran out), .media_errors
 // (kMediaError results passed or reclassified upward), .backoff_us
-// (cumulative simulated backoff sleep — the per-op latency attribution in
-// LfsFileSystem diffs it to isolate the retry-backoff component).
+// (cumulative simulated backoff sleep; it elapses inside the retried device
+// call, so a traced LFS op counts it in that call's disk span).
 #ifndef LOGFS_SRC_DISK_RESILIENT_DISK_H_
 #define LOGFS_SRC_DISK_RESILIENT_DISK_H_
 

@@ -37,7 +37,8 @@ Result<uint32_t> LfsCleaner::CleanVictims(std::vector<uint32_t> victims) {
   }
   fs_->in_cleaner_ = true;
   const LfsFileSystem::CleanerStats before = fs_->cleaner_stats_;
-  obs::SpanTimer span(fs_->clock_, "cleaner", "pass");
+  // A pass that makes room for a traced op is that op's cleaner time.
+  obs::SpanTimer span(fs_->clock_, "cleaner", "pass", fs_->OpSpanParent());
   span.AddArg("victims", std::to_string(victims.size()));
   Result<uint32_t> result = [&]() -> Result<uint32_t> {
     const LfsSuperblock& sb = fs_->sb_;
@@ -216,8 +217,7 @@ Status LfsCleaner::GatherLive(uint32_t seg, std::span<const std::byte> image, bo
             break;  // Superseded by a newer copy.
           }
           // Live: stage it through the cache, dirty, so the normal
-          // write-back relocates it (and, with zero-copy write-back, hands
-          // the cached bytes to the segment writer by reference).
+          // write-back relocates it.
           const BlockKey key{LfsFileSystem::DataObject(entry.ino),
                              static_cast<uint64_t>(entry.offset)};
           ASSIGN_OR_RETURN(CacheRef ref, fs_->cache_.Install(key, block));

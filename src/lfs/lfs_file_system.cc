@@ -1,8 +1,8 @@
 #include "src/lfs/lfs_file_system.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 
 #include "src/fsbase/dirent.h"
@@ -137,14 +137,6 @@ LfsFileSystem::LfsFileSystem(BlockDevice* device, SimClock* clock, CpuModel* cpu
   cache_.set_writeback_handler(this);
   imap_block_addrs_.assign(imap_.block_count(), kNoAddr);
   usage_block_addrs_.assign(usage_.block_count(), kNoAddr);
-  // Zero-copy write-back pins up to a partial segment's worth of blocks
-  // between append and flush; those pinned-clean blocks are not evictable,
-  // so a cache without comfortable headroom over that bound must copy into
-  // the builder instead (same device requests and stats either way).
-  const size_t max_partial_blocks =
-      std::min(SummaryCapacity(sb_.block_size),
-               static_cast<size_t>(sb_.BlocksPerSegment()) - 1);
-  zero_copy_writeback_ = cache_.policy().capacity_blocks >= 4 * max_partial_blocks;
 }
 
 LfsFileSystem::~LfsFileSystem() { (void)Sync(); }
@@ -256,7 +248,7 @@ Status LfsFileSystem::LoadFromCheckpoint(const CheckpointRecord& ckpt) {
 Status LfsFileSystem::ReadBlockAt(DiskAddr addr, std::span<std::byte> out) {
   const double t0 = Now();
   Status read = device_->ReadSectors(addr, out.subspan(0, BlockSize()));
-  AddOpDiskSeconds(Now() - t0);
+  RecordDiskSpan("disk", "read", t0);
   RETURN_IF_ERROR(read);
   return VerifyBlockChecksum(addr, out.subspan(0, BlockSize()));
 }
@@ -274,143 +266,68 @@ Status LfsFileSystem::VerifyBlockChecksum(DiskAddr addr, std::span<const std::by
   return CorruptedError("block checksum mismatch (silent corruption)");
 }
 
-// --- Per-op latency attribution -------------------------------------------------
+// --- Per-op latency ------------------------------------------------------------
+
+#ifndef LOGFS_METRICS_DISABLED
 
 namespace {
 
-uint64_t BackoffMicros() {
-  if constexpr (!obs::kMetricsEnabled) {
-    return 0;
-  }
-  // Maintained by ResilientDisk; reading it through the registry keeps the
-  // attribution correct however the device decorators are stacked.
-  static obs::Counter& backoff =
-      obs::Registry().GetCounter("logfs.resilient.backoff_us");
-  return backoff.Value();
-}
-
-uint64_t Micros(double seconds) {
-  return static_cast<uint64_t>(std::llround(seconds * 1e6));
-}
+constexpr const char* kOpNames[] = {"create", "read", "write", "sync", "fsync"};
 
 }  // namespace
 
-LfsFileSystem::OpScope::OpScope(LfsFileSystem* fs, const char* name) : fs_(fs) {
-  if constexpr (!obs::kMetricsEnabled) {
-    (void)name;
-    return;
-  }
+LfsFileSystem::OpScope::OpScope(LfsFileSystem* fs, Op op) : fs_(fs), op_(op) {
   if (fs_->op_depth_++ > 0) {
-    return;  // Internal reentry: attribute to the outermost op.
+    return;  // Internal reentry: the outermost op owns the time.
   }
-  active_ = true;
-  fs_->op_attr_ = OpAttr{};
-  fs_->op_attr_.name = name;
-  fs_->op_attr_.start = fs_->Now();
-  fs_->op_attr_.retry_us_start = BackoffMicros();
-  fs_->op_attr_.cache_hits_start = fs_->cache_.stats().hits;
-  fs_->op_attr_.cache_misses_start = fs_->cache_.stats().misses;
+  start_ = fs_->Now();
+  parent_ = obs::CurrentTraceContext();
+  if (parent_.active()) {
+    span_id_ = obs::MintSpanId(parent_);
+    ambient_.emplace(obs::TraceContext{parent_.trace_id, span_id_});
+  }
 }
 
 LfsFileSystem::OpScope::~OpScope() {
-  if constexpr (!obs::kMetricsEnabled) {
-    return;
+  if (--fs_->op_depth_ > 0) {
+    return;  // Not the outermost op.
   }
-  --fs_->op_depth_;
-  if (!active_) {
-    return;
-  }
-  OpAttr& a = fs_->op_attr_;
-  const double end = fs_->Now();
-  const double total = std::max(0.0, end - a.start);
-  // Retry backoff elapses inside a device call, so it arrives folded into
-  // the disk component; peel it back out into its own bucket.
-  const double retry =
-      static_cast<double>(BackoffMicros() - a.retry_us_start) / 1e6;
-  const double disk = std::max(0.0, a.disk_seconds - retry);
-  const double cleaner = a.cleaner_seconds;
-  const double cache = std::max(0.0, total - disk - cleaner - retry);
-  const uint64_t hits = fs_->cache_.stats().hits - a.cache_hits_start;
-  const uint64_t misses = fs_->cache_.stats().misses - a.cache_misses_start;
-
-  // Handles are resolved once per op name per instance: the hot path must
-  // not take the global registry mutex seven times per operation (with a
-  // concurrent sharded front-end that lock becomes the scaling ceiling).
-  const OpMetricHandles& h = fs_->OpHandles(a.name);
-  h.seconds->Observe(total);
-  h.count->Increment();
-  h.disk_us->Increment(Micros(disk));
-  h.cleaner_us->Increment(Micros(cleaner));
-  h.retry_us->Increment(Micros(retry));
-  h.cache_us->Increment(Micros(cache));
-  // Ring spans only for ops that did real work (device, cleaner, or retry
-  // backoff): pure cache-hit ops would flood the ring — 65536 identical
-  // microsecond spans hold under a second of history — while serializing
-  // every operation on the tracer's global mutex. Exception: an op running
-  // under a trace context is always recorded — its trace tree needs the leaf
-  // regardless, and traced ops are a request-rate (not cache-hit-rate)
-  // population. With tracing switched off an untraced span would be
-  // dropped by the tracer, so its arguments are not even formatted.
-  const obs::TraceContext ctx = obs::CurrentTraceContext();
-  if (ctx.active() ||
-      (obs::TracingEnabled() && (disk > 0.0 || cleaner > 0.0 || retry > 0.0))) {
-    std::vector<std::pair<std::string, std::string>> args = {
-        {"disk_us", std::to_string(Micros(disk))},
-        {"cleaner_us", std::to_string(Micros(cleaner))},
-        {"retry_us", std::to_string(Micros(retry))},
-        {"cache_us", std::to_string(Micros(cache))},
-        {"cache_hits", std::to_string(hits)},
-        {"cache_misses", std::to_string(misses)}};
-    if (ctx.active()) {
-      obs::Tracer().RecordSpanIds("op", a.name, a.start, end, ctx.trace_id,
-                                  obs::Tracer().NextId(), ctx.span_id, {},
-                                  std::move(args));
-    } else {
-      obs::Tracer().RecordSpan("op", a.name, a.start, end, std::move(args));
+  // Resolved once: the registry is process-global.
+  static constexpr double kBounds[] = {0.0001, 0.001, 0.01, 0.05, 0.1, 0.5, 1.0};
+  static const std::array<obs::Histogram*, std::size(kOpNames)> seconds = [] {
+    std::array<obs::Histogram*, std::size(kOpNames)> h{};
+    for (size_t i = 0; i < h.size(); ++i) {
+      h[i] = &obs::Registry().GetHistogram(
+          std::string("logfs.op.") + kOpNames[i] + ".seconds", kBounds);
     }
+    return h;
+  }();
+  const size_t i = static_cast<size_t>(op_);
+  const double end = fs_->Now();
+  seconds[i]->Observe(end - start_);
+  if (span_id_ != 0) {
+    ambient_.reset();  // Restore the caller's context first.
+    obs::Tracer().RecordSpanIds("op", kOpNames[i], start_, end, parent_.trace_id, span_id_,
+                                parent_.span_id);
   }
 }
 
-const LfsFileSystem::OpMetricHandles& LfsFileSystem::OpHandles(const char* name) {
-  auto it = op_metric_handles_.find(name);
-  if (it != op_metric_handles_.end()) {
-    return it->second;
-  }
-  static constexpr double kOpLatencyBounds[] = {0.0001, 0.001, 0.01, 0.05,
-                                                0.1,    0.5,   1.0};
-  const std::string prefix = std::string("logfs.op.") + name;
-  auto& registry = obs::Registry();
-  OpMetricHandles h;
-  h.seconds = &registry.GetHistogram(prefix + ".seconds", kOpLatencyBounds);
-  h.count = &registry.GetCounter(prefix + ".count");
-  h.disk_us = &registry.GetCounter(prefix + ".disk_us");
-  h.cleaner_us = &registry.GetCounter(prefix + ".cleaner_us");
-  h.retry_us = &registry.GetCounter(prefix + ".retry_us");
-  h.cache_us = &registry.GetCounter(prefix + ".cache_us");
-  return op_metric_handles_.emplace(name, h).first->second;
+obs::TraceContext LfsFileSystem::OpSpanParent() const {
+  // A traced OpScope installed its "op" span as the ambient context.
+  return op_depth_ > 0 ? obs::CurrentTraceContext() : obs::TraceContext{};
 }
 
-void LfsFileSystem::AddOpDiskSeconds(double seconds) {
-  if constexpr (!obs::kMetricsEnabled) {
-    (void)seconds;
-    return;
+bool LfsFileSystem::RecordDiskSpan(const char* category, const char* name, double start) {
+  const obs::TraceContext parent = in_cleaner_ ? obs::TraceContext{} : OpSpanParent();
+  if (!parent.active()) {
+    return false;
   }
-  // Device time inside the cleaner belongs to the cleaner-interference
-  // bucket, which is measured as one clock delta around the whole pass.
-  if (op_depth_ > 0 && !in_cleaner_ && seconds > 0.0) {
-    op_attr_.disk_seconds += seconds;
-  }
+  obs::Tracer().RecordSpanIds(category, name, start, Now(), parent.trace_id,
+                              obs::MintSpanId(parent), parent.span_id);
+  return true;
 }
 
-void LfsFileSystem::AddOpCleanerSeconds(double seconds) {
-  if constexpr (!obs::kMetricsEnabled) {
-    (void)seconds;
-    return;
-  }
-  if (op_depth_ > 0 && seconds > 0.0) {
-    op_attr_.cleaner_seconds += seconds;
-  }
-}
+#endif  // LOGFS_METRICS_DISABLED
 
 Status LfsFileSystem::CheckWritable() const {
   if (read_only_) {
@@ -713,7 +630,7 @@ Result<CacheRef> LfsFileSystem::ReadBlockRun(InodeNum ino, const Inode& inode, u
   }
   const double read_start = Now();
   Status read = device_->ReadSectorsV(addr, bufs);
-  AddOpDiskSeconds(Now() - read_start);
+  RecordDiskSpan("disk", "read", read_start);
   if (read.ok()) {
     // Verify the whole run: bufs[0] is the target at `addr`, bufs[k] the
     // k-th read-ahead block right after it on disk.
@@ -780,16 +697,6 @@ Result<DiskAddr> LfsFileSystem::AppendToLog(BlockKind kind, uint32_t ino, uint32
   return addr;
 }
 
-Result<DiskAddr> LfsFileSystem::AppendToLogExternal(BlockKind kind, uint32_t ino,
-                                                    uint32_t version, int64_t offset,
-                                                    std::span<const std::byte> data) {
-  RETURN_IF_ERROR(EnsureAppendRoom());
-  builder_.set_io_context(CurrentIoContext());
-  ASSIGN_OR_RETURN(DiskAddr addr, builder_.AppendExternal(kind, ino, version, offset, data));
-  usage_.SetWriteSeq(builder_.segment(), next_log_seq_);
-  return addr;
-}
-
 Result<DiskAddr> LfsFileSystem::AppendToLogDeferred(BlockKind kind, uint32_t ino,
                                                     uint32_t version, int64_t offset,
                                                     std::span<std::byte>* buffer) {
@@ -802,17 +709,14 @@ Result<DiskAddr> LfsFileSystem::AppendToLogDeferred(BlockKind kind, uint32_t ino
 
 Status LfsFileSystem::FlushPartial() {
   if (builder_.pending() == 0) {
-    staged_pins_.clear();
     return OkStatus();
   }
   if (cpu_ != nullptr) {
     ChargeCpu(cpu_->costs().segment_build_per_block * builder_.pending());
   }
-  // On failure the builder keeps its entries (and their extents), so the
-  // pins stay too; everything unwinds together when the caller gives up.
   const double flush_start = Now();
   Status flushed = builder_.Flush(next_log_seq_++, flush_start);
-  AddOpDiskSeconds(Now() - flush_start);
+  const bool traced = RecordDiskSpan("segwriter", "flush", flush_start);
   RETURN_IF_ERROR(flushed);
   // Fold the write-time checksums into the read-verification index.
   for (const SegmentBuilder::FlushedBlock& fb : builder_.last_flush()) {
@@ -823,9 +727,10 @@ Status LfsFileSystem::FlushPartial() {
     static obs::Histogram& latency =
         obs::Registry().GetHistogram("logfs.segwriter.flush_seconds", kLatencyBounds);
     latency.Observe(Now() - flush_start);
-    obs::Tracer().RecordSpan("segwriter", "flush", flush_start, Now());
+    if (!traced) {
+      obs::Tracer().RecordSpan("segwriter", "flush", flush_start, Now());
+    }
   }
-  staged_pins_.clear();
   return OkStatus();
 }
 
@@ -891,20 +796,8 @@ Status LfsFileSystem::WriteBack(std::span<CacheBlock* const> blocks) {
       return CorruptedError("dirty block for unallocated inode");
     }
     const uint32_t version = imap_.Get(ino).version;
-    DiskAddr addr = kNoAddr;
-    if (zero_copy_writeback_) {
-      // Stage the cache block's bytes in place, then pin it so eviction
-      // cannot free the storage before the vectored flush reads it. The pin
-      // must come after the append: an intervening FlushPartial (builder
-      // full) releases all staged pins, and until the append lands this
-      // block is still dirty and therefore unevictable anyway.
-      ASSIGN_OR_RETURN(addr, AppendToLogExternal(BlockKind::kData, ino, version,
-                                                 static_cast<int64_t>(index), block->data()));
-      staged_pins_.emplace_back(&cache_, block);
-    } else {
-      ASSIGN_OR_RETURN(addr, AppendToLog(BlockKind::kData, ino, version,
-                                         static_cast<int64_t>(index), block->data()));
-    }
+    ASSIGN_OR_RETURN(DiskAddr addr, AppendToLog(BlockKind::kData, ino, version,
+                                                static_cast<int64_t>(index), block->data()));
     ASSIGN_OR_RETURN(DiskAddr old, SetDataBlockAddr(ino, index, addr));
     AccountReplace(old, addr, BlockSize());
     // Mark clean immediately so the cache has evictable blocks while the
@@ -937,16 +830,8 @@ Status LfsFileSystem::FlushDirtyIndirect() {
         return CorruptedError("dirty indirect block for unallocated inode");
       }
       const uint32_t version = imap_.Get(ino).version;
-      DiskAddr addr = kNoAddr;
-      if (zero_copy_writeback_) {
-        // Pin after the append, as in the data-block phase above.
-        ASSIGN_OR_RETURN(addr, AppendToLogExternal(BlockKind::kIndirect, ino, version,
-                                                   static_cast<int64_t>(slot), block->data()));
-        staged_pins_.emplace_back(&cache_, block);
-      } else {
-        ASSIGN_OR_RETURN(addr, AppendToLog(BlockKind::kIndirect, ino, version,
-                                           static_cast<int64_t>(slot), block->data()));
-      }
+      ASSIGN_OR_RETURN(DiskAddr addr, AppendToLog(BlockKind::kIndirect, ino, version,
+                                                  static_cast<int64_t>(slot), block->data()));
       ASSIGN_OR_RETURN(DiskAddr old, SetIndirectAddr(ino, slot, addr));
       AccountReplace(old, addr, BlockSize());
       cache_.MarkClean(block);
@@ -1046,7 +931,7 @@ Status LfsFileSystem::WriteCheckpointRegion(const CheckpointRecord& ckpt) {
   const double ckpt_io_start = Now();
   Status first = device_->WriteSectors(region_sector(next_ckpt_region_), region,
                                        IoOptions{.synchronous = true});
-  AddOpDiskSeconds(Now() - ckpt_io_start);
+  RecordDiskSpan("disk", "checkpoint_region", ckpt_io_start);
   if (first.ok()) {
     next_ckpt_region_ ^= 1;
     obs::RecordWrite(RegionIoSource(), region.size());
@@ -1063,7 +948,7 @@ Status LfsFileSystem::WriteCheckpointRegion(const CheckpointRecord& ckpt) {
   const double failover_start = Now();
   Status second = device_->WriteSectors(region_sector(failed ^ 1), region,
                                         IoOptions{.synchronous = true});
-  AddOpDiskSeconds(Now() - failover_start);
+  RecordDiskSpan("disk", "checkpoint_region", failover_start);
   if (second.ok()) {
     next_ckpt_region_ = failed;
     obs::RecordWrite(RegionIoSource(), region.size());

@@ -22,6 +22,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -36,6 +37,7 @@
 #include "src/lfs/lfs_seg_usage.h"
 #include "src/lfs/lfs_segment.h"
 #include "src/obs/sampler.h"
+#include "src/obs/trace_context.h"
 #include "src/sim/cpu_model.h"
 #include "src/sim/sim_clock.h"
 
@@ -383,11 +385,6 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   Status EnsureAppendRoom();
   Result<DiskAddr> AppendToLog(BlockKind kind, uint32_t ino, uint32_t version, int64_t offset,
                                std::span<const std::byte> data);
-  // Zero-copy variant: `data` is referenced, not copied, and must stay
-  // valid until the partial segment is flushed. Cache-backed callers pin
-  // the block in staged_pins_ first.
-  Result<DiskAddr> AppendToLogExternal(BlockKind kind, uint32_t ino, uint32_t version,
-                                       int64_t offset, std::span<const std::byte> data);
   // Deferred variant: returns the builder-owned block to encode into
   // directly (valid until the flush), saving the bounce buffer.
   Result<DiskAddr> AppendToLogDeferred(BlockKind kind, uint32_t ino, uint32_t version,
@@ -470,52 +467,45 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   // Releases data blocks at index >= first_index (truncate/delete helper).
   Status ReleaseBlocksFrom(InodeNum ino, uint64_t first_index);
 
-  // --- per-op latency attribution ---
+  // --- per-op latency (DESIGN.md §6e, §6h) ---
+  enum class Op : uint8_t { kCreate, kRead, kWrite, kSync, kFsync };
+#ifdef LOGFS_METRICS_DISABLED
+  // Compiled out with the rest of src/obs: no histogram, no span.
+  struct OpScope {
+    OpScope(LfsFileSystem*, Op) {}
+  };
+  obs::TraceContext OpSpanParent() const { return {}; }
+  bool RecordDiskSpan(const char*, const char*, double) { return false; }
+#else
   // RAII scope wrapped around each top-level public operation (Read, Write,
-  // Sync, Fsync, Create). Only the outermost scope is live — internal
-  // reentry (Sync from the destructor, Checkpoint from the cleaner) attaches
-  // to it. On destruction the op's wall time is decomposed into disk-I/O,
-  // cleaner-interference and retry-backoff seconds; the remainder is the
-  // cache/CPU component. Published as logfs.op.<name>.* and as an "op" span.
+  // Sync, Fsync, Create). Only the outermost scope is live; internal
+  // reentry attaches to it. It observes the op's latency in
+  // logfs.op.<name>.seconds and, under an active trace context, records an
+  // "op" span that it installs as the ambient parent for the op's lifetime,
+  // so the op's device time and foreground cleaning become its children.
   class OpScope {
    public:
-    OpScope(LfsFileSystem* fs, const char* name);
+    OpScope(LfsFileSystem* fs, Op op);
     ~OpScope();
     OpScope(const OpScope&) = delete;
     OpScope& operator=(const OpScope&) = delete;
 
    private:
     LfsFileSystem* fs_;
-    bool active_ = false;
+    Op op_;
+    double start_ = 0.0;
+    obs::TraceContext parent_;  // The caller's context; inactive = untraced.
+    uint64_t span_id_ = 0;
+    std::optional<obs::TraceContextScope> ambient_;
   };
-  struct OpAttr {
-    const char* name = nullptr;
-    double start = 0.0;
-    double disk_seconds = 0.0;     // Device time outside the cleaner.
-    double cleaner_seconds = 0.0;  // CleanNow invoked to make room.
-    uint64_t retry_us_start = 0;   // logfs.resilient.backoff_us at op start.
-    uint64_t cache_hits_start = 0;
-    uint64_t cache_misses_start = 0;
-  };
-  // Registry handles for one op name's attribution metrics, resolved once
-  // per instance so the hot path never takes the registry mutex. Pointers
-  // are stable: the registry heap-allocates each metric.
-  struct OpMetricHandles {
-    obs::Histogram* seconds = nullptr;
-    obs::Counter* count = nullptr;
-    obs::Counter* disk_us = nullptr;
-    obs::Counter* cleaner_us = nullptr;
-    obs::Counter* retry_us = nullptr;
-    obs::Counter* cache_us = nullptr;
-  };
-  // `name` must be a string literal (the cache keys on the pointer). Calls
-  // are serialized by the owning shard's lock, like all other FS state.
-  const OpMetricHandles& OpHandles(const char* name);
-
-  // Charge device time to the active op (no-op when none; cleaner time is
-  // charged separately, so device I/O inside the cleaner is skipped here).
-  void AddOpDiskSeconds(double seconds);
-  void AddOpCleanerSeconds(double seconds);
+  // The parent of a child span of the op in flight: its "op" span, or the
+  // inactive context outside an op and in an untraced one.
+  obs::TraceContext OpSpanParent() const;
+  // Records device time [start, Now()) as a child span of the op in flight
+  // and returns whether it did. Device time inside a cleaning pass is the
+  // pass's own (cleaner) time, so it records nothing there.
+  bool RecordDiskSpan(const char* category, const char* name, double start);
+#endif
 
   Status InitializeRoot();
   Status MaybePressureFlush();
@@ -532,17 +522,6 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   InodeMap imap_;
   SegmentUsageTable usage_;
   SegmentBuilder builder_;
-  // Pins on cache blocks whose bytes the builder references in place
-  // (AppendToLogExternal): the blocks are marked clean as they are staged,
-  // and the pin is what keeps them from being evicted before the vectored
-  // flush reads them. Released by FlushPartial once the write is durable.
-  // Declared after cache_ and builder_ so the pins unwind first.
-  std::vector<CacheRef> staged_pins_;
-  // Whether write-back stages cache blocks by reference. Requires enough
-  // cache headroom that a partial segment's worth of pinned-clean blocks
-  // cannot starve eviction; tiny caches take the copying path (the on-disk
-  // stream and all simulated stats are identical either way).
-  bool zero_copy_writeback_ = false;
   std::unordered_map<InodeNum, CachedInode> inodes_;
   std::set<InodeNum> dirty_inodes_;  // Ascending: the inode-block packing order.
   std::vector<FreeRecord> pending_frees_;
@@ -580,9 +559,7 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
 
   // Flight recorder state (see Options::telemetry_interval_seconds).
   obs::TelemetrySampler sampler_;
-  int op_depth_ = 0;
-  OpAttr op_attr_;
-  std::unordered_map<const char*, OpMetricHandles> op_metric_handles_;
+  int op_depth_ = 0;  // Live OpScopes; only the outermost records.
 };
 
 }  // namespace logfs

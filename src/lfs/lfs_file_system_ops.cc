@@ -279,12 +279,7 @@ Status LfsFileSystem::EnsureSpaceForWrite(uint64_t incoming_bytes) {
       return OkStatus();
     }
     // Cleaning may reclaim fragmented segments; stop when it cannot.
-    // The whole pass is cleaner interference from the caller's point of
-    // view — the foreground op is stalled behind garbage collection.
-    const double clean_start = Now();
-    Result<uint32_t> clean_result = CleanNow(4);
-    AddOpCleanerSeconds(Now() - clean_start);
-    ASSIGN_OR_RETURN(uint32_t cleaned, std::move(clean_result));
+    ASSIGN_OR_RETURN(uint32_t cleaned, CleanNow(4));
     if (cleaned == 0) {
       return NoSpaceError("log full: cleaning cannot reclaim enough segments");
     }
@@ -312,7 +307,7 @@ Status LfsFileSystem::MaybePressureFlush() {
 // --- FileSystem interface -------------------------------------------------------------
 
 Result<InodeNum> LfsFileSystem::Create(InodeNum dir, std::string_view name, FileType type) {
-  OpScope op(this, "create");
+  OpScope op(this, Op::kCreate);
   RETURN_IF_ERROR(CheckWritable());
   if (type != FileType::kRegular && type != FileType::kDirectory &&
       type != FileType::kSymlink) {
@@ -536,7 +531,7 @@ Status LfsFileSystem::Rename(InodeNum from_dir, std::string_view from_name, Inod
 }
 
 Result<uint64_t> LfsFileSystem::Read(InodeNum ino, uint64_t offset, std::span<std::byte> out) {
-  OpScope op(this, "read");
+  OpScope op(this, Op::kRead);
   ASSIGN_OR_RETURN(CachedInode * ci, GetInode(ino));
   if (ci->inode.IsDirectory()) {
     return IsDirectoryError("read of a directory");
@@ -568,7 +563,7 @@ Result<uint64_t> LfsFileSystem::Read(InodeNum ino, uint64_t offset, std::span<st
 
 Result<uint64_t> LfsFileSystem::Write(InodeNum ino, uint64_t offset,
                                       std::span<const std::byte> data) {
-  OpScope op(this, "write");
+  OpScope op(this, Op::kWrite);
   RETURN_IF_ERROR(CheckWritable());
   ASSIGN_OR_RETURN(CachedInode * ci_check, GetInode(ino));
   if (ci_check->inode.IsDirectory()) {
@@ -689,7 +684,7 @@ Result<std::vector<DirEntry>> LfsFileSystem::ReadDir(InodeNum dir) {
 Status LfsFileSystem::Sync() {
   // sync(2) in LFS: flush everything and checkpoint, so a crash right after
   // Sync loses nothing.
-  OpScope op(this, "sync");
+  OpScope op(this, Op::kSync);
   return Checkpoint();
 }
 
@@ -709,7 +704,7 @@ Status LfsFileSystem::SyncAsOf(uint64_t seq) {
 }
 
 Status LfsFileSystem::Fsync(InodeNum /*ino*/) {
-  OpScope op(this, "fsync");
+  OpScope op(this, Op::kFsync);
   // fsync in LFS needs no checkpoint: flushing the dirty set into a partial
   // segment is durable, because roll-forward recovery re-registers the
   // inodes from the segment summaries (Section 4.4). The whole dirty set is

@@ -37,8 +37,8 @@ uint32_t HeaderCrc(std::span<const std::byte> block) {
 
 size_t SummaryCapacity(uint32_t block_size) { return (block_size - kHeaderSize) / kEntrySize; }
 
-Status EncodeSummaryV(const SegmentSummary& summary, std::span<std::byte> block,
-                      std::span<const std::span<const std::byte>> content_parts) {
+Status EncodeSummary(const SegmentSummary& summary, std::span<std::byte> block,
+                     std::span<const std::byte> content) {
   if (summary.entries.size() > SummaryCapacity(static_cast<uint32_t>(block.size()))) {
     return InvalidArgumentError("too many entries for summary block");
   }
@@ -63,18 +63,10 @@ Status EncodeSummaryV(const SegmentSummary& summary, std::span<std::byte> block,
   RETURN_IF_ERROR(writer.WriteU32(HeaderCrc(block)));
   uint32_t crc = Crc32Init();
   crc = Crc32Update(crc, block);
-  for (const auto& part : content_parts) {
-    crc = Crc32Update(crc, part);
-  }
+  crc = Crc32Update(crc, content);
   crc = Crc32Finalize(crc);
   RETURN_IF_ERROR(writer.SeekTo(4));
   return writer.WriteU32(crc);
-}
-
-Status EncodeSummary(const SegmentSummary& summary, std::span<std::byte> block,
-                     std::span<const std::byte> content) {
-  const std::span<const std::byte> one[] = {content};
-  return EncodeSummaryV(summary, block, one);
 }
 
 Result<SummaryPeek> PeekSummary(std::span<const std::byte> block, uint32_t block_size) {
@@ -176,7 +168,6 @@ void SegmentBuilder::StartAt(uint32_t segment, uint32_t offset) {
   segment_ = segment;
   start_offset_ = offset;
   buffer_.clear();
-  extents_.clear();
   entry_sources_.clear();
 }
 
@@ -194,11 +185,13 @@ bool SegmentBuilder::SegmentHasRoom() const {
 
 Result<DiskAddr> SegmentBuilder::Append(BlockKind kind, uint32_t ino, uint32_t version,
                                         int64_t offset, std::span<const std::byte> data) {
-  std::span<std::byte> buffer;
-  ASSIGN_OR_RETURN(DiskAddr addr, AppendDeferred(kind, ino, version, offset, &buffer));
+  // Checked before AppendDeferred adds the entry: a rejected block must not
+  // leave a zeroed phantom for the next Flush to write.
   if (data.size() != sb_.block_size) {
     return InvalidArgumentError("content block must be exactly one block");
   }
+  std::span<std::byte> buffer;
+  ASSIGN_OR_RETURN(DiskAddr addr, AppendDeferred(kind, ino, version, offset, &buffer));
   std::memcpy(buffer.data(), data.data(), data.size());
   return addr;
 }
@@ -214,31 +207,12 @@ Result<DiskAddr> SegmentBuilder::AppendDeferred(BlockKind kind, uint32_t ino, ui
     entry_sources_.push_back(EntrySource(kind));
   }
   const size_t pos = buffer_.size();
-  // A reallocation here would dangle every span previously handed out and
-  // every slice in extents_; the constructor's reserve makes it impossible.
+  // A reallocation here would dangle every span previously handed out; the
+  // constructor's reserve makes it impossible.
   assert(pos + sb_.block_size <= buffer_.capacity() &&
          "owned content outgrew the constructor reserve; handed-out spans would dangle");
   buffer_.resize(pos + sb_.block_size, std::byte{0});
   *buffer = std::span<std::byte>(buffer_).subspan(pos, sb_.block_size);
-  extents_.push_back(*buffer);
-  return sb_.SegmentBlockSector(segment_, block_offset);
-}
-
-Result<DiskAddr> SegmentBuilder::AppendExternal(BlockKind kind, uint32_t ino, uint32_t version,
-                                                int64_t offset,
-                                                std::span<const std::byte> data) {
-  if (!CanAppend()) {
-    return NoSpaceError("partial segment full; flush first");
-  }
-  if (data.size() != sb_.block_size) {
-    return InvalidArgumentError("content block must be exactly one block");
-  }
-  const uint32_t block_offset = start_offset_ + 1 + static_cast<uint32_t>(entries_.size());
-  entries_.push_back(SummaryEntry{kind, ino, version, offset});
-  if constexpr (obs::kMetricsEnabled) {
-    entry_sources_.push_back(EntrySource(kind));
-  }
-  extents_.push_back(data);
   return sb_.SegmentBlockSector(segment_, block_offset);
 }
 
@@ -248,29 +222,18 @@ Status SegmentBuilder::Flush(uint64_t seq, double timestamp) {
   }
   // Stamp each entry with its content CRC now — deferred blocks (segment
   // usage) are only final at flush time.
+  const std::span<const std::byte> content(buffer_);
   for (size_t i = 0; i < entries_.size(); ++i) {
-    entries_[i].block_crc = Crc32(extents_[i]);
+    entries_[i].block_crc = Crc32(content.subspan(i * sb_.block_size, sb_.block_size));
   }
   SegmentSummary summary;
   summary.seq = seq;
   summary.timestamp = timestamp;
   summary.entries = entries_;
-  RETURN_IF_ERROR(EncodeSummaryV(summary, summary_block_, extents_));
-  // One vectored write: summary block first, then the content extents in
-  // entry order. Extents that are adjacent in memory (consecutive owned
-  // blocks in buffer_) are merged, so the common all-owned partial goes out
-  // as {summary, buffer_} — but nothing is ever copied to coalesce.
-  std::vector<std::span<const std::byte>> iov;
-  iov.reserve(1 + extents_.size());
-  iov.push_back(summary_block_);
-  for (const auto& extent : extents_) {
-    if (iov.size() > 1 && iov.back().data() + iov.back().size() == extent.data()) {
-      iov.back() = std::span<const std::byte>(iov.back().data(),
-                                              iov.back().size() + extent.size());
-    } else {
-      iov.push_back(extent);
-    }
-  }
+  RETURN_IF_ERROR(EncodeSummary(summary, summary_block_, content));
+  // One vectored write: the summary block, then the content blocks in entry
+  // order, already contiguous in buffer_.
+  const std::span<const std::byte> iov[] = {summary_block_, content};
   const uint64_t sector = sb_.SegmentBlockSector(segment_, start_offset_);
   RETURN_IF_ERROR(device_->WriteSectorsV(sector, iov));
   // Per-flush (never per-append) accounting: one partial, its block count,
@@ -325,7 +288,6 @@ Status SegmentBuilder::Flush(uint64_t seq, double timestamp) {
   }
   start_offset_ += 1 + static_cast<uint32_t>(entries_.size());
   entries_.clear();
-  extents_.clear();
   entry_sources_.clear();
   buffer_.clear();
   return OkStatus();

@@ -66,13 +66,6 @@ size_t SummaryCapacity(uint32_t block_size);
 Status EncodeSummary(const SegmentSummary& summary, std::span<std::byte> block,
                      std::span<const std::byte> content);
 
-// Same, with the content supplied as a list of extents (the zero-copy write
-// path never materializes the concatenation). The CRC streams over the
-// extents in order, so the stamped checksum is byte-identical to
-// EncodeSummary on the coalesced buffer.
-Status EncodeSummaryV(const SegmentSummary& summary, std::span<std::byte> block,
-                      std::span<const std::span<const std::byte>> content_parts);
-
 // Header fields readable without the content. The header carries its own
 // CRC, which Peek validates — so a "peek" cannot be fooled by random bytes
 // that happen to start with the magic — but the content CRCs are not
@@ -117,8 +110,8 @@ class SegmentBuilder {
   // True if the segment has room for a fresh partial segment (summary + 1).
   bool SegmentHasRoom() const;
 
-  // Appends a content block; returns its assigned disk address. The caller
-  // must have checked CanAppend().
+  // Appends a copy of one content block to the pending partial; returns its
+  // assigned disk address. The caller must have checked CanAppend().
   Result<DiskAddr> Append(BlockKind kind, uint32_t ino, uint32_t version, int64_t offset,
                           std::span<const std::byte> data);
 
@@ -129,16 +122,9 @@ class SegmentBuilder {
   Result<DiskAddr> AppendDeferred(BlockKind kind, uint32_t ino, uint32_t version, int64_t offset,
                                   std::span<std::byte>* buffer);
 
-  // Appends a content block by reference: nothing is copied, and `data`
-  // must stay valid and unmodified until the next Flush or StartAt. This is
-  // the zero-copy path for blocks that already live in stable storage (the
-  // buffer cache pins them for the duration).
-  Result<DiskAddr> AppendExternal(BlockKind kind, uint32_t ino, uint32_t version, int64_t offset,
-                                  std::span<const std::byte> data);
-
   // Writes the pending partial segment as one sequential transfer and
   // advances past it. No-op when nothing is pending. Computes each entry's
-  // block_crc from its extent immediately before encoding.
+  // block_crc from its staged block immediately before encoding.
   Status Flush(uint64_t seq, double timestamp);
 
   // Provenance context for write attribution (DESIGN.md §6j). The file
@@ -180,13 +166,10 @@ class SegmentBuilder {
   // Parallel to entries_ (maintained only with metrics enabled): the
   // provenance class captured when each entry was appended.
   std::vector<obs::IoSource> entry_sources_;
-  // One extent per entry, in order: either a caller-owned span
-  // (AppendExternal) or a slice of buffer_ (Append/AppendDeferred). Handed
-  // to WriteSectorsV at Flush without coalescing.
-  std::vector<std::span<const std::byte>> extents_;
-  // Owned staging for Append/AppendDeferred blocks. Reserved to the full
-  // segment size up front and never allowed to reallocate: extents_ and the
-  // spans AppendDeferred hands out point into it.
+  // The pending partial's content blocks, in entry order: the partial goes
+  // to the device as {summary_block_, buffer_}. Reserved to the full
+  // segment size up front and never allowed to reallocate: the spans
+  // AppendDeferred hands out point into it.
   std::vector<std::byte> buffer_;
   std::vector<std::byte> summary_block_;
   std::vector<FlushedBlock> last_flush_;

@@ -1,7 +1,6 @@
 #include "src/obs/critical_path.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 
 #include "src/obs/metrics.h"
@@ -15,13 +14,6 @@ constexpr double kSloLatencyBoundsUs[] = {100.0,    250.0,    500.0,
                                           1000.0,   2500.0,   5000.0,
                                           10000.0,  25000.0,  50000.0,
                                           100000.0, 500000.0, 2000000.0};
-
-double ArgValue(const TraceEvent& ev, std::string_view key) {
-  for (const auto& [k, v] : ev.args) {
-    if (k == key) return std::strtod(v.c_str(), nullptr);
-  }
-  return 0.0;
-}
 
 bool ArgIs(const TraceEvent& ev, std::string_view key, std::string_view want) {
   for (const auto& [k, v] : ev.args) {
@@ -42,8 +34,13 @@ PathClass ClassOf(const TraceEvent& ev) {
   if (cat == "shard.lock_wait" || cat == "shard.lock_held") {
     return PathClass::kShardLock;
   }
-  // serve.op (client CPU + queue), serve.handle (server CPU), and anything
-  // unrecognized fall into the CPU/cache bucket.
+  // The device intervals of an LFS op: block reads, checkpoint-region
+  // writes and partial-segment flushes (retry backoff included).
+  if (cat == "disk" || cat == "segwriter") return PathClass::kDisk;
+  if (cat == "cleaner") return PathClass::kCleaner;
+  // serve.op (client CPU + queue), serve.handle (server CPU), an LFS op's
+  // self-time (cache hits, CPU charges) and anything unrecognized fall into
+  // the CPU/cache bucket.
   return PathClass::kCache;
 }
 
@@ -88,25 +85,7 @@ void Attribute(const TraceTree& tree, size_t node_i, double s, double e,
   if (e > cursor) self += e - cursor;
   if (self <= 0.0) return;
 
-  const TraceEvent& ev = node.event;
-  if (ev.category == "op") {
-    // PR 5's per-op decomposition: disk/cleaner/retry/cache microseconds sum
-    // to the span duration by construction; scale them onto the self time
-    // (children, e.g. nested shard work, have already taken their share).
-    const double disk = ArgValue(ev, "disk_us") + ArgValue(ev, "retry_us");
-    const double cleaner = ArgValue(ev, "cleaner_us");
-    const double cache = ArgValue(ev, "cache_us");
-    const double sum = disk + cleaner + cache;
-    if (sum > 0.0) {
-      out->seconds[static_cast<size_t>(PathClass::kDisk)] += self * (disk / sum);
-      out->seconds[static_cast<size_t>(PathClass::kCleaner)] += self * (cleaner / sum);
-      out->seconds[static_cast<size_t>(PathClass::kCache)] += self * (cache / sum);
-    } else {
-      out->seconds[static_cast<size_t>(PathClass::kCache)] += self;
-    }
-    return;
-  }
-  out->seconds[static_cast<size_t>(ClassOf(ev))] += self;
+  out->seconds[static_cast<size_t>(ClassOf(node.event))] += self;
 }
 
 }  // namespace

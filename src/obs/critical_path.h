@@ -12,18 +12,18 @@
 //   lease_wait   — time parked behind a conflicting lease holder (recall,
 //                  writer-fairness barrier, grace fence, min-hold)
 //   shard_lock   — shard-mutex wait + router time under the lock
-//   disk         — device time (including retry backoff) inside LFS ops
-//   cleaner      — foreground CleanNow time inside LFS ops
-//   cache        — everything else: client/server CPU and cache-hit work
+//   disk         — device time (including retry backoff) inside LFS ops:
+//                  the "disk" and "segwriter" children of an "op" span
+//   cleaner      — foreground cleaning inside LFS ops: "cleaner" children
+//   cache        — everything else: client/server CPU and cache-hit work,
+//                  including an LFS op's own self-time
 //
 // The walk is an interval sweep: a node's interval is partitioned between
 // its children (clipped to the parent, earliest-start wins an overlap) and
-// its own self-time, which goes to the node's class. LFS "op" spans split
-// their self-time proportionally by the disk/cleaner/retry/cache argument
-// microseconds PR 5 already attaches (which sum to the span's duration by
-// construction). Because the sweep partitions, the per-class seconds sum to
-// the root span's duration *exactly* — the property the seeded serve
-// scenario test asserts for every completed request.
+// its own self-time, which goes to the node's class. Because the sweep
+// partitions, the per-class seconds sum to the root span's duration
+// *exactly* — the property the seeded serve scenario test asserts for every
+// completed request.
 //
 // SloTracker turns breakdowns into the logfs.slo.* / logfs.path.* metric
 // families: per-op latency histograms, p50/p99 gauges, and violation

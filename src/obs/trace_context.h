@@ -9,8 +9,9 @@
 //
 // Propagation is two-mode:
 //   * Within a thread, the context is ambient: CurrentTraceContext() is a
-//     thread-local that TraceContextScope pushes/pops RAII-style. The LFS
-//     OpScope and the shard router read it without any plumbing.
+//     thread-local that TraceContextScope pushes/pops RAII-style. The shard
+//     router and the LFS OpScope read it without any plumbing, and each
+//     installs its own span as the parent of the work beneath it.
 //   * Across the simulated network, the context rides inside serve-layer
 //     messages (message.h) as plain data; the server re-installs it around
 //     request execution.

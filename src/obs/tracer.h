@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
+#include "src/obs/trace_context.h"
 #include "src/sim/sim_clock.h"
 
 namespace logfs::obs {
@@ -100,18 +101,26 @@ inline StructuredTracer& Tracer() { return StructuredTracer::Global(); }
 
 // RAII span: reads the clock at construction and records the span on
 // destruction. A null clock records at t=0 with zero duration, so call
-// sites don't need to special-case early setup paths.
+// sites don't need to special-case early setup paths. With an active
+// `parent` the span is recorded as its child (a fresh span id in parent's
+// trace); otherwise it is untraced.
 class SpanTimer {
  public:
-  SpanTimer(const SimClock* clock, std::string_view category, std::string_view name)
+  SpanTimer(const SimClock* clock, std::string_view category, std::string_view name,
+            TraceContext parent = {})
       : clock_(clock), category_(category), name_(name),
-        start_(clock ? clock->Now() : 0.0) {}
+        start_(clock ? clock->Now() : 0.0), parent_(parent) {}
   SpanTimer(const SpanTimer&) = delete;
   SpanTimer& operator=(const SpanTimer&) = delete;
   ~SpanTimer() {
     if constexpr (kMetricsEnabled) {
-      Tracer().RecordSpan(category_, name_, start_,
-                          clock_ ? clock_->Now() : start_, std::move(args_));
+      const double end = clock_ ? clock_->Now() : start_;
+      if (parent_.active()) {
+        Tracer().RecordSpanIds(category_, name_, start_, end, parent_.trace_id,
+                               MintSpanId(parent_), parent_.span_id, {}, std::move(args_));
+      } else {
+        Tracer().RecordSpan(category_, name_, start_, end, std::move(args_));
+      }
     }
   }
 
@@ -126,6 +135,7 @@ class SpanTimer {
   std::string category_;
   std::string name_;
   double start_;
+  TraceContext parent_;
   std::vector<std::pair<std::string, std::string>> args_;
 };
 

@@ -141,39 +141,20 @@ TEST_F(SegmentBuilderTest, DeferredSpansStayValidAtMaximumPartialSize) {
   }
 }
 
-TEST_F(SegmentBuilderTest, ExternalBlocksInterleaveWithOwnedOnes) {
-  // AppendExternal stages a caller-owned buffer by reference; the flush must
-  // stitch owned and external extents into one contiguous on-disk run and
-  // the summary CRC must cover the external bytes too.
-  builder_->StartAt(7, 0);
-  const std::vector<std::byte> ext_a = Block(0xC1);
-  const std::vector<std::byte> ext_b = Block(0xC2);
-  auto a = builder_->Append(BlockKind::kData, 2, 1, 0, Block(0xB1));
-  auto b = builder_->AppendExternal(BlockKind::kData, 2, 1, 1, ext_a);
-  auto c = builder_->Append(BlockKind::kData, 2, 1, 2, Block(0xB2));
-  auto d = builder_->AppendExternal(BlockKind::kData, 2, 1, 3, ext_b);
-  ASSERT_TRUE(a.ok() && b.ok() && c.ok() && d.ok());
-  EXPECT_EQ(*b, *a + sb_.SectorsPerBlock());
-  EXPECT_EQ(*d, *c + sb_.SectorsPerBlock());
-  ASSERT_TRUE(builder_->Flush(9, 0.25).ok());
-
-  std::vector<std::byte> summary(sb_.block_size);
-  ASSERT_TRUE(disk_.ReadSectors(sb_.SegmentBlockSector(7, 0), summary).ok());
-  std::vector<std::byte> content(4 * sb_.block_size);
-  ASSERT_TRUE(disk_.ReadSectors(sb_.SegmentBlockSector(7, 1), content).ok());
-  auto decoded = DecodeSummary(summary, content);
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->entries.size(), 4u);
-  EXPECT_EQ(content[0 * sb_.block_size], std::byte{0xB1});
-  EXPECT_EQ(content[1 * sb_.block_size], std::byte{0xC1});
-  EXPECT_EQ(content[2 * sb_.block_size], std::byte{0xB2});
-  EXPECT_EQ(content[3 * sb_.block_size], std::byte{0xC2});
-}
-
-TEST_F(SegmentBuilderTest, ExternalBlockMustBeExactlyOneBlock) {
+TEST_F(SegmentBuilderTest, WrongSizedAppendFailsWithoutStagingAnything) {
+  // A rejected block must leave no summary entry behind; otherwise the next
+  // flush writes a zeroed phantom block in its place.
   builder_->StartAt(8, 0);
-  std::vector<std::byte> runt(sb_.block_size - 1);
-  EXPECT_FALSE(builder_->AppendExternal(BlockKind::kData, 1, 1, 0, runt).ok());
+  for (const size_t size : {size_t{0}, size_t{sb_.block_size} - 1, size_t{sb_.block_size} + 1}) {
+    std::vector<std::byte> wrong(size, std::byte{0xEE});
+    EXPECT_FALSE(builder_->Append(BlockKind::kData, 1, 1, 0, wrong).ok()) << size;
+    EXPECT_EQ(builder_->pending(), 0u) << size;
+  }
+  auto a = builder_->Append(BlockKind::kData, 1, 1, 0, Block(0xD1));
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(*a, sb_.SegmentBlockSector(8, 1));
+  ASSERT_TRUE(builder_->Flush(1, 0.0).ok());
+  EXPECT_EQ(builder_->next_offset(), 2u);
 }
 
 TEST_F(SegmentBuilderTest, EmptyFlushIsANoOp) {

@@ -504,7 +504,8 @@ TEST_F(ObsTest, DisabledTracingKeepsOnlyTracedEvents) {
   obs::Tracer().RecordSpan("plain", "span", 1.0, 2.0, {{"k", "v"}});
   obs::Tracer().RecordInstant("plain", "instant", 3.0);
   { obs::SpanTimer timer(inst.clock.get(), "plain", "timer"); }
-  // An LFS op that reaches the device would record an untraced "op" span.
+  // An LFS write that reaches the device would record an untraced
+  // segwriter/flush span.
   ASSERT_TRUE(inst.paths->WriteFile("/f", std::vector<std::byte>(8192)).ok());
   ASSERT_TRUE(inst.fs->Sync().ok());
   EXPECT_EQ(obs::Tracer().size(), 0u);

@@ -1,18 +1,26 @@
 // Flight-recorder tests: sampler cadence and delta/ring semantics, quantile
 // estimation, the TelemetryRing wire codec (round-trip, corruption
 // rejection, fold-to-fit budgets), the black-box trailer codec, the
-// compiled-out no-op contract, the write-cost clamp regression, and the
-// end-to-end on-disk black box + per-op latency attribution of a live LFS.
+// compiled-out no-op contract, the write-cost clamp regression, the
+// end-to-end on-disk black box of a live LFS, and the per-op latency
+// breakdown of a live LFS: the op histograms and, under a trace context,
+// the op span's disk and cleaner children.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <vector>
 
+#include "src/disk/fault_disk.h"
+#include "src/disk/resilient_disk.h"
 #include "src/lfs/lfs_blackbox.h"
 #include "src/lfs/lfs_cleaner.h"
+#include "src/obs/critical_path.h"
 #include "src/obs/metrics.h"
 #include "src/obs/sampler.h"
+#include "src/obs/trace_context.h"
+#include "src/obs/tracer.h"
 #include "tests/fs_fixture.h"
 
 namespace logfs {
@@ -405,58 +413,214 @@ TEST_F(SamplerTest, BlackBoxPersistsAcrossCheckpointsAndRecoversFromRawImage) {
   EXPECT_EQ(via_device->ring.seq, second->ring.seq);
 }
 
-TEST_F(SamplerTest, PerOpAttributionCountersAndHistogramsPublished) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
-  LfsInstance inst;
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(
-        inst.paths->WriteFile("/f" + std::to_string(i), TestBytes(8192, i)).ok());
+// --- per-op latency breakdown --------------------------------------------------
+
+// Runs `body` as one traced request rooted at a "test" span and returns the
+// trace trees the ring then holds (exactly one when nothing leaked).
+template <typename Body>
+std::vector<obs::TraceTree> TraceOneRequest(const SimClock* clock, Body&& body) {
+  obs::Tracer().Clear();
+  {
+    obs::TraceRoot root(clock, "test", "request");
+    body();
   }
+  return obs::AssembleTraceTrees(obs::Tracer().Events());
+}
+
+// The single child of the request root: the LFS op's span.
+const obs::TraceNode& OpNode(const obs::TraceTree& tree) {
+  const obs::TraceNode& root = tree.nodes[tree.root];
+  EXPECT_EQ(root.children.size(), 1u);
+  return tree.nodes[root.children.at(0)];
+}
+
+double ClassSeconds(const obs::Breakdown& b, obs::PathClass c) {
+  return b.seconds[static_cast<size_t>(c)];
+}
+
+TEST_F(SamplerTest, TracedFsyncHangsItsDeviceTimeUnderTheOpSpan) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  obs::SetTracingEnabled(true);
+  LfsInstance inst;
+  auto ino = inst.fs->Create(kRootIno, "f", FileType::kRegular);
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(inst.fs->Write(*ino, 0, TestBytes(64 * 1024, 1)).ok());
+
+  const std::vector<obs::TraceTree> trees =
+      TraceOneRequest(inst.clock.get(), [&] { ASSERT_TRUE(inst.fs->Fsync(*ino).ok()); });
+  ASSERT_EQ(trees.size(), 1u);
+  const obs::TraceTree& tree = trees[0];
+  const obs::TraceNode& op = OpNode(tree);
+  EXPECT_EQ(op.event.category, "op");
+  EXPECT_EQ(op.event.name, "fsync");
+  ASSERT_FALSE(op.children.empty());
+  double device_seconds = 0.0;
+  for (size_t c : op.children) {
+    const obs::TraceEvent& ev = tree.nodes[c].event;
+    EXPECT_TRUE(ev.category == "segwriter" || ev.category == "disk") << ev.category;
+    device_seconds += ev.duration_seconds;
+  }
+
+  const obs::Breakdown b = obs::AnalyzeCriticalPath(tree);
+  EXPECT_GT(ClassSeconds(b, obs::PathClass::kDisk), 0.0);
+  EXPECT_NEAR(ClassSeconds(b, obs::PathClass::kDisk), device_seconds, 1e-9);
+  EXPECT_NEAR(b.Sum(), b.total_seconds, 1e-9);
+}
+
+TEST_F(SamplerTest, TracedWriteCountsForegroundCleaningAsCleanerTime) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  obs::SetTracingEnabled(true);
+  LfsFileSystem::Options options;
+  options.auto_clean = false;  // Only a write short of clean space cleans.
+  LfsInstance inst(32 * 2048 + 4096, LfsInstance::DefaultParams(), options);
+  std::vector<InodeNum> files;
+  for (int f = 0; f < 8; ++f) {
+    auto ino = inst.fs->Create(kRootIno, "churn" + std::to_string(f), FileType::kRegular);
+    ASSERT_TRUE(ino.ok());
+    files.push_back(*ino);
+  }
+  // Overwrite until one write has to clean to make room for itself.
+  std::vector<obs::TraceTree> trees;
+  uint64_t checkpoints_before = 0;
+  bool cleaned = false;
+  for (int round = 0; round < 64 && !cleaned; ++round) {
+    for (size_t f = 0; f < files.size() && !cleaned; ++f) {
+      const uint64_t passes_before = inst.fs->cleaner_stats().passes;
+      checkpoints_before = inst.fs->checkpoint_count();
+      trees = TraceOneRequest(inst.clock.get(), [&] {
+        ASSERT_TRUE(
+            inst.fs->Write(files[f], 0, TestBytes(256 * 1024, round * 10 + f)).ok());
+      });
+      cleaned = inst.fs->cleaner_stats().passes > passes_before;
+      ASSERT_TRUE(inst.fs->Fsync(files[f]).ok());  // Overwrites reach the log.
+    }
+  }
+  ASSERT_TRUE(cleaned) << "no write ever cleaned";
+  // The pass read victims, rewrote their live blocks and checkpointed.
+  EXPECT_GT(inst.fs->checkpoint_count(), checkpoints_before);
+
+  ASSERT_EQ(trees.size(), 1u);
+  const obs::TraceTree& tree = trees[0];
+  const obs::TraceNode& op = OpNode(tree);
+  EXPECT_EQ(op.event.name, "write");
+  double pass_seconds = 0.0;
+  std::vector<std::pair<double, double>> pass_intervals;
+  for (size_t c : op.children) {
+    const obs::TraceNode& child = tree.nodes[c];
+    if (child.event.category != "cleaner") continue;
+    // None of the pass's reads, segment writes or its checkpoint is a span
+    // of its own in the tree: all of it is the pass's (cleaner) time.
+    EXPECT_TRUE(child.children.empty());
+    pass_seconds += child.event.duration_seconds;
+    pass_intervals.emplace_back(child.event.start_seconds,
+                                child.event.start_seconds + child.event.duration_seconds);
+  }
+  ASSERT_GT(pass_seconds, 0.0);
+  for (const obs::TraceNode& node : tree.nodes) {
+    if (node.event.category != "disk" && node.event.category != "segwriter") continue;
+    for (const auto& [start, end] : pass_intervals) {
+      EXPECT_TRUE(node.event.start_seconds >= end ||
+                  node.event.start_seconds + node.event.duration_seconds <= start)
+          << "device span inside a cleaning pass";
+    }
+  }
+
+  const obs::Breakdown b = obs::AnalyzeCriticalPath(tree);
+  EXPECT_NEAR(ClassSeconds(b, obs::PathClass::kCleaner), pass_seconds, 1e-9);
+  EXPECT_NEAR(b.Sum(), b.total_seconds, 1e-9);
+}
+
+TEST_F(SamplerTest, TracedReadCountsRetryBackoffAsDisk) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  obs::SetTracingEnabled(true);
+  SimClock clock;
+  CpuModel cpu(&clock, 10.0);
+  MemoryDisk memory(131072, &clock);
+  FaultInjectingDisk faults(&memory);
+  ResilientDisk disk(&faults, &clock);
+  ASSERT_TRUE(LfsFileSystem::Format(&disk, LfsInstance::DefaultParams()).ok());
+  auto mounted = LfsFileSystem::Mount(&disk, &clock, &cpu);
+  ASSERT_TRUE(mounted.ok());
+  LfsFileSystem& fs = **mounted;
+  auto ino = fs.Create(kRootIno, "f", FileType::kRegular);
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(fs.Write(*ino, 0, TestBytes(4096, 3)).ok());
+  ASSERT_TRUE(fs.Sync().ok());
+  ASSERT_TRUE(fs.DropCaches().ok());
+
+  // The read's first device request fails once and is retried after one
+  // backoff.
+  faults.FailNthRead(faults.read_requests_seen());
+  const obs::Counter& backoff_us = obs::Registry().GetCounter("logfs.resilient.backoff_us");
+  const uint64_t backoff_before = backoff_us.Value();
+  std::vector<std::byte> out(4096);
+  const std::vector<obs::TraceTree> trees = TraceOneRequest(&clock, [&] {
+    auto n = fs.Read(*ino, 0, out);
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(*n, out.size());
+  });
+  const double backoff = static_cast<double>(backoff_us.Value() - backoff_before) / 1e6;
+  ASSERT_GT(backoff, 0.0);
+  EXPECT_EQ(out, TestBytes(4096, 3));
+
+  ASSERT_EQ(trees.size(), 1u);
+  const obs::TraceTree& tree = trees[0];
+  const obs::TraceNode& op = OpNode(tree);
+  EXPECT_EQ(op.event.name, "read");
+  double longest_read = 0.0;
+  for (size_t c : op.children) {
+    const obs::TraceEvent& ev = tree.nodes[c].event;
+    if (ev.category == "disk") longest_read = std::max(longest_read, ev.duration_seconds);
+  }
+  EXPECT_GE(longest_read, backoff);  // The retried request's span holds its backoff.
+  const obs::Breakdown b = obs::AnalyzeCriticalPath(tree);
+  EXPECT_GE(ClassSeconds(b, obs::PathClass::kDisk), backoff);
+  EXPECT_NEAR(b.Sum(), b.total_seconds, 1e-9);
+}
+
+TEST_F(SamplerTest, UntracedOpsObserveLatencyButRecordNoSpans) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  obs::SetTracingEnabled(true);
+  LfsInstance inst;
+  obs::Registry().ResetAll();  // Drop the ops Format ran.
+  obs::Tracer().Clear();
+  std::vector<InodeNum> files;
+  for (int i = 0; i < 3; ++i) {
+    auto ino = inst.fs->Create(kRootIno, "f" + std::to_string(i), FileType::kRegular);
+    ASSERT_TRUE(ino.ok());
+    ASSERT_TRUE(inst.fs->Write(*ino, 0, TestBytes(8192, i)).ok());
+    files.push_back(*ino);
+  }
+  ASSERT_TRUE(inst.fs->Fsync(files[0]).ok());
   ASSERT_TRUE(inst.fs->Sync().ok());
-  auto read_back = inst.paths->ReadFile("/f3");
-  ASSERT_TRUE(read_back.ok());
+  ASSERT_TRUE(inst.fs->DropCaches().ok());
+  std::vector<std::byte> out(8192);
+  ASSERT_TRUE(inst.fs->Read(files[1], 0, out).ok());
+  ASSERT_TRUE(inst.fs->Read(files[2], 0, out).ok());
 
-  const obs::Counter* writes = obs::Registry().FindCounter("logfs.op.write.count");
-  const obs::Counter* creates = obs::Registry().FindCounter("logfs.op.create.count");
-  const obs::Counter* reads = obs::Registry().FindCounter("logfs.op.read.count");
-  const obs::Counter* syncs = obs::Registry().FindCounter("logfs.op.sync.count");
-  ASSERT_NE(writes, nullptr);
-  ASSERT_NE(creates, nullptr);
-  ASSERT_NE(reads, nullptr);
-  ASSERT_NE(syncs, nullptr);
-  EXPECT_GE(writes->Value(), 20u);
-  EXPECT_GE(creates->Value(), 20u);
-  EXPECT_GE(reads->Value(), 1u);
-  EXPECT_GE(syncs->Value(), 1u);
+  // Device work happened and tracing was on, yet no op left a span: only
+  // the untraced segment-writer flushes.
+  bool saw_flush = false;
+  for (const obs::TraceEvent& ev : obs::Tracer().Events()) {
+    EXPECT_NE(ev.category, "op");
+    EXPECT_NE(ev.category, "disk");
+    EXPECT_EQ(ev.trace_id, 0u);
+    saw_flush = saw_flush || ev.category == "segwriter";
+  }
+  EXPECT_TRUE(saw_flush);
 
-  // Sync writes segments + a checkpoint: its disk component must be nonzero.
-  const obs::Counter* sync_disk = obs::Registry().FindCounter("logfs.op.sync.disk_us");
-  ASSERT_NE(sync_disk, nullptr);
-  EXPECT_GT(sync_disk->Value(), 0u);
-
-  // The latency histogram exists and saw every sync.
-  const obs::Histogram* sync_hist = obs::Registry().FindHistogram("logfs.op.sync.seconds");
-  ASSERT_NE(sync_hist, nullptr);
-  EXPECT_EQ(sync_hist->Count(), syncs->Value());
-
-  // Attribution components never exceed the measured total (in microseconds;
-  // each bucket is clamped non-negative and cache/CPU absorbs the remainder,
-  // so the parts must sum to <= total with rounding slack).
-  const obs::Histogram* write_hist =
-      obs::Registry().FindHistogram("logfs.op.write.seconds");
-  ASSERT_NE(write_hist, nullptr);
-  const obs::Counter* w_disk = obs::Registry().FindCounter("logfs.op.write.disk_us");
-  const obs::Counter* w_clean = obs::Registry().FindCounter("logfs.op.write.cleaner_us");
-  const obs::Counter* w_retry = obs::Registry().FindCounter("logfs.op.write.retry_us");
-  const obs::Counter* w_cache = obs::Registry().FindCounter("logfs.op.write.cache_us");
-  ASSERT_NE(w_disk, nullptr);
-  ASSERT_NE(w_clean, nullptr);
-  ASSERT_NE(w_retry, nullptr);
-  ASSERT_NE(w_cache, nullptr);
-  const double total_us = write_hist->Sum() * 1e6;
-  const double parts = static_cast<double>(w_disk->Value() + w_clean->Value() +
-                                           w_retry->Value() + w_cache->Value());
-  EXPECT_LE(parts, total_us + static_cast<double>(4 * writes->Value()));
+  // One latency sample per call, in one histogram per op.
+  const std::pair<const char*, uint64_t> expected[] = {
+      {"create", 3}, {"write", 3}, {"fsync", 1}, {"sync", 1}, {"read", 2}};
+  for (const auto& [op, calls] : expected) {
+    const obs::Histogram* h =
+        obs::Registry().FindHistogram(std::string("logfs.op.") + op + ".seconds");
+    ASSERT_NE(h, nullptr) << op;
+    EXPECT_EQ(h->Count(), calls) << op;
+  }
+  for (const auto& [name, value] : obs::Registry().Snapshot().counters) {
+    EXPECT_NE(name.rfind("logfs.op.", 0), 0u) << name;
+  }
 }
 
 }  // namespace

@@ -43,6 +43,16 @@ cmake --build "$BUILD_DIR" -j --target bench_trace_attribution >/dev/null
 "$BUILD_DIR"/bench/bench_trace_attribution --smoke --out "$BUILD_DIR"/BENCH_PR8.nometrics.json
 grep -q '"metrics_enabled": false' "$BUILD_DIR"/BENCH_PR8.nometrics.json
 
+# The per-op latency scope and the op's child spans compile out with the
+# tracer: no OpScope, OpSpanParent or RecordDiskSpan code may survive in a
+# binary that runs LFS ops.
+cmake --build "$BUILD_DIR" -j --target lfs_inspect >/dev/null
+if nm -C "$BUILD_DIR"/examples/lfs_inspect |
+    grep -q 'LfsFileSystem::OpScope\|LfsFileSystem::OpSpanParent\|LfsFileSystem::RecordDiskSpan'; then
+  echo "per-op latency code survived LOGFS_METRICS=OFF" >&2
+  exit 1
+fi
+
 # The cross-shard intent log counts publishes, retirements, ring-full
 # drains, media aborts, and mount-time reconciliations as logfs.intent.*;
 # with metrics off those compile out and the intent discipline must behave
@@ -81,4 +91,4 @@ if "$BUILD_DIR"/examples/lfs_inspect iostat >/dev/null 2>&1; then
   exit 1
 fi
 
-echo "LOGFS_METRICS=OFF: build + tests clean (sampler no-op, serve + tracing + intent + observatory surfaces verified)"
+echo "LOGFS_METRICS=OFF: build + tests clean (sampler no-op, serve + tracing + per-op latency + intent + observatory surfaces verified)"

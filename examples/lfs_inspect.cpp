@@ -175,23 +175,15 @@ void DumpSegments(const LfsFileSystem& fs) {
 int WalkLog(MemoryDisk& disk, const LfsSuperblock& sb) {
   std::cout << "log walk (valid partial segments, decoded from raw sectors):\n";
   TablePrinter table({"segment", "offset", "seq", "blocks", "contents"});
-  std::vector<std::byte> summary_block(sb.block_size);
   int partials = 0;
   for (uint32_t seg = 0; seg < sb.num_segments; ++seg) {
-    uint32_t offset = 0;
-    while (offset + 1 < sb.BlocksPerSegment()) {
-      if (!disk.ReadSectors(sb.SegmentBlockSector(seg, offset), summary_block).ok()) {
+    for (SummaryChain chain(&disk, sb, seg, ChainMode::kStrict); chain.Next();) {
+      const uint32_t nblocks = chain.peek().nblocks;
+      std::vector<std::byte> content(static_cast<size_t>(nblocks) * sb.block_size);
+      if (!disk.ReadSectors(sb.SegmentBlockSector(seg, chain.offset() + 1), content).ok()) {
         break;
       }
-      auto peek = PeekSummary(summary_block, sb.block_size);
-      if (!peek.ok() || offset + 1 + peek->nblocks > sb.BlocksPerSegment()) {
-        break;
-      }
-      std::vector<std::byte> content(static_cast<size_t>(peek->nblocks) * sb.block_size);
-      if (!disk.ReadSectors(sb.SegmentBlockSector(seg, offset + 1), content).ok()) {
-        break;
-      }
-      auto summary = DecodeSummary(summary_block, content);
+      auto summary = DecodeSummary(chain.summary_block(), content);
       if (!summary.ok()) {
         break;
       }
@@ -209,10 +201,9 @@ int WalkLog(MemoryDisk& disk, const LfsSuperblock& sb) {
           census += std::to_string(counts[k]) + " " + KindName(static_cast<BlockKind>(k));
         }
       }
-      table.AddRow({std::to_string(seg), std::to_string(offset),
-                    std::to_string(summary->seq), std::to_string(peek->nblocks), census});
+      table.AddRow({std::to_string(seg), std::to_string(chain.offset()),
+                    std::to_string(summary->seq), std::to_string(nblocks), census});
       ++partials;
-      offset += 1 + peek->nblocks;
       if (partials > 40) {
         table.AddRow({"...", "", "", "", "(truncated)"});
         table.Print(std::cout);
@@ -436,41 +427,32 @@ int RunScrub(MemoryDisk& disk, LfsFileSystem& fs, const LfsSuperblock& sb) {
     DiskAddr addr = kNoAddr;
   };
   std::map<std::pair<uint32_t, int64_t>, Candidate> newest;
-  std::vector<std::byte> summary_block(sb.block_size);
   for (uint32_t seg = 0; seg < sb.num_segments; ++seg) {
-    uint32_t offset = 0;
-    while (offset + 1 < sb.BlocksPerSegment()) {
-      if (!disk.ReadSectors(sb.SegmentBlockSector(seg, offset), summary_block).ok()) {
+    for (SummaryChain chain(&disk, sb, seg, ChainMode::kStrict); chain.Next();) {
+      std::vector<std::byte> content(static_cast<size_t>(chain.peek().nblocks) * sb.block_size);
+      if (!disk.ReadSectors(sb.SegmentBlockSector(seg, chain.offset() + 1), content).ok()) {
         break;
       }
-      auto peek = PeekSummary(summary_block, sb.block_size);
-      if (!peek.ok() || offset + 1 + peek->nblocks > sb.BlocksPerSegment()) {
-        break;
+      auto summary = DecodeSummary(chain.summary_block(), content);
+      if (!summary.ok()) {
+        continue;
       }
-      std::vector<std::byte> content(static_cast<size_t>(peek->nblocks) * sb.block_size);
-      if (!disk.ReadSectors(sb.SegmentBlockSector(seg, offset + 1), content).ok()) {
-        break;
-      }
-      auto summary = DecodeSummary(summary_block, content);
-      if (summary.ok()) {
-        for (size_t i = 0; i < summary->entries.size(); ++i) {
-          const SummaryEntry& entry = summary->entries[i];
-          if (entry.kind != BlockKind::kData || !fs.imap().IsValid(entry.ino)) {
-            continue;
-          }
-          const ImapEntry& map_entry = fs.imap().Get(entry.ino);
-          if (!map_entry.allocated || map_entry.version != entry.version) {
-            continue;
-          }
-          Candidate& candidate = newest[{entry.ino, entry.offset}];
-          if (summary->seq >= candidate.seq) {
-            candidate.seq = summary->seq;
-            candidate.addr =
-                sb.SegmentBlockSector(seg, offset + 1 + static_cast<uint32_t>(i));
-          }
+      for (size_t i = 0; i < summary->entries.size(); ++i) {
+        const SummaryEntry& entry = summary->entries[i];
+        if (entry.kind != BlockKind::kData || !fs.imap().IsValid(entry.ino)) {
+          continue;
+        }
+        const ImapEntry& map_entry = fs.imap().Get(entry.ino);
+        if (!map_entry.allocated || map_entry.version != entry.version) {
+          continue;
+        }
+        Candidate& candidate = newest[{entry.ino, entry.offset}];
+        if (summary->seq >= candidate.seq) {
+          candidate.seq = summary->seq;
+          candidate.addr =
+              sb.SegmentBlockSector(seg, chain.offset() + 1 + static_cast<uint32_t>(i));
         }
       }
-      offset += 1 + peek->nblocks;
     }
   }
   if (newest.empty()) {

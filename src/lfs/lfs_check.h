@@ -1,25 +1,36 @@
 // LfsChecker: offline consistency verification (the LFS analogue of fsck,
 // used heavily by the crash-recovery property tests).
 //
-// After quiescing the file system (Sync), it verifies that:
+// The check has two halves. The per-log checks (LfsChecker::CheckLog) see
+// one log and, after quiescing it (Sync), verify that:
 //   * every allocated inode-map entry resolves to an on-disk inode block
 //     whose tagged slot matches (inode number and version);
-//   * the directory tree is a rooted, acyclic graph with correct "." / ".."
-//     entries and exact nlink counts, with no dangling references and no
-//     unreachable allocated inodes;
+//   * every allocated inode stats, every directory reads, and (with
+//     verify_data) every file's content reads end to end, once;
 //   * every live block address lies inside the segment area and no two live
 //     pointers reference the same disk block;
 //   * the segment usage table matches an exact recount, clean segments hold
 //     no live data, and exactly one segment is active;
-//   * every file's content is readable end to end;
 //   * every live block whose write-time checksum is known still matches it
 //     on the medium (silent corruption shows up here even before a reader
 //     trips on it), with per-segment failure counts and the number of
 //     quarantined segments reported.
+// The last three come from one walk of the live-block set
+// (LfsFileSystem::WalkLiveBlocks).
+//
+// The namespace check (CheckNamespace) sees one or more logs and verifies
+// that the directory tree is rooted and acyclic, "." and ".." are correct,
+// each dirent's type matches its inode, and nlink counts are exact, with no
+// dangling references and no unreachable allocated inodes. A single-log
+// volume runs it over its own log (LfsChecker::Check); a sharded volume,
+// whose dirents cross shards, runs the per-log checks on every shard and
+// then this check across all of them (CheckShardedLfs).
 #ifndef LOGFS_SRC_LFS_LFS_CHECK_H_
 #define LOGFS_SRC_LFS_LFS_CHECK_H_
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,29 +68,33 @@ struct LfsCheckReport {
 
   bool ok() const { return problems.empty(); }
   std::string Summary() const;
+  // Records a problem; past the first 64 they are dropped.
+  void Complain(std::string problem);
 };
 
 class LfsChecker {
  public:
-  // `check_namespace` = false is SHARD MODE: one shard of a sharded volume
-  // holds dirents that legitimately reference inodes homed in other shards
-  // (and shards other than 0 have no root directory at all), so the rooted
-  // tree walk, nlink audit and orphan detection are skipped here — the
-  // sharded checker (src/lfs/sharded_lfs.h) performs them globally through
-  // the router. Every per-shard invariant (imap resolution, live-address
-  // uniqueness, usage exactness, content readability, media CRCs) is still
-  // verified, with files/directories enumerated from the inode map instead
-  // of the tree.
-  explicit LfsChecker(LfsFileSystem* fs, bool check_namespace = true)
-      : fs_(fs), check_namespace_(check_namespace) {}
+  explicit LfsChecker(LfsFileSystem* fs) : fs_(fs) {}
 
-  // Full check; `verify_data` additionally reads every file's bytes.
+  // Full check of a single-log volume: CheckLog, then CheckNamespace over
+  // this log. `verify_data` additionally reads every file's bytes.
   Result<LfsCheckReport> Check(bool verify_data = true);
+
+  // The per-log checks alone, added to `report` with each problem prefixed
+  // by `label`. Counts no files or directories: that is the namespace
+  // check's.
+  Status CheckLog(bool verify_data, const std::string& label, LfsCheckReport* report);
 
  private:
   LfsFileSystem* fs_;
-  bool check_namespace_;
 };
+
+// The namespace check over `logs`, where `logs[home(ino)]` holds inode
+// `ino` and the root lives in logs[home(kRootIno)]. Adds the files and
+// directories it reaches and its problems to `report`. Reads directories
+// and stats inodes, never file content.
+void CheckNamespace(std::span<LfsFileSystem* const> logs,
+                    const std::function<size_t(InodeNum)>& home, LfsCheckReport* report);
 
 }  // namespace logfs
 

@@ -1,6 +1,5 @@
 #include "src/lfs/lfs_cleaner.h"
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -42,41 +41,15 @@ Result<uint32_t> LfsCleaner::CleanVictims(std::vector<uint32_t> victims) {
   span.AddArg("victims", std::to_string(victims.size()));
   Result<uint32_t> result = [&]() -> Result<uint32_t> {
     const LfsSuperblock& sb = fs_->sb_;
-    if (victims.empty()) {
-      return uint32_t{0};
-    }
     ++fs_->cleaner_stats_.passes;
 
     std::vector<std::byte> image(sb.segment_size);
     for (uint32_t seg : victims) {
-      bool salvage = false;
-      Status read = fs_->device_->ReadSectors(sb.SegmentBlockSector(seg, 0), image);
-      if (!read.ok()) {
-        if (read.code() == ErrorCode::kCrashed) {
-          return read;
-        }
-        // Media trouble: retry block-by-block so one bad sector does not
-        // hide the rest of the segment, zero-filling whatever stays
-        // unreadable (a zeroed block fails its per-entry checksum unless
-        // its content really was zeros, in which case nothing was lost)
-        // and switching this victim to the tolerant salvage walk.
-        salvage = true;
-        const uint32_t bs = sb.block_size;
-        for (uint32_t b = 0; b < sb.BlocksPerSegment(); ++b) {
-          std::span<std::byte> slot =
-              std::span<std::byte>(image).subspan(static_cast<size_t>(b) * bs, bs);
-          Status block_read =
-              fs_->device_->ReadSectors(sb.SegmentBlockSector(seg, b), slot);
-          if (!block_read.ok()) {
-            if (block_read.code() == ErrorCode::kCrashed) {
-              return block_read;
-            }
-            std::memset(slot.data(), 0, slot.size());
-          }
-        }
-      }
+      // Media trouble switches this victim to the tolerant salvage walk.
+      ASSIGN_OR_RETURN(const std::vector<bool> unreadable,
+                       ReadSegmentImage(fs_->device_, sb, seg, image));
       ++fs_->cleaner_stats_.segment_reads;
-      RETURN_IF_ERROR(GatherLive(seg, image, salvage));
+      RETURN_IF_ERROR(GatherLive(seg, image, /*salvage=*/!unreadable.empty()));
       // Staging live blocks must not exhaust the cache (large segments can
       // hold more live data than the cache does): compact mid-pass once
       // half the cache is dirty.
@@ -155,40 +128,28 @@ Result<uint64_t> LfsCleaner::SalvageSegment(uint32_t seg, std::span<const std::b
 Status LfsCleaner::GatherLive(uint32_t seg, std::span<const std::byte> image, bool salvage) {
   const LfsSuperblock& sb = fs_->sb_;
   const uint32_t bs = sb.block_size;
-  const uint32_t bps = sb.BlocksPerSegment();
-  uint32_t offset = 0;
-  while (offset + 1 < bps) {
-    std::span<const std::byte> summary_block = image.subspan(offset * bs, bs);
-    Result<SummaryPeek> peek = PeekSummary(summary_block, bs);
-    if (!peek.ok() || offset + 1 + peek->nblocks > bps) {
+  for (SummaryChain chain(image, bs, salvage ? ChainMode::kProbe : ChainMode::kStrict);
+       chain.Next();) {
+    const std::span<const std::byte> content = chain.content();
+    Result<SegmentSummary> summary = DecodeSummary(chain.summary_block(), content);
+    const bool per_block_verify = !summary.ok();
+    if (per_block_verify) {
       if (!salvage) {
-        break;  // End of the valid partial-segment chain.
-      }
-      ++offset;  // Probe: the chain may resume past the damage.
-      continue;
-    }
-    std::span<const std::byte> content =
-        image.subspan((offset + 1) * bs, static_cast<size_t>(peek->nblocks) * bs);
-    Result<SegmentSummary> summary = DecodeSummary(summary_block, content);
-    bool per_block_verify = false;
-    if (!summary.ok()) {
-      if (!salvage) {
-        break;
+        break;  // The write path's notion of where the valid chain ends.
       }
       // Torn or damaged partial: trust only the content blocks whose own
       // checksum matches their summary entry. Blocks that fail stay put —
       // the checkpoint's residue accounting quarantines the segment.
-      summary = DecodeSummaryUnchecked(summary_block);
+      summary = DecodeSummaryUnchecked(chain.summary_block());
       if (!summary.ok()) {
-        ++offset;
         continue;
       }
-      per_block_verify = true;
     }
     for (size_t i = 0; i < summary->entries.size(); ++i) {
       const SummaryEntry& entry = summary->entries[i];
-      const DiskAddr addr = sb.SegmentBlockSector(seg, offset + 1 + static_cast<uint32_t>(i));
-      std::span<const std::byte> block = content.subspan(i * bs, bs);
+      const DiskAddr addr =
+          sb.SegmentBlockSector(seg, chain.offset() + 1 + static_cast<uint32_t>(i));
+      const std::span<const std::byte> block = content.subspan(i * bs, bs);
       ++fs_->cleaner_stats_.blocks_examined;
       if (fs_->cpu_ != nullptr) {
         fs_->ChargeCpu(fs_->cpu_->costs().per_block_instructions);
@@ -196,102 +157,51 @@ Status LfsCleaner::GatherLive(uint32_t seg, std::span<const std::byte> image, bo
       if (per_block_verify && Crc32(block) != entry.block_crc) {
         continue;  // Unsalvageable: the block no longer matches its summary.
       }
-      switch (entry.kind) {
-        case BlockKind::kData: {
-          if (!fs_->imap_.IsValid(entry.ino)) {
-            break;
-          }
-          const ImapEntry& map_entry = fs_->imap_.Get(entry.ino);
-          // Step 1 (fast path): version mismatch means the file was deleted
-          // or truncated to zero — the block is dead.
-          if (!map_entry.allocated || map_entry.version != entry.version) {
-            break;
-          }
-          // Step 2: consult the inode / indirect blocks.
-          ASSIGN_OR_RETURN(LfsFileSystem::CachedInode * ci, fs_->GetInode(entry.ino));
-          const Inode inode = ci->inode;
-          ASSIGN_OR_RETURN(DiskAddr current,
-                           fs_->GetDataBlockAddr(entry.ino, inode,
-                                                 static_cast<uint64_t>(entry.offset)));
-          if (current != addr) {
-            break;  // Superseded by a newer copy.
-          }
-          // Live: stage it through the cache, dirty, so the normal
-          // write-back relocates it.
-          const BlockKey key{LfsFileSystem::DataObject(entry.ino),
-                             static_cast<uint64_t>(entry.offset)};
-          ASSIGN_OR_RETURN(CacheRef ref, fs_->cache_.Install(key, block));
-          fs_->cache_.MarkDirty(ref.get());
-          ++fs_->cleaner_stats_.live_blocks_copied;
-          break;
-        }
-        case BlockKind::kIndirect: {
-          if (!fs_->imap_.IsValid(entry.ino)) {
-            break;
-          }
-          const ImapEntry& map_entry = fs_->imap_.Get(entry.ino);
-          if (!map_entry.allocated || map_entry.version != entry.version) {
-            break;
-          }
-          ASSIGN_OR_RETURN(DiskAddr current,
-                           fs_->GetIndirectAddr(entry.ino, static_cast<uint64_t>(entry.offset)));
-          if (current != addr) {
-            break;
-          }
-          const BlockKey key{LfsFileSystem::IndirectObject(entry.ino),
-                             static_cast<uint64_t>(entry.offset)};
-          ASSIGN_OR_RETURN(CacheRef ref, fs_->cache_.Install(key, block));
-          fs_->cache_.MarkDirty(ref.get());
-          ++fs_->cleaner_stats_.live_blocks_copied;
-          break;
-        }
-        case BlockKind::kInodeBlock: {
-          Result<std::vector<PackedInode>> packed = DecodeInodeBlock(block);
-          if (!packed.ok()) {
-            break;  // Stale bytes that happen to sit under a stale summary.
-          }
-          for (size_t k = 0; k < packed->size(); ++k) {
-            const InodeNum ino = (*packed)[k].ino;
-            if (!fs_->imap_.IsValid(ino)) {
-              continue;
-            }
-            const ImapEntry& map_entry = fs_->imap_.Get(ino);
-            if (!map_entry.allocated || map_entry.block_addr != addr ||
-                map_entry.slot != k) {
-              continue;  // This slot is stale; the inode lives elsewhere.
-            }
-            // Live inode: ensure it is in core and rewrite it.
-            ASSIGN_OR_RETURN(LfsFileSystem::CachedInode * ci, fs_->GetInode(ino));
-            fs_->SetInodeDirty(ci);
-            ++fs_->cleaner_stats_.live_blocks_copied;
-          }
-          break;
-        }
-        case BlockKind::kImap: {
-          const uint32_t index = static_cast<uint32_t>(entry.offset);
-          if (index < fs_->imap_block_addrs_.size() &&
-              fs_->imap_block_addrs_[index] == addr) {
-            // Current inode-map block: force a rewrite at the checkpoint
-            // that ends this cleaning pass.
-            fs_->imap_.MarkBlockDirty(index);
-            ++fs_->cleaner_stats_.live_blocks_copied;
-          }
-          break;
-        }
-        case BlockKind::kSegUsage: {
-          const uint32_t index = static_cast<uint32_t>(entry.offset);
-          if (index < fs_->usage_block_addrs_.size() &&
-              fs_->usage_block_addrs_[index] == addr) {
-            fs_->usage_.MarkBlockDirty(index);
-            ++fs_->cleaner_stats_.live_blocks_copied;
-          }
-          break;
-        }
-        case BlockKind::kMetaLog:
-          break;  // Meta-log blocks are dead once checkpointed past.
+      if (entry.kind == BlockKind::kInodeBlock) {
+        RETURN_IF_ERROR(StageLiveInodes(addr, block));
+        continue;
       }
+      ASSIGN_OR_RETURN(bool live, fs_->IsBlockLive(entry, addr));
+      if (!live) {
+        continue;
+      }
+      // Stage it so the checkpoint or the normal write-back relocates it.
+      const uint64_t offset = static_cast<uint64_t>(entry.offset);
+      if (entry.kind == BlockKind::kImap) {
+        fs_->imap_.MarkBlockDirty(static_cast<uint32_t>(offset));
+      } else if (entry.kind == BlockKind::kSegUsage) {
+        fs_->usage_.MarkBlockDirty(static_cast<uint32_t>(offset));
+      } else {  // Data or indirect: IsBlockLive calls no meta-log block live.
+        const uint64_t object = entry.kind == BlockKind::kData
+                                    ? LfsFileSystem::DataObject(entry.ino)
+                                    : LfsFileSystem::IndirectObject(entry.ino);
+        ASSIGN_OR_RETURN(CacheRef ref, fs_->cache_.Install(BlockKey{object, offset}, block));
+        fs_->cache_.MarkDirty(ref.get());
+      }
+      ++fs_->cleaner_stats_.live_blocks_copied;
     }
-    offset += 1 + peek->nblocks;
+  }
+  return OkStatus();
+}
+
+Status LfsCleaner::StageLiveInodes(DiskAddr addr, std::span<const std::byte> block) {
+  Result<std::vector<PackedInode>> packed = DecodeInodeBlock(block);
+  if (!packed.ok()) {
+    return OkStatus();  // Stale bytes that happen to sit under a stale summary.
+  }
+  for (size_t k = 0; k < packed->size(); ++k) {
+    const InodeNum ino = (*packed)[k].ino;
+    if (!fs_->imap_.IsValid(ino)) {
+      continue;
+    }
+    const ImapEntry& map_entry = fs_->imap_.Get(ino);
+    if (!map_entry.allocated || map_entry.block_addr != addr || map_entry.slot != k) {
+      continue;  // This slot is stale; the inode lives elsewhere.
+    }
+    // Live inode: ensure it is in core and rewrite it.
+    ASSIGN_OR_RETURN(LfsFileSystem::CachedInode * ci, fs_->GetInode(ino));
+    fs_->SetInodeDirty(ci);
+    ++fs_->cleaner_stats_.live_blocks_copied;
   }
   return OkStatus();
 }

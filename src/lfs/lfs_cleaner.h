@@ -55,20 +55,25 @@ class LfsCleaner {
   Result<uint32_t> CleanVictims(std::vector<uint32_t> victims);
 
   // Best-effort rescue of a damaged segment (normally one the scrubber just
-  // quarantined): walks `image` tolerantly — probing past unparseable
-  // summary blocks, falling back to per-entry block checksums where a
+  // quarantined): walks `image` in ChainMode::kProbe — probing past
+  // unparseable summary blocks, stepping over partials whose entry table
+  // does not decode, falling back to per-entry block checksums where a
   // partial segment's full CRC fails — and stages every live block that
   // still verifies, exactly like a cleaning pass would. Returns how many
-  // blocks were staged; the caller flushes them to new homes.
+  // blocks were staged; the caller flushes them to new homes as cleaner
+  // work (in_cleaner_ set, so the traffic is attributed to `cleaner`).
   Result<uint64_t> SalvageSegment(uint32_t seg, std::span<const std::byte> image);
 
  private:
-  // Phase one for one victim: identify live blocks and stage them in the
+  // Phase one for one victim: walks the summary chain of `image` and stages
+  // each block IsBlockLive calls live (inode blocks: StageLiveInodes) in the
   // cache / in-core inode table. With `salvage` set the walk tolerates
-  // damage (see SalvageSegment); without it, the walk stops at the first
-  // unparseable or CRC-failing partial segment, matching the write path's
-  // notion of where the valid chain ends.
+  // damage (see SalvageSegment); without it, it stops at the first partial
+  // that fails its CRC, where the write path's valid chain ends.
   Status GatherLive(uint32_t seg, std::span<const std::byte> image, bool salvage);
+  // Dirties each inode the map still homes in its slot of this verified
+  // inode block, so the next flush rewrites it.
+  Status StageLiveInodes(DiskAddr addr, std::span<const std::byte> block);
 
   LfsFileSystem* fs_;
 };

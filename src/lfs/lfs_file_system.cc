@@ -356,29 +356,19 @@ void LfsFileSystem::QuarantineSegment(uint32_t seg) {
 }
 
 Status LfsFileSystem::LoadBlockCrcIndex() {
-  const uint32_t bps = sb_.BlocksPerSegment();
-  std::vector<std::byte> summary_block(BlockSize());
   for (uint32_t seg = 0; seg < sb_.num_segments; ++seg) {
-    uint32_t offset = 0;
-    while (offset + 1 < bps) {
-      if (!device_->ReadSectors(sb_.SegmentBlockSector(seg, offset), summary_block).ok()) {
-        break;  // Unreadable summary: the scrubber/cleaner handles damage.
-      }
-      Result<SummaryPeek> peek = PeekSummary(summary_block, BlockSize());
-      if (!peek.ok() || offset + 1 + peek->nblocks > bps) {
-        break;
-      }
-      // Header CRC already vouches for the entry table; the content CRCs
-      // are exactly what this index exists to check later.
-      Result<SegmentSummary> summary = DecodeSummaryUnchecked(summary_block);
+    // Damage just ends a segment's contribution early; the scrubber and the
+    // cleaner deal with it.
+    for (SummaryChain chain(device_, sb_, seg, ChainMode::kStrict); chain.Next();) {
+      // The content CRCs are exactly what this index exists to check later.
+      Result<SegmentSummary> summary = DecodeSummaryUnchecked(chain.summary_block());
       if (!summary.ok()) {
         break;
       }
       for (size_t i = 0; i < summary->entries.size(); ++i) {
-        block_crcs_[sb_.SegmentBlockSector(seg, offset + 1 + static_cast<uint32_t>(i))] =
+        block_crcs_[sb_.SegmentBlockSector(seg, chain.offset() + 1 + static_cast<uint32_t>(i))] =
             summary->entries[i].block_crc;
       }
-      offset += 1 + peek->nblocks;
     }
   }
   return OkStatus();
@@ -1192,40 +1182,25 @@ Status LfsFileSystem::RollForward() {
     std::vector<std::byte> content;
   };
   std::map<uint64_t, Found> found;
-  const uint32_t bps = sb_.BlocksPerSegment();
-  std::vector<std::byte> summary_block(BlockSize());
 
   for (uint32_t seg = 0; seg < sb_.num_segments; ++seg) {
-    uint32_t offset = 0;
-    while (offset + 1 < bps) {
-      const uint64_t sector = sb_.SegmentBlockSector(seg, offset);
-      if (!device_->ReadSectors(sector, summary_block).ok()) {
+    for (SummaryChain chain(device_, sb_, seg, ChainMode::kStrict); chain.Next();) {
+      const SummaryPeek& peek = chain.peek();
+      if (peek.seq < next_log_seq_) {
+        continue;  // Already covered by the checkpoint.
+      }
+      // Candidate: validate fully against its content.
+      std::vector<std::byte> content(static_cast<size_t>(peek.nblocks) * BlockSize());
+      if (!device_->ReadSectors(sb_.SegmentBlockSector(seg, chain.offset() + 1), content).ok()) {
         break;
       }
-      Result<SummaryPeek> peek = PeekSummary(summary_block, BlockSize());
-      if (!peek.ok()) {
-        break;  // No (more) valid partial segments here.
+      Result<SegmentSummary> summary = options_.unsafe_skip_rollforward_crc
+                                           ? DecodeSummaryUnchecked(chain.summary_block())
+                                           : DecodeSummary(chain.summary_block(), content);
+      if (!summary.ok()) {
+        break;  // Torn write: the log ends here.
       }
-      if (offset + 1 + peek->nblocks > bps) {
-        break;
-      }
-      if (peek->seq >= next_log_seq_) {
-        // Candidate: validate fully against its content.
-        std::vector<std::byte> content(static_cast<size_t>(peek->nblocks) * BlockSize());
-        if (!device_->ReadSectors(sb_.SegmentBlockSector(seg, offset + 1), content).ok()) {
-          break;
-        }
-        Result<SegmentSummary> summary =
-            options_.unsafe_skip_rollforward_crc
-                ? DecodeSummaryUnchecked(summary_block)
-                : DecodeSummary(summary_block, content);
-        if (!summary.ok()) {
-          break;  // Torn write: the log ends here.
-        }
-        found.emplace(peek->seq,
-                      Found{seg, offset, std::move(*summary), std::move(content)});
-      }
-      offset += 1 + peek->nblocks;
+      found.emplace(peek.seq, Found{seg, chain.offset(), std::move(*summary), std::move(content)});
     }
   }
 
@@ -1354,77 +1329,86 @@ Status LfsFileSystem::RebuildUsageFromScratch(uint32_t active_segment,
   return OkStatus();
 }
 
-Result<std::vector<uint64_t>> LfsFileSystem::ComputeExactUsage() {
-  std::vector<uint64_t> live(sb_.num_segments, 0);
+Status LfsFileSystem::WalkLiveBlocks(const std::function<void(const LivePointer&)>& visit) {
   const uint32_t bs = BlockSize();
-  const uint32_t quantum = InodeLiveQuantum();
-  auto add = [&](DiskAddr addr, uint64_t bytes) {
-    if (addr != kNoAddr) {
-      live[SegmentOfAddr(addr)] += bytes;
+  // Visits one pointer; returns whether the block it names may be read.
+  auto point = [&](DiskAddr addr, BlockKind kind, InodeNum ino, uint32_t bytes) {
+    if (addr == kNoAddr) {
+      return false;
     }
+    const bool in_area = sb_.InSegmentArea(addr);
+    visit(LivePointer{addr, kind, ino, bytes, in_area});
+    return in_area;
   };
   for (DiskAddr addr : imap_block_addrs_) {
-    add(addr, bs);
+    point(addr, BlockKind::kImap, 0, bs);
   }
   for (DiskAddr addr : usage_block_addrs_) {
-    add(addr, bs);
+    point(addr, BlockKind::kSegUsage, 0, bs);
   }
+  const uint32_t quantum = InodeLiveQuantum();
   for (uint32_t slot = 0; slot < imap_.max_inodes(); ++slot) {
-    const InodeNum ino = imap_.InoAtSlot(slot);
     const ImapEntry& entry = imap_.GetSlot(slot);
     if (!entry.allocated) {
       continue;
     }
-    add(entry.block_addr, quantum);
+    const InodeNum ino = imap_.InoAtSlot(slot);
+    // An inode with no on-disk copy yet can only come from core (GetInode).
+    if (!point(entry.block_addr, BlockKind::kInodeBlock, ino, quantum) &&
+        entry.block_addr != kNoAddr) {
+      continue;
+    }
     ASSIGN_OR_RETURN(CachedInode * ci, GetInode(ino));
     const Inode inode = ci->inode;  // Copy: cache ops below may rehash.
     for (DiskAddr addr : inode.direct) {
-      add(addr, bs);
+      point(addr, BlockKind::kData, ino, bs);
     }
-    if (inode.single_indirect != kNoAddr) {
-      add(inode.single_indirect, bs);
+    if (point(inode.single_indirect, BlockKind::kIndirect, ino, bs)) {
       ASSIGN_OR_RETURN(CacheRef ref, GetIndirectRef(ino, kSingleSlot, /*create=*/false));
       for (uint64_t j = 0; j < EntriesPerBlock(); ++j) {
-        add(ReadIndirectEntry(ref->data(), j), bs);
+        point(ReadIndirectEntry(ref->data(), j), BlockKind::kData, ino, bs);
       }
     }
-    if (inode.double_indirect != kNoAddr) {
-      add(inode.double_indirect, bs);
+    if (point(inode.double_indirect, BlockKind::kIndirect, ino, bs)) {
       for (uint64_t j = 0; j < EntriesPerBlock(); ++j) {
         ASSIGN_OR_RETURN(DiskAddr leaf_addr, GetIndirectAddr(ino, 2 + j));
-        if (leaf_addr == kNoAddr) {
+        if (!point(leaf_addr, BlockKind::kIndirect, ino, bs)) {
           continue;
         }
-        add(leaf_addr, bs);
         ASSIGN_OR_RETURN(CacheRef leaf, GetIndirectRef(ino, 2 + j, /*create=*/false));
         for (uint64_t k = 0; k < EntriesPerBlock(); ++k) {
-          add(ReadIndirectEntry(leaf->data(), k), bs);
+          point(ReadIndirectEntry(leaf->data(), k), BlockKind::kData, ino, bs);
         }
       }
     }
   }
+  return OkStatus();
+}
+
+Result<std::vector<uint64_t>> LfsFileSystem::ComputeExactUsage() {
+  std::vector<uint64_t> live(sb_.num_segments, 0);
+  bool outside = false;
+  RETURN_IF_ERROR(WalkLiveBlocks([&](const LivePointer& pointer) {
+    if (pointer.in_area) {
+      live[SegmentOfAddr(pointer.addr)] += pointer.bytes;
+    } else {
+      outside = true;
+    }
+  }));
+  if (outside) {
+    return CorruptedError("live block pointer outside the segment area");
+  }
   return live;
 }
 
-// --- Media scrubbing --------------------------------------------------------------
+// --- Liveness and media scrubbing ---------------------------------------------------
 
 Result<bool> LfsFileSystem::IsBlockLive(const SummaryEntry& entry, DiskAddr addr) {
   switch (entry.kind) {
-    case BlockKind::kData: {
-      if (!imap_.IsValid(entry.ino)) {
-        return false;
-      }
-      const ImapEntry& map_entry = imap_.Get(entry.ino);
-      if (!map_entry.allocated || map_entry.version != entry.version) {
-        return false;
-      }
-      ASSIGN_OR_RETURN(CachedInode * ci, GetInode(entry.ino));
-      const Inode inode = ci->inode;
-      ASSIGN_OR_RETURN(DiskAddr current,
-                       GetDataBlockAddr(entry.ino, inode, static_cast<uint64_t>(entry.offset)));
-      return current == addr;
-    }
+    case BlockKind::kData:
     case BlockKind::kIndirect: {
+      // Step 1: a version mismatch means the file was deleted or truncated
+      // to zero since.
       if (!imap_.IsValid(entry.ino)) {
         return false;
       }
@@ -1432,8 +1416,16 @@ Result<bool> LfsFileSystem::IsBlockLive(const SummaryEntry& entry, DiskAddr addr
       if (!map_entry.allocated || map_entry.version != entry.version) {
         return false;
       }
-      ASSIGN_OR_RETURN(DiskAddr current,
-                       GetIndirectAddr(entry.ino, static_cast<uint64_t>(entry.offset)));
+      // Step 2: the inode or indirect block must still point here.
+      const uint64_t offset = static_cast<uint64_t>(entry.offset);
+      DiskAddr current = kNoAddr;
+      if (entry.kind == BlockKind::kIndirect) {
+        ASSIGN_OR_RETURN(current, GetIndirectAddr(entry.ino, offset));
+      } else {
+        ASSIGN_OR_RETURN(CachedInode * ci, GetInode(entry.ino));
+        const Inode inode = ci->inode;
+        ASSIGN_OR_RETURN(current, GetDataBlockAddr(entry.ino, inode, offset));
+      }
       return current == addr;
     }
     case BlockKind::kInodeBlock: {
@@ -1468,10 +1460,8 @@ Result<LfsFileSystem::ScrubReport> LfsFileSystem::Scrub(uint32_t max_segments) {
   if (max_segments == 0 || sb_.num_segments == 0) {
     return report;
   }
-  const uint32_t bps = sb_.BlocksPerSegment();
   const uint32_t bs = BlockSize();
   std::vector<std::byte> image(sb_.segment_size);
-  std::vector<bool> readable(bps, true);
   for (uint32_t step = 0; step < sb_.num_segments && report.segments_scanned < max_segments;
        ++step) {
     const uint32_t seg = next_scrub_segment_;
@@ -1483,93 +1473,67 @@ Result<LfsFileSystem::ScrubReport> LfsFileSystem::Scrub(uint32_t max_segments) {
       continue;
     }
     ++report.segments_scanned;
-    std::fill(readable.begin(), readable.end(), true);
-    Status read = device_->ReadSectors(sb_.SegmentBlockSector(seg, 0), image);
-    if (!read.ok()) {
-      if (read.code() == ErrorCode::kCrashed) {
-        return read;
-      }
-      // Per-block fallback: find out which blocks are actually lost.
-      // Unreadable ones are zero-filled so every checksum over them fails.
-      for (uint32_t b = 0; b < bps; ++b) {
-        std::span<std::byte> slot = std::span<std::byte>(image).subspan(
-            static_cast<size_t>(b) * bs, bs);
-        Status block_read = device_->ReadSectors(sb_.SegmentBlockSector(seg, b), slot);
-        if (!block_read.ok()) {
-          if (block_read.code() == ErrorCode::kCrashed) {
-            return block_read;
-          }
-          readable[b] = false;
-          ++report.media_errors;
-          std::memset(slot.data(), 0, slot.size());
-        }
-      }
-    }
+    ASSIGN_OR_RETURN(const std::vector<bool> unreadable,
+                     ReadSegmentImage(device_, sb_, seg, image));
+    report.media_errors += std::count(unreadable.begin(), unreadable.end(), true);
+    auto readable = [&](uint32_t b) { return unreadable.empty() || !unreadable[b]; };
+    // Unreadable blocks no partial below accounts for, entry by entry.
+    std::vector<bool> stray = unreadable;
     bool quarantine = false;
-    uint32_t offset = 0;
-    while (offset + 1 < bps) {
-      const std::span<const std::byte> summary_block =
-          std::span<const std::byte>(image).subspan(static_cast<size_t>(offset) * bs, bs);
-      Result<SummaryPeek> peek =
-          readable[offset] ? PeekSummary(summary_block, bs)
-                           : Result<SummaryPeek>(MediaError("unreadable summary block"));
-      if (!peek.ok() || offset + 1 + peek->nblocks > bps) {
-        // Not a (valid) summary. An unreadable block we cannot attribute to
-        // any partial is treated as live damage whenever the segment holds
-        // live data at all — conservative, but quarantine never loses data.
-        if (!readable[offset] && usage_.Get(seg).live_bytes > 0) {
-          quarantine = true;
-        }
-        ++offset;  // Probe: the chain may resume past damage.
-        continue;
-      }
-      const std::span<const std::byte> content = std::span<const std::byte>(image).subspan(
-          static_cast<size_t>(offset + 1) * bs, static_cast<size_t>(peek->nblocks) * bs);
-      bool content_readable = true;
-      for (uint32_t b = offset + 1; b < offset + 1 + peek->nblocks; ++b) {
-        content_readable = content_readable && readable[b];
-      }
-      if (content_readable && DecodeSummary(summary_block, content).ok()) {
+    for (SummaryChain chain(image, bs, ChainMode::kProbe); chain.Next();) {
+      const uint32_t first = chain.offset() + 1;  // The partial's first content block.
+      const uint32_t end = first + chain.peek().nblocks;
+      const bool content_readable =
+          unreadable.empty() || std::find(unreadable.begin() + first, unreadable.begin() + end,
+                                          true) == unreadable.begin() + end;
+      if (content_readable && DecodeSummary(chain.summary_block(), chain.content()).ok()) {
         ++report.partials_verified;
-        report.blocks_verified += peek->nblocks;
-        offset += 1 + peek->nblocks;
+        report.blocks_verified += chain.peek().nblocks;
         continue;
       }
       // Damaged partial: fall back to per-entry checksums so the damage is
       // localized to specific blocks and only *live* losses quarantine.
-      Result<SegmentSummary> summary = DecodeSummaryUnchecked(summary_block);
+      Result<SegmentSummary> summary = DecodeSummaryUnchecked(chain.summary_block());
       if (!summary.ok()) {
-        ++offset;
         continue;
       }
       for (size_t i = 0; i < summary->entries.size(); ++i) {
         const SummaryEntry& entry = summary->entries[i];
-        const DiskAddr addr =
-            sb_.SegmentBlockSector(seg, offset + 1 + static_cast<uint32_t>(i));
-        const std::span<const std::byte> block = content.subspan(i * bs, bs);
-        const bool block_ok =
-            readable[offset + 1 + i] && Crc32(block) == entry.block_crc;
-        if (block_ok) {
+        const uint32_t b = first + static_cast<uint32_t>(i);
+        if (readable(b) && Crc32(chain.content().subspan(i * bs, bs)) == entry.block_crc) {
           ++report.blocks_verified;
           continue;
         }
-        if (readable[offset + 1 + i]) {
+        if (readable(b)) {
           ++report.checksum_failures;
         }
-        Result<bool> live = IsBlockLive(entry, addr);
+        Result<bool> live = IsBlockLive(entry, sb_.SegmentBlockSector(seg, b));
         if (!live.ok() || *live) {  // Unknown liveness counts as live.
           quarantine = true;
         }
       }
-      offset += 1 + peek->nblocks;
+      if (!stray.empty()) {
+        std::fill(stray.begin() + chain.offset(), stray.begin() + end, false);
+      }
+    }
+    // An unreadable block no partial accounts for may have been the summary
+    // of live data (the last block cannot start a partial). Whenever the
+    // segment holds live data at all, that counts as live damage —
+    // conservative, but quarantine never loses data.
+    if (usage_.Get(seg).live_bytes > 0 && !stray.empty() &&
+        std::find(stray.begin(), stray.end() - 1, true) != stray.end() - 1) {
+      quarantine = true;
     }
     if (quarantine) {
       QuarantineSegment(seg);
       ++report.segments_quarantined;
       // Salvage what still verifies so readers stop depending on the
       // damaged medium, then relocate it through the normal write-back.
-      // A read-only mount cannot write new homes, so it only reports.
+      // Salvage is relocation, so it runs as cleaner work: its writes are
+      // cleaner traffic and the deaths it causes are not workload heat. A
+      // read-only mount cannot write new homes, so it only reports.
       if (!read_only_) {
+        ScopedFlag cleaning(&in_cleaner_);
         LfsCleaner cleaner(this);
         ASSIGN_OR_RETURN(uint64_t staged, cleaner.SalvageSegment(seg, image));
         report.blocks_salvaged += staged;

@@ -20,6 +20,7 @@
 #ifndef LOGFS_SRC_LFS_LFS_FILE_SYSTEM_H_
 #define LOGFS_SRC_LFS_LFS_FILE_SYSTEM_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -146,8 +147,8 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   // falling back to per-block checksums where the full CRC fails. A segment
   // with unreadable or corrupt *live* blocks is quarantined and its
   // still-verifiable live blocks are salvaged through the cleaner's staging
-  // path. Driven from Tick() via Options::scrub_segments_per_tick and from
-  // the `lfs_inspect scrub` verb.
+  // path, as cleaner work. Driven from Tick() via
+  // Options::scrub_segments_per_tick and from the `lfs_inspect scrub` verb.
   struct ScrubReport {
     uint64_t segments_scanned = 0;
     uint64_t partials_verified = 0;
@@ -199,8 +200,9 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   };
   const CleanerStats& cleaner_stats() const { return cleaner_stats_; }
 
-  // Exact live-byte recount per segment (walks every live structure). Used
-  // by the checker, tests, and post-roll-forward usage reconstruction.
+  // Exact live-byte recount per segment, from WalkLiveBlocks. kCorrupted if
+  // a live pointer leaves the segment area. Used by tests and the
+  // post-roll-forward usage reconstruction.
   Result<std::vector<uint64_t>> ComputeExactUsage();
 
   // Live-byte quantum charged per inode slot (see inode accounting note in
@@ -334,9 +336,29 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   // partial-segment chain reading only summary blocks. Best-effort (a
   // damaged segment just contributes fewer checksums).
   Status LoadBlockCrcIndex();
-  // Liveness predicate mirroring the cleaner's two-step check, used by the
-  // scrubber to decide whether a damaged block actually loses data.
+  // The paper's two-step liveness check, asked by the cleaner and the
+  // scrubber: (1) the inode-map version in `entry`, (2) the pointer that
+  // should name `addr`. An inode block is live if the map homes any inode
+  // there, which needs no trust in its (possibly damaged) content; the
+  // cleaner, which must know which slots to rewrite, checks slot by slot.
   Result<bool> IsBlockLive(const SummaryEntry& entry, DiskAddr addr);
+
+  // One pointer of the live-block set, as WalkLiveBlocks reports it.
+  struct LivePointer {
+    DiskAddr addr = kNoAddr;
+    BlockKind kind = BlockKind::kData;  // What the pointer names.
+    InodeNum ino = 0;                   // Owning inode; 0 for imap and usage blocks.
+    uint32_t bytes = 0;                 // Live bytes it accounts for.
+    bool in_area = true;                // Inside the segment area.
+  };
+  // The live-block set. Starts at the inode map and follows every pointer:
+  // the imap and usage blocks, each allocated inode's inode block, and its
+  // direct, indirect and double-indirect blocks. Visits each pointer once
+  // per referrer (an inode block once per inode packed in it). Addresses are
+  // range-checked before use: one outside the segment area is visited with
+  // in_area unset and never read. Fails on the first unreadable inode or
+  // indirect block.
+  Status WalkLiveBlocks(const std::function<void(const LivePointer&)>& visit);
 
   // --- in-core inodes ---
   Result<CachedInode*> GetInode(InodeNum ino);

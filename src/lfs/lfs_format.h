@@ -111,6 +111,11 @@ struct LfsSuperblock {
   uint32_t SegmentOfSector(uint64_t sector) const {
     return static_cast<uint32_t>((sector - first_segment_sector) / SectorsPerSegment());
   }
+  bool InSegmentArea(uint64_t sector) const {
+    return sector >= first_segment_sector &&
+           sector < first_segment_sector +
+                        static_cast<uint64_t>(num_segments) * SectorsPerSegment();
+  }
 };
 
 Status EncodeLfsSuperblock(const LfsSuperblock& sb, std::span<std::byte> block);

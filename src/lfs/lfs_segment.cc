@@ -154,6 +154,83 @@ Result<SegmentSummary> DecodeSummaryUnchecked(std::span<const std::byte> block) 
   return DecodeSummaryFields(block, &ignored);
 }
 
+SummaryChain::SummaryChain(std::span<const std::byte> image, uint32_t block_size,
+                           ChainMode mode)
+    : image_(image), block_size_(block_size),
+      blocks_(static_cast<uint32_t>(image.size() / block_size)), mode_(mode) {}
+
+SummaryChain::SummaryChain(BlockDevice* device, const LfsSuperblock& sb, uint32_t segment,
+                           ChainMode mode)
+    : device_(device), first_sector_(sb.SegmentBlockSector(segment, 0)),
+      block_size_(sb.block_size), blocks_(sb.BlocksPerSegment()), mode_(mode),
+      buffer_(sb.block_size) {}
+
+bool SummaryChain::Next() {
+  // A partial needs its summary plus at least one content block.
+  for (uint32_t offset = next_; offset + 1 < blocks_; ++offset) {
+    const size_t pos = static_cast<size_t>(offset) * block_size_;
+    std::span<const std::byte> block = buffer_;
+    bool readable = true;
+    if (device_ == nullptr) {
+      block = image_.subspan(pos, block_size_);
+    } else {
+      readable = device_->ReadSectors(first_sector_ + pos / kSectorSize, buffer_).ok();
+    }
+    if (readable) {
+      Result<SummaryPeek> peek = PeekSummary(block, block_size_);
+      if (peek.ok() && offset + 1 + peek->nblocks <= blocks_) {
+        offset_ = offset;
+        peek_ = *peek;
+        next_ = offset + 1 + peek->nblocks;
+        return true;
+      }
+    }
+    if (mode_ == ChainMode::kStrict) {
+      break;
+    }
+  }
+  next_ = blocks_;  // Ended: further calls stay false.
+  return false;
+}
+
+std::span<const std::byte> SummaryChain::summary_block() const {
+  if (device_ != nullptr) {
+    return buffer_;
+  }
+  return image_.subspan(static_cast<size_t>(offset_) * block_size_, block_size_);
+}
+
+std::span<const std::byte> SummaryChain::content() const {
+  assert(device_ == nullptr && "content() needs an in-memory image");
+  return image_.subspan(static_cast<size_t>(offset_ + 1) * block_size_,
+                        static_cast<size_t>(peek_.nblocks) * block_size_);
+}
+
+Result<std::vector<bool>> ReadSegmentImage(BlockDevice* device, const LfsSuperblock& sb,
+                                           uint32_t segment, std::span<std::byte> image) {
+  Status read = device->ReadSectors(sb.SegmentBlockSector(segment, 0), image);
+  if (read.ok()) {
+    return std::vector<bool>();
+  }
+  if (read.code() == ErrorCode::kCrashed) {
+    return read;
+  }
+  const uint32_t bs = sb.block_size;
+  std::vector<bool> unreadable(sb.BlocksPerSegment(), false);
+  for (uint32_t b = 0; b < sb.BlocksPerSegment(); ++b) {
+    std::span<std::byte> block = image.subspan(static_cast<size_t>(b) * bs, bs);
+    Status block_read = device->ReadSectors(sb.SegmentBlockSector(segment, b), block);
+    if (!block_read.ok()) {
+      if (block_read.code() == ErrorCode::kCrashed) {
+        return block_read;
+      }
+      unreadable[b] = true;
+      std::memset(block.data(), 0, block.size());
+    }
+  }
+  return unreadable;
+}
+
 SegmentBuilder::SegmentBuilder(BlockDevice* device, const LfsSuperblock& sb)
     : device_(device), sb_(sb), summary_block_(sb.block_size),
       capacity_(SummaryCapacity(sb.block_size)) {

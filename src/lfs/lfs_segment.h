@@ -81,11 +81,72 @@ Result<SummaryPeek> PeekSummary(std::span<const std::byte> block, uint32_t block
 Result<SegmentSummary> DecodeSummary(std::span<const std::byte> block,
                                      std::span<const std::byte> content);
 
-// Decode WITHOUT validating the CRC over the content. Exists only so the
-// crash-state explorer can inject a "recovery trusts torn partial segments"
-// bug and prove its Oracle catches it (LfsFileSystem::Options::
-// unsafe_skip_rollforward_crc). Never use in production paths.
+// Decode WITHOUT validating the CRC over the content: the entry table alone,
+// which the header CRC vouches for only in length. For readers that must
+// name the blocks of a partial whose content is missing or damaged: the
+// mount-time CRC index (it reads summary blocks only, and the per-entry
+// block CRCs it collects are what later verifies the content), and the
+// scrubber and salvage, which check each entry's block CRC on its own. Also
+// the crash-state explorer's injected "recovery trusts torn partial
+// segments" bug (LfsFileSystem::Options::unsafe_skip_rollforward_crc).
 Result<SegmentSummary> DecodeSummaryUnchecked(std::span<const std::byte> block);
+
+// The chain rule, the one place it is written down. The partial segments of
+// a segment form a chain: a summary sits at block 0, its `nblocks` content
+// blocks follow, and the next summary comes right after them. The chain ends
+// at the first block that is not a valid summary header (unreadable, or
+// PeekSummary rejects it), or whose partial would overrun the segment. In
+// kProbe mode — the scrubber and salvage, which read damaged segments — the
+// walk instead steps one block on and keeps looking, since the chain may
+// resume past the damage.
+//
+// The walk vouches for headers only. A caller that finds a partial's entry
+// table or content bad either leaves the loop, ending the chain there, or
+// goes on, which steps over the whole partial (the header CRC covers
+// `nblocks`, so the partial's extent is trustworthy).
+enum class ChainMode : uint8_t { kStrict, kProbe };
+
+class SummaryChain {
+ public:
+  // Walks an in-memory image of a whole segment.
+  SummaryChain(std::span<const std::byte> image, uint32_t block_size, ChainMode mode);
+  // Walks segment `segment` on `device`, reading one summary block per step
+  // and never any content.
+  SummaryChain(BlockDevice* device, const LfsSuperblock& sb, uint32_t segment, ChainMode mode);
+
+  // Moves to the next partial; false once the chain has ended.
+  bool Next();
+
+  // The current partial: the block offset of its summary within the
+  // segment (content block i sits at offset() + 1 + i), its header, and its
+  // summary block.
+  uint32_t offset() const { return offset_; }
+  const SummaryPeek& peek() const { return peek_; }
+  std::span<const std::byte> summary_block() const;
+  // The current partial's content blocks. In-memory image only.
+  std::span<const std::byte> content() const;
+
+ private:
+  std::span<const std::byte> image_;  // Empty when reading from a device.
+  BlockDevice* device_ = nullptr;
+  uint64_t first_sector_ = 0;  // The segment's, on the device.
+  uint32_t block_size_;
+  uint32_t blocks_;  // Per segment.
+  ChainMode mode_;
+  uint32_t offset_ = 0;
+  uint32_t next_ = 0;  // Where the next summary is looked for.
+  SummaryPeek peek_;
+  std::vector<std::byte> buffer_;  // The summary block read from the device.
+};
+
+// Reads segment `segment` into `image` (segment_size bytes) in one transfer.
+// If that fails with anything but a crash, re-reads the segment block by
+// block and zero-fills each block that stays unreadable: a zeroed block
+// fails its checksum unless its content really was zeros, in which case
+// nothing was lost. Returns the unreadable-block mask: empty when the one
+// transfer succeeded, otherwise one flag per block of the segment.
+Result<std::vector<bool>> ReadSegmentImage(BlockDevice* device, const LfsSuperblock& sb,
+                                           uint32_t segment, std::span<std::byte> image);
 
 // Assembles partial segments in memory and writes each as one transfer.
 class SegmentBuilder {

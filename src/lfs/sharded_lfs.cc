@@ -4,10 +4,7 @@
 #include "src/lfs/sharded_lfs.h"
 
 #include <algorithm>
-#include <deque>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/lfs/lfs_cleaner.h"
@@ -878,135 +875,19 @@ void ShardedLfs::PublishShardMetrics() {
 // --- global checker ------------------------------------------------------------
 namespace {
 
-// The check body: per-shard structural invariants plus the global
-// namespace walk, all through DIRECT shard access (sfs->shard(i) — never
-// the router's locking front-end, since CheckShardedLfs already holds
-// every shard lock). Works for any shard count >= 1.
+// The check body: the per-log checks on every shard, then the namespace
+// check across all of them, all through DIRECT shard access (sfs->shard(i)
+// — never the router's locking front-end, since CheckShardedLfs already
+// holds every shard lock). Works for any shard count >= 1.
 Result<LfsCheckReport> RunShardedCheck(ShardedLfs* sfs, bool verify_data) {
   LfsCheckReport report;
-  auto complain = [&report](std::string msg) {
-    report.problems.push_back(std::move(msg));
-  };
-
-  // Per-shard structural invariants (shard mode skips the namespace checks
-  // rerun globally below). Content readability and media CRCs are verified
-  // here, so the global walk does not re-read file bytes.
+  std::vector<LfsFileSystem*> logs;
   for (uint32_t i = 0; i < sfs->shard_count(); ++i) {
-    LfsChecker checker(sfs->shard(i), /*check_namespace=*/false);
-    ASSIGN_OR_RETURN(LfsCheckReport sub, checker.Check(verify_data));
-    for (std::string& p : sub.problems) {
-      complain("shard " + std::to_string(i) + ": " + std::move(p));
-    }
-    report.total_bytes += sub.total_bytes;
-    report.blocks_checksum_verified += sub.blocks_checksum_verified;
-    report.checksum_failures += sub.checksum_failures;
-    report.quarantined_segments += sub.quarantined_segments;
-    report.read_only = report.read_only || sub.read_only;
-    for (auto& f : sub.segment_checksum_failures) {
-      report.segment_checksum_failures.push_back(f);  // Shard-local segment ids.
-    }
+    logs.push_back(sfs->shard(i));
+    RETURN_IF_ERROR(LfsChecker(sfs->shard(i))
+                        .CheckLog(verify_data, "shard " + std::to_string(i) + ": ", &report));
   }
-
-  // Global namespace walk: rooted acyclic reachability, dot entries, nlink
-  // exactness, orphan detection — the checks each shard cannot do alone
-  // because dirents cross shard boundaries.
-  auto home = [&](InodeNum ino) { return sfs->shard(sfs->ShardOf(ino)); };
-  auto imap_of = [&](InodeNum ino) -> const InodeMap& { return home(ino)->imap(); };
-  std::unordered_map<InodeNum, uint32_t> name_refs;
-  std::unordered_map<InodeNum, uint32_t> child_dirs;
-  std::unordered_map<InodeNum, InodeNum> parent_of;
-  std::unordered_set<InodeNum> visited;
-  std::deque<InodeNum> queue;
-  queue.push_back(kRootIno);
-  visited.insert(kRootIno);
-  parent_of[kRootIno] = kRootIno;
-  while (!queue.empty()) {
-    const InodeNum dir = queue.front();
-    queue.pop_front();
-    ++report.directories;
-    Result<std::vector<DirEntry>> entries = home(dir)->ReadDir(dir);
-    if (!entries.ok()) {
-      complain("dir " + std::to_string(dir) + " unreadable: " +
-               entries.status().ToString());
-      continue;
-    }
-    bool saw_dot = false;
-    bool saw_dotdot = false;
-    for (const DirEntry& entry : entries.value()) {
-      const InodeMap& imap = imap_of(entry.ino);
-      if (!imap.IsValid(entry.ino) || !imap.Get(entry.ino).allocated) {
-        complain("dir " + std::to_string(dir) + " entry '" + entry.name +
-                 "' dangles: ino " + std::to_string(entry.ino) +
-                 " not allocated on shard " + std::to_string(sfs->ShardOf(entry.ino)));
-        continue;
-      }
-      if (entry.name == ".") {
-        saw_dot = true;
-        if (entry.ino != dir) {
-          complain("dir " + std::to_string(dir) + " has wrong '.'");
-        }
-        continue;
-      }
-      if (entry.name == "..") {
-        saw_dotdot = true;
-        if (entry.ino != parent_of[dir]) {
-          complain("dir " + std::to_string(dir) + " has wrong '..'");
-        }
-        continue;
-      }
-      ++name_refs[entry.ino];
-      Result<FileStat> stat = home(entry.ino)->Stat(entry.ino);
-      if (!stat.ok()) {
-        complain("stat of ino " + std::to_string(entry.ino) + " failed");
-        continue;
-      }
-      if (stat->type != entry.type) {
-        complain("dir " + std::to_string(dir) + " entry '" + entry.name +
-                 "' type disagrees with the inode");
-      }
-      if (stat->type == FileType::kDirectory) {
-        ++child_dirs[dir];
-        if (!visited.insert(entry.ino).second) {
-          complain("directory ino " + std::to_string(entry.ino) + " linked twice");
-          continue;
-        }
-        parent_of[entry.ino] = dir;
-        queue.push_back(entry.ino);
-      } else {
-        ++report.files;
-        visited.insert(entry.ino);
-      }
-    }
-    if (!saw_dot || !saw_dotdot) {
-      complain("dir " + std::to_string(dir) + " missing . or ..");
-    }
-  }
-  // nlink exactness and orphan detection across every shard's inode map.
-  for (uint32_t i = 0; i < sfs->shard_count(); ++i) {
-    const InodeMap& imap = sfs->shard(i)->imap();
-    for (uint32_t slot = 0; slot < imap.max_inodes(); ++slot) {
-      if (!imap.GetSlot(slot).allocated) {
-        continue;
-      }
-      const InodeNum ino = imap.InoAtSlot(slot);
-      if (!visited.contains(ino)) {
-        complain("allocated ino " + std::to_string(ino) + " (shard " + std::to_string(i) +
-                 ") unreachable from root");
-        continue;
-      }
-      Result<FileStat> stat = sfs->shard(i)->Stat(ino);
-      if (!stat.ok()) {
-        continue;  // Already complained during the walk.
-      }
-      const uint32_t expected = stat->type == FileType::kDirectory
-                                    ? 2 + child_dirs[ino]
-                                    : name_refs[ino];
-      if (stat->nlink != expected) {
-        complain("ino " + std::to_string(ino) + " nlink " + std::to_string(stat->nlink) +
-                 " != expected " + std::to_string(expected));
-      }
-    }
-  }
+  CheckNamespace(logs, [&](InodeNum ino) { return size_t{sfs->ShardOf(ino)}; }, &report);
   return report;
 }
 

@@ -213,11 +213,12 @@ class ShardedLfs : public FileSystem {
   friend Result<LfsCheckReport> CheckShardedLfs(ShardedLfs*, bool, RepairMode);
 };
 
-// Global consistency check for a sharded mount: runs every per-shard
-// structural invariant (LfsChecker in shard mode — imap resolution, usage
-// exactness, address uniqueness, media CRCs, content readability) and then
-// the namespace invariants (rooted acyclic tree, dot entries, nlink,
-// orphans) globally. Problems from shard i are prefixed "shard i:".
+// Global consistency check for a sharded mount: runs the per-log checks on
+// every shard (LfsChecker::CheckLog — imap resolution, usage exactness,
+// address uniqueness, media CRCs, content readability) and then the one
+// namespace check (CheckNamespace — rooted acyclic tree, dot entries,
+// dirent types, nlink, orphans) across all shards. Problems from shard i's
+// per-log checks are prefixed "shard i:".
 //
 // The check self-serializes against concurrent router operations: it holds
 // the rename lock and every shard lock for the duration, so it may run

@@ -3,9 +3,11 @@
 // detection power needs proof).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/lfs/lfs_check.h"
+#include "src/lfs/lfs_segment.h"
 #include "tests/fs_fixture.h"
 
 namespace logfs {
@@ -74,6 +76,64 @@ TEST(LfsCheckTest, DetectsUsageTableDrift) {
                      problem.find("recount") != std::string::npos;
   }
   EXPECT_TRUE(usage_problem) << report->Summary();
+}
+
+TEST(LfsCheckTest, ReportsABlockPointerOutsideTheSegmentArea) {
+  LfsInstance inst;
+  ASSERT_TRUE(inst.paths->WriteFile("/f", TestBytes(1000, 5)).ok());
+  auto ino = inst.paths->Resolve("/f");
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(inst.fs->Sync().ok());
+  const LfsSuperblock sb = inst.fs->superblock();
+  const DiskAddr inode_addr = inst.fs->imap().Get(*ino).block_addr;
+  ASSERT_TRUE(sb.InSegmentArea(inode_addr));
+  inst.fs.reset();  // Unmounted: edit the medium.
+  std::span<std::byte> image = inst.disk->MutableRawImage();
+
+  // Break the entry table of the partial holding the inode block. Its header
+  // stays valid, so the mount-time CRC index skips the partial and nothing
+  // vouches for the inode block's content.
+  const uint32_t seg = sb.SegmentOfSector(inode_addr);
+  bool found = false;
+  for (SummaryChain chain(inst.disk.get(), sb, seg, ChainMode::kStrict);
+       !found && chain.Next();) {
+    const DiskAddr first = sb.SegmentBlockSector(seg, chain.offset() + 1);
+    if (inode_addr >= first && inode_addr < first + static_cast<uint64_t>(chain.peek().nblocks) *
+                                                        sb.SectorsPerBlock()) {
+      const uint64_t summary = sb.SegmentBlockSector(seg, chain.offset());
+      image[summary * kSectorSize + 32] = std::byte{0};  // Entry 0's kind.
+      ASSERT_TRUE(
+          PeekSummary(image.subspan(summary * kSectorSize, sb.block_size), sb.block_size).ok());
+      found = true;
+    }
+  }
+  ASSERT_TRUE(found);
+  // Point the file's first data block at sector 8, before the segment area.
+  std::span<std::byte> inode_block = image.subspan(inode_addr * kSectorSize, sb.block_size);
+  auto packed = DecodeInodeBlock(inode_block);
+  ASSERT_TRUE(packed.ok());
+  for (PackedInode& slot : *packed) {
+    if (slot.ino == *ino) {
+      slot.inode.direct[0] = 8;
+    }
+  }
+  ASSERT_TRUE(EncodeInodeBlock(*packed, inode_block).ok());
+  ASSERT_FALSE(sb.InSegmentArea(8));
+
+  auto mounted = LfsFileSystem::Mount(inst.disk.get(), inst.clock.get(), inst.cpu.get());
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  inst.fs = std::move(*mounted);
+  auto report = LfsChecker(inst.fs.get()).Check();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::string expected = "data block of ino " + std::to_string(*ino) +
+                               " outside segment area";
+  EXPECT_NE(std::find(report->problems.begin(), report->problems.end(), expected),
+            report->problems.end())
+      << report->Summary();
+  // The usage recount refuses the pointer rather than indexing with it.
+  auto usage = inst.fs->ComputeExactUsage();
+  ASSERT_FALSE(usage.ok());
+  EXPECT_EQ(usage.status().code(), ErrorCode::kCorrupted);
 }
 
 TEST(LfsCheckTest, SummaryStringIsInformative) {

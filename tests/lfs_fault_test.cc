@@ -42,24 +42,14 @@ std::vector<LiveSector> LiveDataSectors(const MemoryDisk& disk, const LfsFileSys
                                         InodeNum ino) {
   std::vector<LiveSector> out;
   const LfsSuperblock& sb = fs.superblock();
-  std::span<const std::byte> image = disk.RawImage();
-  const uint32_t bps = sb.BlocksPerSegment();
   for (uint32_t seg = 0; seg < sb.num_segments; ++seg) {
     if (fs.usage().Get(seg).state != SegState::kDirty) {
       continue;
     }
-    uint32_t offset = 0;
-    while (offset + 1 < bps) {
-      const uint64_t sum_sector = sb.SegmentBlockSector(seg, offset);
-      std::span<const std::byte> sum = image.subspan(sum_sector * kSectorSize, sb.block_size);
-      Result<SummaryPeek> peek = PeekSummary(sum, sb.block_size);
-      if (!peek.ok() || offset + 1 + peek->nblocks > bps) {
-        break;
-      }
-      std::span<const std::byte> content =
-          image.subspan((sum_sector + sb.SectorsPerBlock()) * kSectorSize,
-                        static_cast<size_t>(peek->nblocks) * sb.block_size);
-      Result<SegmentSummary> summary = DecodeSummary(sum, content);
+    std::span<const std::byte> image = disk.RawImage().subspan(
+        sb.SegmentBlockSector(seg, 0) * kSectorSize, sb.segment_size);
+    for (SummaryChain chain(image, sb.block_size, ChainMode::kStrict); chain.Next();) {
+      Result<SegmentSummary> summary = DecodeSummary(chain.summary_block(), chain.content());
       if (!summary.ok()) {
         break;
       }
@@ -69,12 +59,11 @@ std::vector<LiveSector> LiveDataSectors(const MemoryDisk& disk, const LfsFileSys
           continue;
         }
         const uint64_t block_sector =
-            sb.SegmentBlockSector(seg, offset + 1 + static_cast<uint32_t>(i));
+            sb.SegmentBlockSector(seg, chain.offset() + 1 + static_cast<uint32_t>(i));
         for (uint32_t s = 0; s < sb.SectorsPerBlock(); ++s) {
           out.push_back({block_sector + s, entry.offset});
         }
       }
-      offset += 1 + peek->nblocks;
     }
   }
   return out;

@@ -1,10 +1,13 @@
 // Unit tests for SegmentBuilder: address assignment, partial-segment
 // boundaries, deferred-content patching, on-disk layout verified by reading
-// raw sectors back.
+// raw sectors back. Then the summary-chain walker over damaged segments, in
+// both modes and from both sources (an in-memory image, and a device read one
+// summary block at a time).
 #include <gtest/gtest.h>
 
 #include <cstring>
 
+#include "src/disk/fault_disk.h"
 #include "src/disk/memory_disk.h"
 #include "src/lfs/lfs_segment.h"
 #include "src/sim/sim_clock.h"
@@ -165,28 +168,117 @@ TEST_F(SegmentBuilderTest, EmptyFlushIsANoOp) {
   EXPECT_EQ(builder_->next_offset(), 10u);
 }
 
-TEST_F(SegmentBuilderTest, MultiplePartialsChainWithinASegment) {
-  builder_->StartAt(4, 0);
-  ASSERT_TRUE(builder_->Append(BlockKind::kData, 1, 1, 0, Block(1)).ok());
-  ASSERT_TRUE(builder_->Flush(10, 0.0).ok());
-  ASSERT_TRUE(builder_->Append(BlockKind::kData, 1, 1, 1, Block(2)).ok());
-  ASSERT_TRUE(builder_->Append(BlockKind::kData, 1, 1, 2, Block(3)).ok());
-  ASSERT_TRUE(builder_->Flush(11, 0.0).ok());
+// --- the summary-chain walker ------------------------------------------------
 
-  // Walk the chain the way the cleaner does.
-  std::vector<std::byte> summary(sb_.block_size);
+// One partial as a chain walk reports it.
+struct Link {
   uint32_t offset = 0;
-  std::vector<uint64_t> seqs;
-  while (true) {
-    ASSERT_TRUE(disk_.ReadSectors(sb_.SegmentBlockSector(4, offset), summary).ok());
-    auto peek = PeekSummary(summary, sb_.block_size);
-    if (!peek.ok()) {
-      break;
+  uint64_t seq = 0;
+  uint32_t nblocks = 0;
+  bool operator==(const Link&) const = default;
+};
+
+class SummaryChainTest : public SegmentBuilderTest {
+ protected:
+  static constexpr uint32_t kSeg = 4;
+
+  // Partials of 1, 2 and 3 content blocks at offsets 0, 2 and 5 (seqs 10-12).
+  void WriteThreePartials() {
+    builder_->StartAt(kSeg, 0);
+    for (uint32_t n = 1; n <= 3; ++n) {
+      for (uint32_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(builder_->Append(BlockKind::kData, 1, 1, i, Block(0x40 + n)).ok());
+      }
+      ASSERT_TRUE(builder_->Flush(9 + n, 0.0).ok());
     }
-    seqs.push_back(peek->seq);
-    offset += 1 + peek->nblocks;
   }
-  EXPECT_EQ(seqs, (std::vector<uint64_t>{10, 11}));
+
+  std::span<std::byte> RawBlock(uint32_t offset) {
+    return disk_.MutableRawImage().subspan(sb_.SegmentBlockSector(kSeg, offset) * kSectorSize,
+                                           sb_.block_size);
+  }
+
+  static std::vector<Link> Walk(SummaryChain chain) {
+    std::vector<Link> links;
+    while (chain.Next()) {
+      links.push_back({chain.offset(), chain.peek().seq, chain.peek().nblocks});
+    }
+    return links;
+  }
+
+  // Walks segment kSeg of `device` from an in-memory image and one summary
+  // block at a time, expects both to agree, and returns the image walk.
+  // `unreadable` receives the image read's unreadable-block mask.
+  std::vector<Link> WalkBoth(BlockDevice* device, ChainMode mode,
+                             std::vector<bool>* unreadable = nullptr) {
+    std::vector<std::byte> image(sb_.segment_size);
+    Result<std::vector<bool>> mask = ReadSegmentImage(device, sb_, kSeg, image);
+    EXPECT_TRUE(mask.ok());
+    if (unreadable != nullptr && mask.ok()) {
+      *unreadable = *mask;
+    }
+    const std::vector<Link> links = Walk(SummaryChain(image, sb_.block_size, mode));
+    EXPECT_EQ(Walk(SummaryChain(device, sb_, kSeg, mode)), links);
+    return links;
+  }
+};
+
+TEST_F(SummaryChainTest, MultiplePartialsChainWithinASegment) {
+  WriteThreePartials();
+  const std::vector<Link> chain = {{0, 10, 1}, {2, 11, 2}, {5, 12, 3}};
+  std::vector<bool> unreadable{true};
+  EXPECT_EQ(WalkBoth(&disk_, ChainMode::kStrict, &unreadable), chain);
+  EXPECT_TRUE(unreadable.empty());  // One transfer read the whole segment.
+  EXPECT_EQ(WalkBoth(&disk_, ChainMode::kProbe), chain);
+}
+
+TEST_F(SummaryChainTest, StrictEndsAtAZeroedSummaryAndProbeFindsThePartialAfterIt) {
+  WriteThreePartials();
+  std::memset(RawBlock(2).data(), 0, sb_.block_size);
+  EXPECT_EQ(WalkBoth(&disk_, ChainMode::kStrict), (std::vector<Link>{{0, 10, 1}}));
+  EXPECT_EQ(WalkBoth(&disk_, ChainMode::kProbe), (std::vector<Link>{{0, 10, 1}, {5, 12, 3}}));
+}
+
+TEST_F(SummaryChainTest, StrictEndsAtAHeaderWhosePartialWouldOverrunTheSegment) {
+  const uint32_t bps = sb_.BlocksPerSegment();
+  const uint32_t capacity = static_cast<uint32_t>(SummaryCapacity(sb_.block_size));
+  // A first partial long enough that a full summary after it cannot fit.
+  const uint32_t first = bps - capacity;
+  builder_->StartAt(kSeg, 0);
+  for (uint32_t i = 0; i < first; ++i) {
+    ASSERT_TRUE(builder_->Append(BlockKind::kData, 1, 1, i, Block(7)).ok());
+  }
+  ASSERT_TRUE(builder_->Flush(1, 0.0).ok());
+  builder_->StartAt(kSeg, bps - 3);
+  ASSERT_TRUE(builder_->Append(BlockKind::kData, 1, 1, first, Block(8)).ok());
+  ASSERT_TRUE(builder_->Append(BlockKind::kData, 1, 1, first + 1, Block(9)).ok());
+  ASSERT_TRUE(builder_->Flush(3, 0.0).ok());
+  // A well-formed header right after the first partial whose `capacity`
+  // blocks would end past the segment: only the chain rule rejects it.
+  SegmentSummary overrun;
+  overrun.seq = 2;
+  overrun.entries.resize(capacity);
+  ASSERT_GT(first + 1 + 1 + capacity, bps);
+  ASSERT_TRUE(EncodeSummary(overrun, RawBlock(first + 1), {}).ok());
+  ASSERT_TRUE(PeekSummary(RawBlock(first + 1), sb_.block_size).ok());
+
+  EXPECT_EQ(WalkBoth(&disk_, ChainMode::kStrict), (std::vector<Link>{{0, 1, first}}));
+  EXPECT_EQ(WalkBoth(&disk_, ChainMode::kProbe),
+            (std::vector<Link>{{0, 1, first}, {bps - 3, 3, 2}}));
+}
+
+TEST_F(SummaryChainTest, ProbeFindsThePartialAfterAnUnreadableBlock) {
+  WriteThreePartials();
+  FaultInjectingDisk faulty(&disk_);
+  faulty.MarkBadSectors(sb_.SegmentBlockSector(kSeg, 2), sb_.SectorsPerBlock(),
+                        FaultInjectingDisk::BadSectorMode::kRead);
+  std::vector<bool> unreadable;
+  EXPECT_EQ(WalkBoth(&faulty, ChainMode::kStrict, &unreadable), (std::vector<Link>{{0, 10, 1}}));
+  // The image read fell back to single blocks and lost exactly block 2.
+  std::vector<bool> expected(sb_.BlocksPerSegment(), false);
+  expected[2] = true;
+  EXPECT_EQ(unreadable, expected);
+  EXPECT_EQ(WalkBoth(&faulty, ChainMode::kProbe), (std::vector<Link>{{0, 10, 1}, {5, 12, 3}}));
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 //
 //   1. the sharded mount succeeds (every shard recovers independently),
 //      under both roll-forward and checkpoint-only recovery;
-//   2. every per-shard structural invariant holds (LfsChecker shard mode:
+//   2. every per-shard structural invariant holds (LfsChecker::CheckLog:
 //      imap resolution, usage exactness, address uniqueness, media CRCs,
 //      content readability);
 //   3. under roll-forward, every file whose Fsync completed before the

@@ -2,7 +2,8 @@
 // acknowledged device write is attributed to exactly one provenance class,
 // so the per-source counters sum to the device's own write totals) across
 // single-shard, multi-shard, crash-recovery, and fault-injection runs; a
-// concurrent-attribution run for TSan; segment lifecycle/age/heat telemetry;
+// concurrent-attribution run for TSan; scrubber salvage charged to the cleaner
+// class; segment lifecycle/age/heat telemetry;
 // the utilization-distribution gauges; and the SegmentUsageTable edge cases
 // (heat EWMA folding, memory-only heat across encode/decode, and the
 // live-bytes underflow clamp).
@@ -215,6 +216,58 @@ TEST_F(SpaceObservatoryTest, ExactSumUnderInjectedTransientFaults) {
   // retry reaches the inner medium and the counters.
   EXPECT_GT(fault.transient_write_errors_injected(), 0u);
   ExpectExactSum(inner.stats());
+}
+
+TEST_F(SpaceObservatoryTest, ScrubSalvageIsCleanerTraffic) {
+  LfsInstance inst;
+  ASSERT_TRUE(inst.paths->WriteFile("/big", TestBytes(300 * 4096, 11)).ok());
+  ASSERT_TRUE(inst.fs->Sync().ok());
+  auto ino = inst.paths->Resolve("/big");
+  ASSERT_TRUE(ino.ok());
+  // A data block of /big in a sealed segment; the file was written once, so
+  // every logged copy is live.
+  const LfsSuperblock& sb = inst.fs->superblock();
+  DiskAddr victim = kNoAddr;
+  for (uint32_t seg = 0; seg < sb.num_segments && victim == kNoAddr; ++seg) {
+    if (inst.fs->usage().Get(seg).state != SegState::kDirty) {
+      continue;
+    }
+    for (SummaryChain chain(inst.disk.get(), sb, seg, ChainMode::kStrict);
+         victim == kNoAddr && chain.Next();) {
+      auto summary = DecodeSummaryUnchecked(chain.summary_block());
+      ASSERT_TRUE(summary.ok());
+      for (size_t i = 0; i < summary->entries.size() && victim == kNoAddr; ++i) {
+        if (summary->entries[i].kind == BlockKind::kData && summary->entries[i].ino == *ino) {
+          victim = sb.SegmentBlockSector(seg, chain.offset() + 1 + static_cast<uint32_t>(i));
+        }
+      }
+    }
+  }
+  ASSERT_NE(victim, kNoAddr);
+  const uint32_t victim_seg = sb.SegmentOfSector(victim);
+  const double last_overwrite = inst.fs->usage().Get(victim_seg).last_overwrite_at;
+  inst.disk->MutableRawImage()[victim * kSectorSize + 100] ^= std::byte{0xFF};
+
+  const obs::IoAttribution before = obs::AttributionSnapshot();
+  auto report = inst.fs->Scrub(sb.num_segments);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->segments_quarantined, 1u);
+  ASSERT_GT(report->blocks_salvaged, 0u);
+  const obs::IoAttribution after = obs::AttributionSnapshot();
+
+  // Every byte the salvage wrote is cleaner relocation, none foreground.
+  const uint64_t written = after.total_bytes - before.total_bytes;
+  EXPECT_GE(written, report->blocks_salvaged * sb.block_size);
+  EXPECT_EQ(Bytes(after, obs::IoSource::kCleaner) - Bytes(before, obs::IoSource::kCleaner),
+            written);
+  EXPECT_EQ(Bytes(after, obs::IoSource::kForegroundData),
+            Bytes(before, obs::IoSource::kForegroundData));
+  EXPECT_EQ(Bytes(after, obs::IoSource::kForegroundMeta),
+            Bytes(before, obs::IoSource::kForegroundMeta));
+  ExpectExactSum(inst.disk->stats());
+  // Moving blocks out is not the workload overwriting them: no heat.
+  EXPECT_EQ(inst.fs->usage().Get(victim_seg).state, SegState::kQuarantined);
+  EXPECT_EQ(inst.fs->usage().Get(victim_seg).last_overwrite_at, last_overwrite);
 }
 
 // --- lifecycle, age, and heat telemetry -------------------------------------

@@ -115,14 +115,12 @@ int RunBench() {
                 TablePrinter::Int(lfs->non_sequential), "8", "1"});
   std::cout << "\n";
   table.Print(std::cout);
-  std::cout << "\nShape check: "
-            << (ffs->sync_writes >= 4 && lfs->sync_writes == 0 && lfs->writes <= 2 &&
-                        ffs->writes >= 6
-                    ? "PASS"
-                    : "WARN")
+  const bool shape_ok = ffs->sync_writes >= 4 && lfs->sync_writes == 0 && lfs->writes <= 2 &&
+                        ffs->writes >= 6;
+  std::cout << "\nShape check: " << (shape_ok ? "PASS" : "FAIL")
             << " (FFS: many small scattered + synchronous; LFS: one large sequential "
                "asynchronous transfer)\n";
-  return 0;
+  return shape_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -4,12 +4,13 @@
 // disk's write throughput serves new data versus cleaning, checkpointing,
 // and bookkeeping overheads as the disk fills. This bench drives the same
 // volume through three workload shapes (uniform, Zipf, hot/cold) at three
-// disk utilizations (70/80/90%) and reports the per-source attribution
-// shares from the space observatory (DESIGN.md §6j), re-checking the
-// exact-sum invariant (Σ logfs.io.<source>.bytes == DiskStats bytes) after
-// every configuration. The last section times the observatory's own
-// recording hot paths on the host clock, so the telemetry's cost rides in
-// the same report as its product.
+// utilizations (70/80/90% of UsableBytes() live) and reports the per-source
+// attribution shares from the space observatory (DESIGN.md §6j), re-checking
+// the exact-sum invariant (Σ logfs.io.<source>.bytes == DiskStats bytes)
+// after every configuration. Cleaning is left to Tick(), as in production;
+// any error, and any exact-sum miss, exits nonzero. The last section times
+// the observatory's own recording hot paths on the host clock, so the
+// telemetry's cost rides in the same report as its product.
 //
 // Expected shape: the cleaner's byte share rises steeply with utilization
 // (cost 1 + u/(1-u) + 1/(1-u) at victim utilization u), and rises *faster*
@@ -69,44 +70,31 @@ Result<ConfigResult> RunConfig(const std::string& workload, double target_util,
   PathFs paths(fs.get());
   RETURN_IF_ERROR(paths.MkdirAll("/churn").status());
 
-  const LfsSuperblock& sb = fs->superblock();
-  const double usable =
-      static_cast<double>(sb.num_segments) * static_cast<double>(sb.segment_size);
+  // Utilization is live bytes over UsableBytes(), the space the log can
+  // hold once its reserved segments and summary overhead are set aside.
+  const double usable = static_cast<double>(fs->UsableBytes());
   const uint32_t file_bytes = 32768;
   std::vector<std::byte> payload(file_bytes, std::byte{0x61});
   std::vector<std::byte> churn(file_bytes, std::byte{0x62});
 
-  // Fill until live bytes reach the target. Stop early (recording what we
-  // got) if the volume pushes back — at 90% the write budget is tight.
-  size_t nfiles = 0;
-  while (static_cast<double>(fs->TotalLiveBytes()) < target_util * usable) {
-    Status wrote = paths.WriteFile("/churn/f" + std::to_string(nfiles), payload);
-    if (!wrote.ok()) {
-      break;
-    }
-    ++nfiles;
-    Status ticked = fs->Tick();
-    if (!ticked.ok() && ticked.code() != ErrorCode::kNoSpace) {
-      return ticked;
-    }
+  // Fill: enough files for their data to reach the target. Any error, here
+  // or below, fails the cell: a volume that refuses writes below its
+  // utilization ceiling is a bug, not a data point.
+  const size_t nfiles = static_cast<size_t>(target_util * usable / file_bytes) + 1;
+  for (size_t i = 0; i < nfiles; ++i) {
+    RETURN_IF_ERROR(paths.WriteFile("/churn/f" + std::to_string(i), payload));
+    RETURN_IF_ERROR(fs->Tick());
   }
-  Status fill_synced = fs->Sync();
-  if (!fill_synced.ok() && fill_synced.code() != ErrorCode::kNoSpace) {
-    return fill_synced;
-  }
-  if (nfiles < 16) {
-    return InvalidArgumentError("fill phase produced too few files");
-  }
+  RETURN_IF_ERROR(fs->Sync());
 
   // Churn: overwrite in place (no net growth) so the steady state stays at
-  // the target utilization while the cleaner fights for clean segments.
+  // the target utilization while Tick()'s cleaner keeps segments clean.
   const uint64_t churn_budget = (smoke ? 4ull : 24ull) << 20;
   std::mt19937 rng(42);
   std::uniform_real_distribution<double> u01(0.0, 1.0);
   ZipfSampler zipf(nfiles, 1.0);
   const size_t hot_files = nfiles / 10 + 1;
-  uint64_t churned = 0;
-  while (churned < churn_budget) {
+  for (uint64_t churned = 0; churned < churn_budget; churned += file_bytes) {
     size_t idx;
     if (workload == "uniform") {
       idx = static_cast<size_t>(u01(rng) * static_cast<double>(nfiles)) % nfiles;
@@ -118,32 +106,10 @@ Result<ConfigResult> RunConfig(const std::string& workload, double target_util,
                                              u01(rng) * (nfiles - hot_files)) %
                                              (nfiles - hot_files);
     }
-    // Keep a small clean reserve ahead of demand: at 90% the cleaner needs
-    // headroom to relocate into, and waiting for the in-Tick trigger can
-    // wedge the log ("no clean segments" with live blocks still to move).
-    if (fs->CleanSegmentCount() < 4) {
-      auto cleaned = fs->CleanNow(8);
-      if (!cleaned.ok() || *cleaned == 0) {
-        break;  // Cleaning can make no more progress: steady state reached.
-      }
-    }
-    Status wrote = paths.WriteFile("/churn/f" + std::to_string(idx), churn);
-    if (!wrote.ok()) {
-      if (wrote.code() == ErrorCode::kNoSpace) {
-        break;
-      }
-      return wrote;
-    }
-    churned += file_bytes;
-    Status ticked = fs->Tick();
-    if (!ticked.ok() && ticked.code() != ErrorCode::kNoSpace) {
-      return ticked;
-    }
+    RETURN_IF_ERROR(paths.WriteFile("/churn/f" + std::to_string(idx), churn));
+    RETURN_IF_ERROR(fs->Tick());
   }
-  Status synced = fs->Sync();
-  if (!synced.ok() && synced.code() != ErrorCode::kNoSpace) {
-    return synced;
-  }
+  RETURN_IF_ERROR(fs->Sync());
 
   ConfigResult out;
   out.workload = workload;

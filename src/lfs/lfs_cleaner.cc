@@ -31,6 +31,21 @@ Result<uint32_t> LfsCleaner::CleanVictims(std::vector<uint32_t> victims) {
   std::erase_if(victims, [&](uint32_t seg) {
     return fs_->usage_.Get(seg).state != SegState::kDirty;
   });
+  // The survivors need clean segments to land in (paper §4.3). Keep victims
+  // only while their live bytes fit in all but one of the clean segments,
+  // so a pass can never wrap the log mid-relocation.
+  const LfsSuperblock& sb = fs_->sb_;
+  const uint32_t clean = fs_->CleanSegmentCount();
+  uint64_t room = clean > 1 ? (clean - 1) * (sb.segment_size - 2ull * sb.block_size) : 0;
+  size_t fit = 0;
+  for (; fit < victims.size(); ++fit) {
+    const uint32_t live = fs_->usage_.Get(victims[fit]).live_bytes;
+    if (live > room) {
+      break;
+    }
+    room -= live;
+  }
+  victims.resize(fit);
   if (victims.empty()) {
     return uint32_t{0};
   }
@@ -40,7 +55,6 @@ Result<uint32_t> LfsCleaner::CleanVictims(std::vector<uint32_t> victims) {
   obs::SpanTimer span(fs_->clock_, "cleaner", "pass", fs_->OpSpanParent());
   span.AddArg("victims", std::to_string(victims.size()));
   Result<uint32_t> result = [&]() -> Result<uint32_t> {
-    const LfsSuperblock& sb = fs_->sb_;
     ++fs_->cleaner_stats_.passes;
 
     std::vector<std::byte> image(sb.segment_size);

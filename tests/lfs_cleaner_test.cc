@@ -2,7 +2,11 @@
 // selection, checkpoint commit of cleaned segments, invariants under load.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/lfs/lfs_check.h"
+#include "src/util/rng.h"
 #include "tests/fs_fixture.h"
 
 namespace logfs {
@@ -153,6 +157,130 @@ TEST(LfsCleanerTest, RepeatedOverwriteChurnStaysConsistent) {
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, TestBytes(256 * 1024, 29 * 10 + f));
   }
+  EXPECT_TRUE(ExpectClean(inst.fs.get()).ok());
+}
+
+// Space liveness (DESIGN.md §6): with live data held at a fixed fraction of
+// UsableBytes(), uniform whole-file overwrites of a 64 MB volume of 32 KB
+// files, Tick() after every write and no explicit cleaning, must never see
+// kNoSpace up to 90% live. Each cleaning pass keeps only the victims whose
+// live bytes fit in the clean segments it has to relocate into; without
+// that cap a pass wraps the log mid-relocation and the volume wedges, at
+// 70% live already.
+constexpr size_t kLivenessFileBytes = 32 * 1024;
+
+// Creates 32 KB files until their data reaches `fraction` of UsableBytes().
+// Returns the inode of each file.
+Result<std::vector<InodeNum>> FillLive(LfsInstance& inst, double fraction) {
+  const uint64_t target =
+      static_cast<uint64_t>(fraction * static_cast<double>(inst.fs->UsableBytes()));
+  std::vector<InodeNum> files;
+  for (uint64_t bytes = 0; bytes < target; bytes += kLivenessFileBytes) {
+    const std::string path = "/f" + std::to_string(files.size());
+    RETURN_IF_ERROR(inst.paths->WriteFile(path, TestBytes(kLivenessFileBytes, files.size())));
+    ASSIGN_OR_RETURN(InodeNum ino, inst.paths->Resolve(path));
+    files.push_back(ino);
+    RETURN_IF_ERROR(inst.fs->Tick());
+  }
+  RETURN_IF_ERROR(inst.fs->Sync());
+  return files;
+}
+
+class SpaceLivenessTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SpaceLivenessTest, UniformOverwriteChurnNeverRunsOutOfSpace) {
+  const double fraction = GetParam() / 100.0;
+  LfsInstance inst;  // 64 MB.
+  auto files = FillLive(inst, fraction);
+  ASSERT_TRUE(files.ok()) << files.status().ToString();
+  ASSERT_GE(inst.fs->TotalLiveBytes(), fraction * inst.fs->UsableBytes());
+
+  const uint64_t churn_bytes = 3 * inst.disk->sector_count() * kSectorSize;
+  std::vector<uint64_t> version(files->size(), 0);
+  Rng rng(GetParam());
+  for (uint64_t written = 0; written < churn_bytes; written += kLivenessFileBytes) {
+    const size_t f = rng.NextBelow(files->size());
+    version[f] = written + 1;
+    auto wrote = inst.fs->Write((*files)[f], 0, TestBytes(kLivenessFileBytes, version[f]));
+    ASSERT_TRUE(wrote.ok()) << "after " << (written >> 20) << " MB of churn at "
+                            << GetParam() << "% live: " << wrote.status().ToString();
+    Status ticked = inst.fs->Tick();
+    ASSERT_TRUE(ticked.ok()) << ticked.ToString();
+  }
+  ASSERT_TRUE(inst.fs->Sync().ok());
+  EXPECT_GT(inst.fs->cleaner_stats().segments_cleaned, 0u);
+  for (size_t f = 0; f < files->size(); f += 97) {
+    auto back = inst.paths->ReadFile("/f" + std::to_string(f));
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(*back, TestBytes(kLivenessFileBytes, version[f] != 0 ? version[f] : f)) << f;
+  }
+  EXPECT_TRUE(ExpectClean(inst.fs.get()).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(LivePercent, SpaceLivenessTest, ::testing::Values(70, 80, 85, 90),
+                         [](const ::testing::TestParamInfo<int>& percent) {
+                           return std::to_string(percent.param);
+                         });
+
+// Above the ceiling the volume refuses a write with kNoSpace: files are
+// created toward 97% of UsableBytes() and then overwritten, and the first
+// refusal (in either phase) must be kNoSpace on a consistent volume whose
+// other files are intact. Unlinking a quarter of the files must then let
+// overwrites and new files through again.
+TEST(LfsCleanerTest, FullVolumeRefusesWritesCleanlyAndRecoversAfterUnlinks) {
+  LfsInstance inst;
+  const uint64_t target = static_cast<uint64_t>(0.97 * inst.fs->UsableBytes());
+  std::vector<InodeNum> files;
+  std::vector<uint64_t> version;
+  Rng rng(97);
+  Status refused = OkStatus();
+  size_t refused_file = 0;
+  for (uint64_t written = 0; refused.ok() && written < target + (64ull << 20);
+       written += kLivenessFileBytes) {
+    if (written < target) {
+      refused_file = files.size();
+      const std::string path = "/f" + std::to_string(refused_file);
+      refused = inst.paths->WriteFile(path, TestBytes(kLivenessFileBytes, refused_file));
+      if (auto ino = inst.paths->Resolve(path); ino.ok()) {
+        files.push_back(*ino);
+        version.push_back(refused_file);
+      }
+    } else {
+      refused_file = rng.NextBelow(files.size());
+      refused = inst.fs->Write(files[refused_file], 0, TestBytes(kLivenessFileBytes, written))
+                    .status();
+      version[refused_file] = written;
+    }
+    if (refused.ok()) {
+      refused = inst.fs->Tick();
+    }
+  }
+  ASSERT_EQ(refused.code(), ErrorCode::kNoSpace) << refused.ToString();
+  ASSERT_TRUE(inst.fs->Sync().ok());
+  EXPECT_TRUE(ExpectClean(inst.fs.get()).ok());
+  for (size_t f = 0; f < files.size(); f += 7) {
+    auto back = inst.paths->ReadFile("/f" + std::to_string(f));
+    ASSERT_TRUE(back.ok());
+    if (f != refused_file) {
+      EXPECT_EQ(*back, TestBytes(kLivenessFileBytes, version[f])) << f;
+    }
+  }
+
+  for (size_t f = 0; f < files.size(); f += 4) {
+    ASSERT_TRUE(inst.paths->Unlink("/f" + std::to_string(f)).ok());
+  }
+  for (size_t f = 1; f < files.size(); f += 4) {
+    auto wrote = inst.fs->Write(files[f], 0, TestBytes(kLivenessFileBytes, f + 1));
+    ASSERT_TRUE(wrote.ok()) << "file " << f << ": " << wrote.status().ToString();
+    ASSERT_TRUE(inst.fs->Tick().ok());
+  }
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(
+        inst.paths->WriteFile("/new" + std::to_string(i), TestBytes(kLivenessFileBytes, i)).ok())
+        << i;
+    ASSERT_TRUE(inst.fs->Tick().ok());
+  }
+  ASSERT_TRUE(inst.fs->Sync().ok());
   EXPECT_TRUE(ExpectClean(inst.fs.get()).ok());
 }
 

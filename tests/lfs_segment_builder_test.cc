@@ -1,16 +1,21 @@
 // Unit tests for SegmentBuilder: address assignment, partial-segment
 // boundaries, deferred-content patching, on-disk layout verified by reading
-// raw sectors back. Then the summary-chain walker over damaged segments, in
-// both modes and from both sources (an in-memory image, and a device read one
-// summary block at a time).
+// raw sectors back, and the write path's host cost against the copy-per-block
+// flush and bytewise CRC it replaced. Then the summary-chain walker over
+// damaged segments, in both modes and from both sources (an in-memory image,
+// and a device read one summary block at a time).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <utility>
 
 #include "src/disk/fault_disk.h"
 #include "src/disk/memory_disk.h"
 #include "src/lfs/lfs_segment.h"
 #include "src/sim/sim_clock.h"
+#include "src/util/crc32.h"
 
 namespace logfs {
 namespace {
@@ -166,6 +171,92 @@ TEST_F(SegmentBuilderTest, EmptyFlushIsANoOp) {
   ASSERT_TRUE(builder_->Flush(1, 0.0).ok());
   EXPECT_EQ(disk_.stats().write_ops, writes_before);
   EXPECT_EQ(builder_->next_offset(), 10u);
+}
+
+// --- write-path host cost ----------------------------------------------------
+//
+// The builder's flush (one memcpy per block at Append, the dispatched CRC,
+// one vectored write) and the slice-by-8 CRC replaced a flush that staged
+// every block in a contiguous buffer, ran the bytewise CRC over it and wrote
+// it with one scalar request. Neither may cost more host time than what it
+// replaced. Each check interleaves the two paths and compares the best of
+// several rounds, which shrugs off a busy machine.
+
+template <typename Body>
+double HostSeconds(Body&& body) {
+  const auto start = std::chrono::steady_clock::now();
+  body();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+// {fastest `old_path`, fastest `new_path`} over `rounds` interleaved calls.
+template <typename Old, typename New>
+std::pair<double, double> BestOfInterleaved(int rounds, Old&& old_path, New&& new_path) {
+  double best_old = 1e30;
+  double best_new = 1e30;
+  for (int i = 0; i < rounds; ++i) {
+    best_old = std::min(best_old, HostSeconds(old_path));
+    best_new = std::min(best_new, HostSeconds(new_path));
+  }
+  return {best_old, best_new};
+}
+
+TEST(WritePathHostCostTest, Slice8AndDispatchedCrcAreNotSlowerThanBytewise) {
+  std::vector<std::byte> data(1 << 20);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::byte>(1 + 7 * i);
+  }
+  volatile uint32_t sink = 0;
+  auto bytewise = [&] { sink = Crc32UpdateBytewise(Crc32Init(), data); };
+  const auto [bytewise_s, slice8_s] =
+      BestOfInterleaved(7, bytewise, [&] { sink = Crc32UpdateSlice8(Crc32Init(), data); });
+  EXPECT_LE(slice8_s, bytewise_s);
+  const auto [bytewise2_s, dispatched_s] =
+      BestOfInterleaved(7, bytewise, [&] { sink = Crc32Update(Crc32Init(), data); });
+  EXPECT_LE(dispatched_s, bytewise2_s) << "backend " << Crc32Backend();
+  (void)sink;
+}
+
+TEST_F(SegmentBuilderTest, FlushIsNotSlowerThanTheCopyPathItReplaced) {
+  const uint32_t bs = sb_.block_size;
+  const size_t nblocks = std::min<size_t>(SummaryCapacity(bs), sb_.BlocksPerSegment() - 1);
+  std::vector<std::vector<std::byte>> pool;  // A segment's worth of cache blocks.
+  for (size_t i = 0; i < nblocks; ++i) {
+    pool.push_back(Block(static_cast<uint8_t>(i)));
+  }
+  Status status = OkStatus();
+  uint32_t seg = 0;
+  std::vector<std::byte> staging((1 + nblocks) * bs);
+  auto copy_path = [&] {
+    for (size_t i = 0; i < nblocks; ++i) {
+      std::memcpy(staging.data() + (1 + i) * bs, pool[i].data(), bs);
+    }
+    const std::span<const std::byte> whole(staging);
+    uint32_t crc = Crc32UpdateBytewise(Crc32Init(), whole.subspan(4, bs - 4));
+    crc = Crc32Finalize(Crc32UpdateBytewise(crc, whole.subspan(bs)));
+    std::memcpy(staging.data(), &crc, sizeof(crc));
+    if (Status wrote = disk_.WriteSectors(sb_.SegmentBlockSector(seg, 0), staging); !wrote.ok()) {
+      status = wrote;
+    }
+    seg = (seg + 1) % 4;
+  };
+  uint64_t sequence = 1;
+  auto builder_path = [&] {
+    builder_->StartAt(seg, 0);
+    for (size_t i = 0; i < nblocks; ++i) {
+      if (auto addr = builder_->Append(BlockKind::kData, 1, 1, static_cast<int64_t>(i), pool[i]);
+          !addr.ok()) {
+        status = addr.status();
+      }
+    }
+    if (Status flushed = builder_->Flush(sequence++, 0.0); !flushed.ok()) {
+      status = flushed;
+    }
+    seg = (seg + 1) % 4;
+  };
+  const auto [copy_s, builder_s] = BestOfInterleaved(7, copy_path, builder_path);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_LE(builder_s, copy_s);
 }
 
 // --- the summary-chain walker ------------------------------------------------

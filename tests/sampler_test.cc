@@ -413,6 +413,55 @@ TEST_F(SamplerTest, BlackBoxPersistsAcrossCheckpointsAndRecoversFromRawImage) {
   EXPECT_EQ(via_device->ring.seq, second->ring.seq);
 }
 
+// The recorder rides through a phased workload sampled on a fine cadence:
+// create burst, overwrite churn, delete + clean, read-back. After a final
+// checkpoint the ring decodes from the raw volume image (the path
+// `lfs_inspect blackbox` uses), and its newest sample is from that last
+// checkpoint. With metrics compiled out no ring is embedded at all.
+TEST_F(SamplerTest, BlackBoxRoundTripsFromRawImageAfterPhasedWorkload) {
+  LfsFileSystem::Options options;
+  options.telemetry_interval_seconds = 0.01;
+  options.telemetry_capacity = 128;
+  LfsInstance inst(131072, LfsInstance::DefaultParams(), options);
+  const int files = 60;
+  ASSERT_TRUE(inst.paths->MkdirAll("/bench").ok());
+  for (int i = 0; i < files; ++i) {
+    ASSERT_TRUE(inst.paths->WriteFile("/bench/f" + std::to_string(i), TestBytes(8192, i)).ok());
+    ASSERT_TRUE(inst.fs->Tick().ok());
+  }
+  ASSERT_TRUE(inst.fs->Sync().ok());
+  for (int i = 0; i < files; i += 2) {
+    ASSERT_TRUE(
+        inst.paths->WriteFile("/bench/f" + std::to_string(i), TestBytes(8192, files + i)).ok());
+    ASSERT_TRUE(inst.fs->Tick().ok());
+  }
+  ASSERT_TRUE(inst.fs->Sync().ok());
+  for (int i = 1; i < files; i += 2) {
+    ASSERT_TRUE(inst.paths->Unlink("/bench/f" + std::to_string(i)).ok());
+    ASSERT_TRUE(inst.fs->Tick().ok());
+  }
+  ASSERT_TRUE(inst.fs->Sync().ok());
+  ASSERT_TRUE(inst.fs->CleanNow(8).ok());
+  for (int i = 0; i < files; i += 2) {
+    auto back = inst.paths->ReadFile("/bench/f" + std::to_string(i));
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(*back, TestBytes(8192, files + i));
+    ASSERT_TRUE(inst.fs->Tick().ok());
+  }
+  const double readback_done = inst.clock->Now();
+  ASSERT_TRUE(inst.fs->Sync().ok());
+
+  auto recovered = RecoverBlackBoxFromImage(inst.disk->RawImage());
+  if (!obs::kMetricsEnabled) {
+    EXPECT_FALSE(recovered.ok()) << "a ring was embedded with metrics compiled out";
+    return;
+  }
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const obs::TelemetryRing& ring = recovered->ring;
+  ASSERT_GT(ring.samples.size(), 4u);
+  EXPECT_GE(ring.samples.back().t, readback_done);
+}
+
 // --- per-op latency breakdown --------------------------------------------------
 
 // Runs `body` as one traced request rooted at a "test" span and returns the

@@ -437,6 +437,39 @@ TEST(ServeTest, ThousandClientZipfSmoke) {
       << c.shadow().violations()[0];
 }
 
+// The Zipf(0.9) shared-file load across a client sweep: 160 ops split over
+// 4 and then 16 clients, 30% writes, 64 KB files, 32-block client caches.
+// Every op completes without a drive error and the shadow referee sees no
+// stale read.
+TEST(ServeTest, ZipfClientSweepHasNoErrorsOrStaleReads) {
+  for (size_t n : {4u, 16u}) {
+    ServeClusterParams params;
+    params.clients = n;
+    params.client.cache_blocks = 32;
+    auto cluster = ServeCluster::Create(params);
+    ASSERT_TRUE(cluster.ok());
+    ServeCluster& c = **cluster;
+
+    ServeLoadParams lp;
+    lp.clients = n;
+    lp.files = 64;
+    lp.zipf_s = 0.9;
+    lp.ops_per_client = 160 / n;
+    lp.write_fraction = 0.3;
+    lp.file_size = 64 * 1024;
+    lp.mean_think_seconds = 0.05;
+    lp.seed = 17;
+    auto stats = DriveSharedLoad(c, MakeSharedLoad(lp));
+    ASSERT_TRUE(stats.ok()) << n << " clients: " << stats.status().ToString();
+    EXPECT_EQ(stats->errors, 0u)
+        << n << " clients: " << (stats->first_errors.empty() ? "" : stats->first_errors[0]);
+    EXPECT_GE(stats->ops_completed, 160u) << n << " clients";
+    EXPECT_GT(c.shadow().reads_checked(), 0u) << n << " clients";
+    EXPECT_EQ(c.shadow().violation_count(), 0u)
+        << n << " clients: " << c.shadow().violations()[0];
+  }
+}
+
 // Inspection surfaces used by `lfs_inspect serve`.
 TEST(ServeTest, IntrospectionSurfacesReportLiveState) {
   ServeClusterParams params;

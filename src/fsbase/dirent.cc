@@ -47,12 +47,13 @@ void DirBlockView::WriteRecord(size_t offset, InodeNum ino, uint16_t reclen,
   StoreU16(block_, offset + 10, static_cast<uint16_t>(name.size()));
   block_[offset + 12] = static_cast<std::byte>(type);
   if (!name.empty()) {
-    std::memcpy(block_.data() + offset + kHeaderSize, name.data(), name.size());
+    // memmove: a record rewritten with its own name copies it onto itself.
+    std::memmove(block_.data() + offset + kHeaderSize, name.data(), name.size());
   }
 }
 
-Result<std::vector<DirBlockView::RawRecord>> DirBlockView::Records() const {
-  std::vector<RawRecord> records;
+template <typename Visit>
+Status DirBlockView::Walk(Visit visit) const {
   size_t offset = 0;
   while (offset < block_.size()) {
     if (block_.size() - offset < kHeaderSize) {
@@ -74,23 +75,40 @@ Result<std::vector<DirBlockView::RawRecord>> DirBlockView::Records() const {
     }
     record.name = std::string_view(
         reinterpret_cast<const char*>(block_.data() + offset + kHeaderSize), record.namelen);
-    records.push_back(record);
+    visit(record);
     offset += record.reclen;
   }
   if (offset != block_.size()) {
     return CorruptedError("directory record chain does not span block");
   }
-  return records;
+  return OkStatus();
+}
+
+Result<DirBlockView::Match> DirBlockView::Locate(std::string_view name) const {
+  Match match{};
+  bool found = false;
+  bool first = true;
+  RawRecord prev{};  // The record visited last.
+  RETURN_IF_ERROR(Walk([&](const RawRecord& record) {
+    if (!found && record.ino != kInvalidIno && record.name == name) {
+      found = true;
+      match.record = record;
+      if (!first) {
+        match.prev = prev;
+      }
+    }
+    prev = record;
+    first = false;
+  }));
+  if (!found) {
+    return NotFoundError("no directory entry with that name");
+  }
+  return match;
 }
 
 Result<DirEntry> DirBlockView::Find(std::string_view name) const {
-  ASSIGN_OR_RETURN(auto records, Records());
-  for (const RawRecord& record : records) {
-    if (record.ino != kInvalidIno && record.name == name) {
-      return DirEntry{record.ino, record.type, std::string(record.name)};
-    }
-  }
-  return NotFoundError("no directory entry with that name");
+  ASSIGN_OR_RETURN(const Match match, Locate(name));
+  return DirEntry{match.record.ino, match.record.type, std::string(match.record.name)};
 }
 
 Status DirBlockView::Insert(InodeNum ino, FileType type, std::string_view name) {
@@ -98,84 +116,80 @@ Status DirBlockView::Insert(InodeNum ino, FileType type, std::string_view name) 
     return name.empty() ? InvalidArgumentError("empty name") : NameTooLongError(name);
   }
   const size_t needed = DirRecordSize(name.size());
-  ASSIGN_OR_RETURN(auto records, Records());
-  for (const RawRecord& record : records) {
+  bool exists = false;
+  std::optional<RawRecord> slot;  // The first hole or slack that fits.
+  RETURN_IF_ERROR(Walk([&](const RawRecord& record) {
     if (record.ino != kInvalidIno && record.name == name) {
-      return ExistsError(name);
+      exists = true;
     }
+    const size_t slack = record.ino == kInvalidIno
+                             ? record.reclen
+                             : record.reclen - DirRecordSize(record.namelen);
+    if (!slot && slack >= needed) {
+      slot = record;
+    }
+  }));
+  if (exists) {
+    return ExistsError(name);
   }
-  for (const RawRecord& record : records) {
-    if (record.ino == kInvalidIno && record.reclen >= needed) {
-      // Claim the hole; keep its full reclen so trailing slack stays usable.
-      WriteRecord(record.offset, ino, record.reclen, name, type);
-      return OkStatus();
-    }
-    const size_t used = DirRecordSize(record.namelen);
-    if (record.ino != kInvalidIno && record.reclen - used >= needed) {
-      // Split: shrink the existing record, append the new one in its slack.
-      WriteRecord(record.offset, record.ino, static_cast<uint16_t>(used),
-                  record.name, record.type);
-      WriteRecord(record.offset + used, ino, static_cast<uint16_t>(record.reclen - used), name,
-                  type);
-      return OkStatus();
-    }
+  if (!slot) {
+    return NoSpaceError("no room in directory block");
   }
-  return NoSpaceError("no room in directory block");
+  if (slot->ino == kInvalidIno) {
+    // Claim the hole; keep its full reclen so trailing slack stays usable.
+    WriteRecord(slot->offset, ino, slot->reclen, name, type);
+    return OkStatus();
+  }
+  // Split: shrink the existing record, append the new one in its slack.
+  const size_t used = DirRecordSize(slot->namelen);
+  WriteRecord(slot->offset, slot->ino, static_cast<uint16_t>(used), slot->name, slot->type);
+  WriteRecord(slot->offset + used, ino, static_cast<uint16_t>(slot->reclen - used), name, type);
+  return OkStatus();
 }
 
 Status DirBlockView::Remove(std::string_view name) {
-  ASSIGN_OR_RETURN(auto records, Records());
-  for (size_t i = 0; i < records.size(); ++i) {
-    const RawRecord& record = records[i];
-    if (record.ino == kInvalidIno || record.name != name) {
-      continue;
-    }
-    if (i == 0) {
-      // First record becomes a hole.
-      WriteRecord(record.offset, kInvalidIno, record.reclen, "", FileType::kNone);
-    } else {
-      // Merge into the predecessor.
-      const RawRecord& prev = records[i - 1];
-      WriteRecord(prev.offset, prev.ino, static_cast<uint16_t>(prev.reclen + record.reclen),
-                  prev.name, prev.type);
-    }
-    return OkStatus();
+  ASSIGN_OR_RETURN(const Match match, Locate(name));
+  const RawRecord& record = match.record;
+  if (!match.prev) {
+    // First record becomes a hole.
+    WriteRecord(record.offset, kInvalidIno, record.reclen, "", FileType::kNone);
+  } else {
+    // Merge into the predecessor.
+    const RawRecord& prev = *match.prev;
+    WriteRecord(prev.offset, prev.ino, static_cast<uint16_t>(prev.reclen + record.reclen),
+                prev.name, prev.type);
   }
-  return NotFoundError("no directory entry with that name");
+  return OkStatus();
 }
 
 Status DirBlockView::SetInode(std::string_view name, InodeNum ino, FileType type) {
-  ASSIGN_OR_RETURN(auto records, Records());
-  for (const RawRecord& record : records) {
-    if (record.ino != kInvalidIno && record.name == name) {
-      WriteRecord(record.offset, ino, record.reclen, record.name, type);
-      return OkStatus();
-    }
-  }
-  return NotFoundError("no directory entry with that name");
+  ASSIGN_OR_RETURN(const Match match, Locate(name));
+  WriteRecord(match.record.offset, ino, match.record.reclen, match.record.name, type);
+  return OkStatus();
 }
 
 Result<std::vector<DirEntry>> DirBlockView::List() const {
-  ASSIGN_OR_RETURN(auto records, Records());
   std::vector<DirEntry> entries;
-  for (const RawRecord& record : records) {
+  RETURN_IF_ERROR(Walk([&](const RawRecord& record) {
     if (record.ino != kInvalidIno) {
       entries.push_back(DirEntry{record.ino, record.type, std::string(record.name)});
     }
-  }
+  }));
   return entries;
 }
 
 Result<bool> DirBlockView::Empty() const {
-  ASSIGN_OR_RETURN(auto records, Records());
-  for (const RawRecord& record : records) {
+  bool empty = true;
+  RETURN_IF_ERROR(Walk([&](const RawRecord& record) {
     if (record.ino != kInvalidIno) {
-      return false;
+      empty = false;
     }
-  }
-  return true;
+  }));
+  return empty;
 }
 
-Status DirBlockView::Validate() const { return Records().status(); }
+Status DirBlockView::Validate() const {
+  return Walk([](const RawRecord&) {});
+}
 
 }  // namespace logfs

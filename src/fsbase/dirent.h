@@ -70,8 +70,19 @@ class DirBlockView {
     std::string_view name;
   };
 
-  // Walk all records; returns kCorrupted on a malformed chain.
-  Result<std::vector<RawRecord>> Records() const;
+  // Calls visit(record) for every record in chain order, in place; returns
+  // kCorrupted on a malformed chain, having visited the records before the
+  // damage. Callers act only once the whole chain has validated.
+  template <typename Visit>
+  Status Walk(Visit visit) const;
+  // The first live record named `name` and the record just before it (none
+  // for the block's first record), once the whole chain has validated;
+  // kNotFound if there is none.
+  struct Match {
+    RawRecord record;
+    std::optional<RawRecord> prev;
+  };
+  Result<Match> Locate(std::string_view name) const;
   void WriteRecord(size_t offset, InodeNum ino, uint16_t reclen, std::string_view name,
                    FileType type);
 

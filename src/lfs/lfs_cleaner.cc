@@ -57,8 +57,16 @@ Result<uint32_t> LfsCleaner::CleanVictims(std::vector<uint32_t> victims) {
   Result<uint32_t> result = [&]() -> Result<uint32_t> {
     ++fs_->cleaner_stats_.passes;
 
-    std::vector<std::byte> image(sb.segment_size);
+    std::vector<std::byte> image;
     for (uint32_t seg : victims) {
+      // The usage table says nothing here is live, and no clamp has cast
+      // doubt on it: there is nothing to stage, so skip the read (paper
+      // §4.3.4). The checkpoint below still commits the segment.
+      const SegUsage& usage = fs_->usage_.Get(seg);
+      if (usage.live_bytes == 0 && !usage.live_clamped) {
+        continue;
+      }
+      image.resize(sb.segment_size);
       // Media trouble switches this victim to the tolerant salvage walk.
       ASSIGN_OR_RETURN(const std::vector<bool> unreadable,
                        ReadSegmentImage(fs_->device_, sb, seg, image));

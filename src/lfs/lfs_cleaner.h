@@ -1,10 +1,12 @@
 // The segment cleaner (paper Sections 4.3.2-4.3.4).
 //
 // Cleaning is a two-phase incremental garbage collection. Phase one reads
-// whole victim segments (one sequential transfer each), identifies live
-// blocks with the paper's two-step algorithm — (1) inode-map version check
-// from the summary entry, (2) inode / indirect-block pointer check — and
-// loads the live blocks into the file cache, marked dirty. Phase two is the
+// the victims that hold live data (one sequential transfer each), identifies
+// live blocks with the paper's two-step algorithm — (1) inode-map version
+// check from the summary entry, (2) inode / indirect-block pointer check —
+// and loads the live blocks into the file cache, marked dirty. A victim the
+// segment usage table calls empty is reclaimed without a read, unless its
+// estimate was ever clamped (SegUsage::live_clamped). Phase two is the
 // ordinary cache write-back path: the live data is compacted into new
 // segments exactly like freshly written data ("LFS implements cleaning by
 // reading the live blocks into the file cache and then using the cache
@@ -28,7 +30,10 @@ namespace logfs {
 // costs one segment write, u/(1-u) segments of live-copy writes, and
 // 1/(1-u) segments of cleaner reads — 1 + u/(1-u) + 1/(1-u) = 2/(1-u).
 // Published as the explicit three-term sum so a test hand-computing the
-// formula from the same raw counters matches bit-for-bit.
+// formula from the same raw counters matches bit-for-bit. u is observed
+// over the blocks the cleaner examined, which are those of the victims it
+// read: a victim with no live data is reclaimed unread (a write cost of 1
+// at u = 0) and enters neither u nor this formula.
 //
 // u is clamped below 1: the raw formula diverges as u -> 1 (every examined
 // block alive, nothing reclaimable) and would poison the gauge — and any
@@ -36,7 +41,7 @@ namespace logfs {
 inline constexpr double kWriteCostUtilizationCap = 1.0 - 1e-9;
 
 inline double PaperWriteCost(double u) {
-  if (!(u > 0.0)) return 2.0;  // u <= 0 or NaN: empty segments cost 2/(1-0).
+  if (!(u > 0.0)) return 2.0;  // u <= 0 or NaN: a read that found nothing live, 2/(1-0).
   if (u > kWriteCostUtilizationCap) u = kWriteCostUtilizationCap;
   return 1.0 + u / (1.0 - u) + 1.0 / (1.0 - u);
 }

@@ -205,6 +205,13 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   // post-roll-forward usage reconstruction.
   Result<std::vector<uint64_t>> ComputeExactUsage();
 
+  // The paper's two-step liveness check, asked by the cleaner, the scrubber
+  // and tests: (1) the inode-map version in `entry`, (2) the pointer that
+  // should name `addr`. An inode block is live if the map homes any inode
+  // there, which needs no trust in its (possibly damaged) content; the
+  // cleaner, which must know which slots to rewrite, checks slot by slot.
+  Result<bool> IsBlockLive(const SummaryEntry& entry, DiskAddr addr);
+
   // Live-byte quantum charged per inode slot (see inode accounting note in
   // the .cc).
   uint32_t InodeLiveQuantum() const;
@@ -336,12 +343,6 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   // partial-segment chain reading only summary blocks. Best-effort (a
   // damaged segment just contributes fewer checksums).
   Status LoadBlockCrcIndex();
-  // The paper's two-step liveness check, asked by the cleaner and the
-  // scrubber: (1) the inode-map version in `entry`, (2) the pointer that
-  // should name `addr`. An inode block is live if the map homes any inode
-  // there, which needs no trust in its (possibly damaged) content; the
-  // cleaner, which must know which slots to rewrite, checks slot by slot.
-  Result<bool> IsBlockLive(const SummaryEntry& entry, DiskAddr addr);
 
   // One pointer of the live-block set, as WalkLiveBlocks reports it.
   struct LivePointer {

@@ -31,6 +31,7 @@ void SegmentUsageTable::AddLive(uint32_t seg, int64_t delta_bytes) {
       clamps.Increment();
     }
     next = 0;
+    usage.live_clamped = true;
   }
   usage.live_bytes = static_cast<uint32_t>(next);
   MarkDirty(seg);
@@ -62,6 +63,7 @@ void SegmentUsageTable::NoteAllocated(uint32_t seg, double now) {
   usage.allocated_at = now;
   usage.last_overwrite_at = 0.0;
   usage.heat_interval_ewma = 0.0;
+  usage.live_clamped = false;
 }
 
 void SegmentUsageTable::RecordOverwrite(uint32_t seg, double now) {

@@ -50,6 +50,11 @@ struct SegUsage {
   double last_overwrite_at = 0.0;   // Sim time of the last live-block death.
   double heat_interval_ewma = 0.0;  // EWMA of inter-overwrite gaps, seconds.
                                     // 0 = no estimate yet; smaller = hotter.
+
+  // Memory-only, like the heat fields: AddLive's underflow guard clamped this
+  // estimate since the segment was last allocated, so a live_bytes of 0 is
+  // not proof of emptiness and the cleaner still reads the segment.
+  bool live_clamped = false;
 };
 
 inline constexpr size_t kSegUsageEntrySize = 16;
@@ -67,7 +72,8 @@ class SegmentUsageTable {
   // Underflow-guarded: a negative delta larger than the current estimate
   // clamps to zero (and counts logfs.usage.underflow_clamps) instead of
   // wrapping the uint32 — a double-decrement must not turn a near-empty
-  // segment into the cleaner's least-attractive victim.
+  // segment into the cleaner's least-attractive victim. A clamp sets
+  // live_clamped until the segment is next allocated.
   void AddLive(uint32_t seg, int64_t delta_bytes);
   void SetLive(uint32_t seg, uint32_t live_bytes);
   void SetState(uint32_t seg, SegState state);
@@ -76,7 +82,7 @@ class SegmentUsageTable {
   // --- heat telemetry (memory-only; never dirties a table block) ---
   // The segment was (re)allocated as the active segment: stamps
   // allocated_at and restarts the overwrite-interval estimate (heat is a
-  // property of the data, and the data is new).
+  // property of the data, and the data is new). Clears live_clamped.
   void NoteAllocated(uint32_t seg, double now);
   // A live block in `seg` just died to a foreground overwrite/delete:
   // folds the gap since the previous death into heat_interval_ewma

@@ -283,8 +283,10 @@ uint32_t ShardedLfs::PlaceShard(InodeNum dir, std::string_view name,
   for (char c : name) {
     mix(static_cast<uint8_t>(c));
   }
+  // The parent ino widened to 64 bits, so every shift stays inside its type;
+  // the upper four bytes mix in as zeros.
   for (int i = 0; i < 8; ++i) {
-    mix(static_cast<uint8_t>(dir >> (8 * i)));
+    mix(static_cast<uint8_t>(uint64_t{dir} >> (8 * i)));
   }
   return static_cast<uint32_t>(h % shards_.size());
 }

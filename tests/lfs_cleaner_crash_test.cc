@@ -5,6 +5,8 @@
 // records the new homes) must make every such crash recoverable.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "src/disk/fault_disk.h"
 #include "src/lfs/lfs_check.h"
 #include "tests/fs_fixture.h"
@@ -87,6 +89,82 @@ TEST_P(CleanerCrashTest, CrashMidCleaningIsRecoverable) {
 
 INSTANTIATE_TEST_SUITE_P(CrashPoints, CleanerCrashTest,
                          ::testing::Values(0, 1, 2, 3, 4, 6, 9, 13, 19, 28, 42, 63, 94, 141));
+
+// A pass whose victims the usage table calls empty reads nothing and writes
+// only its checkpoint: one partial segment of imap and usage blocks, then
+// the checkpoint region. Its victims turn kCleanPending before that
+// checkpoint, so a crash at either write (whole or torn) finds them pending,
+// not clean, and recovery comes back to the last synced state.
+class EmptyVictimCrashTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, uint64_t>> {};
+
+TEST_P(EmptyVictimCrashTest, CrashBeforeTheCheckpointCommitsIsRecoverable) {
+  CleanerCrashRig rig;
+  const int kKeep = 200;
+  const int kGone = 1500;
+  {
+    LfsFileSystem::Options options;
+    options.auto_clean = false;
+    auto fs = LfsFileSystem::Mount(&rig.fault, &rig.clock, nullptr, options);
+    ASSERT_TRUE(fs.ok());
+    PathFs paths(fs->get());
+    for (int i = 0; i < kGone; ++i) {
+      ASSERT_TRUE(paths.WriteFile("/gone" + std::to_string(i), TestBytes(4096, i)).ok());
+    }
+    for (int i = 0; i < kKeep; ++i) {
+      ASSERT_TRUE(paths.WriteFile("/keep" + std::to_string(i), TestBytes(3000, i)).ok());
+    }
+    ASSERT_TRUE((*fs)->Sync().ok());
+    for (int i = 0; i < kGone; ++i) {
+      ASSERT_TRUE(paths.Unlink("/gone" + std::to_string(i)).ok());
+    }
+    // Every other kept file gets new content: the last synced one.
+    for (int i = 0; i < kKeep; i += 2) {
+      ASSERT_TRUE(paths.WriteFile("/keep" + std::to_string(i), TestBytes(3000, kKeep + i)).ok());
+    }
+    ASSERT_TRUE((*fs)->Sync().ok());
+
+    std::vector<uint32_t> victims;
+    for (uint32_t seg = 0; seg < (*fs)->superblock().num_segments; ++seg) {
+      const SegUsage& usage = (*fs)->usage().Get(seg);
+      if (usage.state == SegState::kDirty && usage.live_bytes == 0) {
+        victims.push_back(seg);
+      }
+    }
+    ASSERT_GE(victims.size(), 4u);
+    const uint64_t reads = rig.inner.stats().read_ops;
+    const auto [crash_at, torn_sectors] = GetParam();
+    rig.fault.CrashAfterWrites(crash_at, torn_sectors);
+    auto cleaned = (*fs)->CleanTheseSegments(victims);
+    ASSERT_EQ(cleaned.status().code(), ErrorCode::kCrashed)
+        << "crash point " << crash_at << " is past the pass's last write";
+    EXPECT_EQ(rig.inner.stats().read_ops, reads);
+    for (uint32_t seg : victims) {
+      EXPECT_EQ((*fs)->usage().Get(seg).state, SegState::kCleanPending) << "segment " << seg;
+    }
+    rig.fault.CrashNow();
+  }
+
+  rig.fault.Reset();
+  auto fs = LfsFileSystem::Mount(&rig.inner, &rig.clock, nullptr);
+  ASSERT_TRUE(fs.ok()) << "mount after crash: " << fs.status().ToString();
+  LfsChecker checker(fs->get());
+  auto report = checker.Check();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+  PathFs paths(fs->get());
+  for (int i = 0; i < kKeep; ++i) {
+    auto back = paths.ReadFile("/keep" + std::to_string(i));
+    ASSERT_TRUE(back.ok()) << i;
+    ASSERT_EQ(*back, TestBytes(3000, i % 2 == 0 ? kKeep + i : i)) << i;
+  }
+  for (int i = 0; i < kGone; i += 97) {
+    EXPECT_FALSE(paths.Exists("/gone" + std::to_string(i))) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CrashPoints, EmptyVictimCrashTest,
+                         ::testing::Combine(::testing::Values(0, 1), ::testing::Values(0, 4)));
 
 // Crash while the cleaner runs under live foreground traffic.
 TEST(CleanerCrashTest, CrashDuringMixedCleaningAndWrites) {

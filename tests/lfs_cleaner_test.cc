@@ -38,6 +38,18 @@ Status MakeFragmentation(LfsInstance& inst, int total_files, int delete_every_nt
   return inst.fs->Sync();
 }
 
+// Dirty segments the usage table calls empty, in segment order.
+std::vector<uint32_t> EmptyDirtySegments(const LfsFileSystem& fs) {
+  std::vector<uint32_t> empty;
+  for (uint32_t seg = 0; seg < fs.superblock().num_segments; ++seg) {
+    const SegUsage& usage = fs.usage().Get(seg);
+    if (usage.state == SegState::kDirty && usage.live_bytes == 0) {
+      empty.push_back(seg);
+    }
+  }
+  return empty;
+}
+
 TEST(LfsCleanerTest, CleaningFullyDeadSegmentsIsFree) {
   LfsInstance inst;
   // Create and delete everything: segments become fully dead.
@@ -283,6 +295,223 @@ TEST(LfsCleanerTest, FullVolumeRefusesWritesCleanlyAndRecoversAfterUnlinks) {
   ASSERT_TRUE(inst.fs->Sync().ok());
   EXPECT_TRUE(ExpectClean(inst.fs.get()).ok());
 }
+
+// --- Empty victims (paper §4.3.4: the usage table says what is live) --------
+
+// A segment the usage table calls empty holds nothing to stage, so a pass
+// over only such victims reads nothing and writes only its checkpoint. Its
+// victims still turn clean only at that checkpoint; EmptyVictimCrashTest
+// (lfs_cleaner_crash_test) crashes the pass there and finds them pending.
+TEST(LfsCleanerTest, EmptyVictimsAreReclaimedWithoutReads) {
+  LfsInstance inst;
+  ASSERT_TRUE(MakeFragmentation(inst, 2000, 1).ok());  // Every file deleted.
+  const std::vector<uint32_t> victims = EmptyDirtySegments(*inst.fs);
+  ASSERT_GE(victims.size(), 4u);
+  const uint64_t reads = inst.disk->stats().read_ops;
+  const uint64_t checkpoints = inst.fs->checkpoint_count();
+  const LfsFileSystem::CleanerStats before = inst.fs->cleaner_stats();
+  auto cleaned = inst.fs->CleanTheseSegments(victims);
+  ASSERT_TRUE(cleaned.ok()) << cleaned.status().ToString();
+  EXPECT_EQ(*cleaned, victims.size());
+  EXPECT_EQ(inst.disk->stats().read_ops, reads);
+  EXPECT_EQ(inst.fs->cleaner_stats().segment_reads, before.segment_reads);
+  EXPECT_EQ(inst.fs->cleaner_stats().blocks_examined, before.blocks_examined);
+  EXPECT_EQ(inst.fs->cleaner_stats().segments_cleaned,
+            before.segments_cleaned + victims.size());
+  EXPECT_EQ(inst.fs->checkpoint_count(), checkpoints + 1);
+  for (uint32_t seg : victims) {
+    EXPECT_EQ(inst.fs->usage().Get(seg).state, SegState::kClean) << "segment " << seg;
+  }
+  EXPECT_TRUE(ExpectClean(inst.fs.get()).ok());
+}
+
+// Writes `count` files of `bytes` each named prefix0..prefix<count-1>.
+Status WriteFiles(PathFs& paths, const std::string& prefix, int count, size_t bytes,
+                  uint64_t seed) {
+  for (int i = 0; i < count; ++i) {
+    RETURN_IF_ERROR(paths.WriteFile(prefix + std::to_string(i), TestBytes(bytes, seed + i)));
+  }
+  return OkStatus();
+}
+
+// A batch mixing empty and non-empty victims reads exactly the non-empty
+// ones and still relocates everything live in them.
+TEST(LfsCleanerTest, MixedBatchReadsOnlyVictimsWithLiveData) {
+  LfsInstance inst;
+  // Group a fills segments of its own and then dies whole; group b stays
+  // half alive in later segments.
+  ASSERT_TRUE(WriteFiles(*inst.paths, "/a", 1500, 4096, 0).ok());
+  ASSERT_TRUE(inst.fs->Sync().ok());
+  ASSERT_TRUE(WriteFiles(*inst.paths, "/b", 1500, 4096, 10000).ok());
+  ASSERT_TRUE(inst.fs->Sync().ok());
+  for (int i = 0; i < 1500; ++i) {
+    ASSERT_TRUE(inst.paths->Unlink("/a" + std::to_string(i)).ok());
+    if (i % 2 == 0) {
+      ASSERT_TRUE(inst.paths->Unlink("/b" + std::to_string(i)).ok());
+    }
+  }
+  ASSERT_TRUE(inst.fs->Sync().ok());
+
+  std::vector<uint32_t> empty = EmptyDirtySegments(*inst.fs);
+  std::vector<uint32_t> live;
+  for (uint32_t seg = 0; seg < inst.fs->superblock().num_segments; ++seg) {
+    const SegUsage& usage = inst.fs->usage().Get(seg);
+    if (usage.state == SegState::kDirty && usage.live_bytes > 0) {
+      live.push_back(seg);
+    }
+  }
+  ASSERT_GE(empty.size(), 3u);
+  ASSERT_GE(live.size(), 3u);
+  std::vector<uint32_t> batch;  // Interleaved, three of each.
+  for (size_t i = 0; i < 3; ++i) {
+    batch.push_back(live[i]);
+    batch.push_back(empty[i]);
+  }
+  const LfsFileSystem::CleanerStats before = inst.fs->cleaner_stats();
+  auto cleaned = inst.fs->CleanTheseSegments(batch);
+  ASSERT_TRUE(cleaned.ok()) << cleaned.status().ToString();
+  EXPECT_EQ(*cleaned, batch.size());
+  const LfsFileSystem::CleanerStats& after = inst.fs->cleaner_stats();
+  EXPECT_EQ(after.segment_reads - before.segment_reads, 3u);
+  EXPECT_GT(after.live_blocks_copied, before.live_blocks_copied);
+  for (uint32_t seg : batch) {
+    EXPECT_EQ(inst.fs->usage().Get(seg).state, SegState::kClean) << "segment " << seg;
+  }
+  ASSERT_TRUE(inst.Remount().ok());
+  for (int i = 1; i < 1500; i += 2) {
+    auto back = inst.paths->ReadFile("/b" + std::to_string(i));
+    ASSERT_TRUE(back.ok()) << i;
+    ASSERT_EQ(*back, TestBytes(4096, 10000 + i)) << i;
+  }
+  EXPECT_TRUE(ExpectClean(inst.fs.get()).ok());
+}
+
+// A clamped estimate is not trusted: a segment whose live bytes were
+// under-counted to zero (a double-decremented block death, injected here)
+// still holds live blocks, and the cleaner must read it to rescue them.
+TEST(LfsCleanerTest, ClampedEmptySegmentIsStillRead) {
+  LfsInstance inst;
+  ASSERT_TRUE(MakeFragmentation(inst, 1500, 2).ok());  // Half the files survive.
+  uint32_t victim = UINT32_MAX;
+  for (uint32_t seg = 0; seg < inst.fs->superblock().num_segments; ++seg) {
+    const SegUsage& usage = inst.fs->usage().Get(seg);
+    if (usage.state == SegState::kDirty && usage.live_bytes > 0) {
+      victim = seg;
+      break;
+    }
+  }
+  ASSERT_NE(victim, UINT32_MAX);
+  auto& usage = const_cast<SegmentUsageTable&>(inst.fs->usage());
+  usage.AddLive(victim, -static_cast<int64_t>(usage.Get(victim).live_bytes) - 4096);
+  ASSERT_EQ(usage.Get(victim).live_bytes, 0u);
+  ASSERT_TRUE(usage.Get(victim).live_clamped);
+
+  const LfsFileSystem::CleanerStats before = inst.fs->cleaner_stats();
+  auto cleaned = inst.fs->CleanTheseSegments({victim});
+  ASSERT_TRUE(cleaned.ok()) << cleaned.status().ToString();
+  EXPECT_EQ(inst.fs->cleaner_stats().segment_reads, before.segment_reads + 1);
+  EXPECT_GT(inst.fs->cleaner_stats().live_blocks_copied, before.live_blocks_copied);
+  ASSERT_TRUE(inst.Remount().ok());
+  for (int i = 1; i < 1500; i += 2) {
+    auto back = inst.paths->ReadFile("/frag" + std::to_string(i));
+    ASSERT_TRUE(back.ok()) << i;
+    ASSERT_EQ(*back, TestBytes(1024, i)) << i;
+  }
+  EXPECT_TRUE(ExpectClean(inst.fs.get()).ok());
+}
+
+// The invariant the unread reclaim relies on: under overwrite-and-unlink
+// churn with the cleaner running, a dirty segment the usage table calls
+// empty (and never clamped) holds no block the cleaner's liveness check
+// accepts. Every summary entry of every such segment is asked.
+Status CheckEmptySegmentsHoldNothingLive(LfsInstance& inst, uint64_t* segments_checked) {
+  const LfsSuperblock& sb = inst.fs->superblock();
+  for (uint32_t seg : EmptyDirtySegments(*inst.fs)) {
+    if (inst.fs->usage().Get(seg).live_clamped) {
+      continue;  // The cleaner reads these.
+    }
+    ++*segments_checked;
+    for (SummaryChain chain(inst.disk.get(), sb, seg, ChainMode::kStrict); chain.Next();) {
+      ASSIGN_OR_RETURN(SegmentSummary summary, DecodeSummaryUnchecked(chain.summary_block()));
+      for (size_t i = 0; i < summary.entries.size(); ++i) {
+        const DiskAddr addr =
+            sb.SegmentBlockSector(seg, chain.offset() + 1 + static_cast<uint32_t>(i));
+        ASSIGN_OR_RETURN(bool live, inst.fs->IsBlockLive(summary.entries[i], addr));
+        if (live) {
+          return CorruptedError("segment " + std::to_string(seg) + " block " +
+                               std::to_string(chain.offset() + 1 + i) +
+                               " is live but the usage table says the segment is empty");
+        }
+      }
+    }
+  }
+  return OkStatus();
+}
+
+class EmptySegmentPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EmptySegmentPropertyTest, EmptyDirtySegmentsHoldNoLiveBlock) {
+  LfsInstance inst;  // 64 MB, auto-clean from Tick().
+  Rng rng(GetParam());
+  // About half of UsableBytes() live, so victims mix empty and partly live
+  // segments.
+  constexpr int kFiles = 1500;
+  std::vector<std::vector<std::byte>> content(kFiles);
+  std::vector<InodeNum> inos(kFiles);
+  auto random_size = [&] { return 4096 * (1 + rng.NextBelow(10)); };
+  for (int f = 0; f < kFiles; ++f) {
+    const std::string path = "/p" + std::to_string(f);
+    content[f] = TestBytes(random_size(), f);
+    ASSERT_TRUE(inst.paths->WriteFile(path, content[f]).ok());
+    auto ino = inst.paths->Resolve(path);
+    ASSERT_TRUE(ino.ok());
+    inos[f] = *ino;
+  }
+  uint64_t checked = 0;
+  for (int step = 1; step <= 8000; ++step) {
+    // Phases of 500 ops alternate. Hot phases rewrite or replace whole files
+    // among the first tenth, so the segments they fill die whole; cold
+    // phases overwrite one block of any file in place, leaving partly live
+    // segments behind.
+    const bool hot = (step / 500) % 2 == 0;
+    const int f = static_cast<int>(rng.NextBelow(hot ? kFiles / 10 : kFiles));
+    const std::string path = "/p" + std::to_string(f);
+    const uint64_t seed = GetParam() * 100000 + step;
+    if (hot && rng.NextBool(0.5)) {
+      // Unlink and recreate at a new size.
+      ASSERT_TRUE(inst.paths->Unlink(path).ok());
+      content[f] = TestBytes(random_size(), seed);
+      ASSERT_TRUE(inst.paths->WriteFile(path, content[f]).ok());
+      auto ino = inst.paths->Resolve(path);
+      ASSERT_TRUE(ino.ok());
+      inos[f] = *ino;
+    } else if (hot) {
+      content[f] = TestBytes(content[f].size(), seed);
+      ASSERT_TRUE(inst.fs->Write(inos[f], 0, content[f]).ok());
+    } else {
+      const size_t block = rng.NextBelow(content[f].size() / 4096);
+      const std::vector<std::byte> data = TestBytes(4096, seed);
+      std::copy(data.begin(), data.end(), content[f].begin() + block * 4096);
+      ASSERT_TRUE(inst.fs->Write(inos[f], block * 4096, data).ok());
+    }
+    ASSERT_TRUE(inst.fs->Tick().ok());
+    if (step % 500 == 0) {
+      Status held = CheckEmptySegmentsHoldNothingLive(inst, &checked);
+      ASSERT_TRUE(held.ok()) << "step " << step << ": " << held.ToString();
+    }
+  }
+  // The cleaner relocated live data, and empty segments were there to ask.
+  EXPECT_GT(inst.fs->cleaner_stats().live_blocks_copied, 0u);
+  EXPECT_GT(checked, 0u);
+  for (int f = 0; f < kFiles; f += 7) {
+    auto back = inst.paths->ReadFile("/p" + std::to_string(f));
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(*back, content[f]) << f;
+  }
+  EXPECT_TRUE(ExpectClean(inst.fs.get()).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EmptySegmentPropertyTest, ::testing::Values(3, 17, 29));
 
 TEST(LfsCleanerTest, StatsAccumulate) {
   LfsInstance inst;

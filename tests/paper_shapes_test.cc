@@ -199,13 +199,17 @@ TEST(PaperShapesTest, Fig5CleaningRateDeclinesWithUtilization) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     rates.push_back(result->CleanKBytesPerSecond());
   }
-  // Measured 1152, 818, 566, 370, 213, 111 KB/s: strictly decreasing,
-  // near-free at u = 0 (89% of the disk maximum, bound >= 75%), and down to
-  // a tenth of that at the top (0.096, bound <= 0.15).
+  // Measured 19997, 818, 566, 370, 213, 111 KB/s: strictly decreasing, and
+  // the top point 0.0056 of the u = 0 point (bound <= 0.15). At u = 0 almost
+  // every victim is empty and costs only its pass's checkpoint, so the rate
+  // is 15.4x the disk maximum (bound >= 5x): a pass that read its victims
+  // could not pass 1x, since reading a segment alone takes its size at the
+  // disk maximum. Near-free by the looser measure too (bound >= 75%).
   for (size_t i = 1; i < rates.size(); ++i) {
     EXPECT_LT(rates[i], rates[i - 1]) << "not monotone at point " << i;
   }
   EXPECT_GE(rates.front(), 0.75 * kDiskMaxKBps);
+  EXPECT_GE(rates.front(), 5 * kDiskMaxKBps);
   EXPECT_LE(rates.back(), 0.15 * rates.front());
 }
 

@@ -8,6 +8,9 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/disk/memory_disk.h"
 #include "src/lfs/lfs_check.h"
@@ -105,6 +108,51 @@ TEST(ShardedLfsTest, DirectoriesSpreadFilesColocate) {
   ExpectClean(rig.fs.get());
 }
 
+// Directory placement, written out: FNV-1a over the name bytes, then the
+// eight bytes of the parent ino widened to 64 bits (the upper four are
+// zero), modulo the shard count. A build or a change that hashes any other
+// way moves the pinned directories below.
+uint32_t ExpectedDirShard(InodeNum parent, std::string_view name, uint32_t shards) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](uint8_t b) {
+    h ^= b;
+    h *= 1099511628211ull;
+  };
+  for (char c : name) {
+    mix(static_cast<uint8_t>(c));
+  }
+  const uint64_t wide = parent;
+  for (int i = 0; i < 8; ++i) {
+    mix(static_cast<uint8_t>(wide >> (8 * i)));
+  }
+  return static_cast<uint32_t>(h % shards);
+}
+
+TEST(ShardedLfsTest, DirectoryPlacementIsPinned) {
+  ShardedInstance rig(4);
+  const std::pair<const char*, uint32_t> kPinned[] = {
+      {"alpha", 2}, {"bravo", 2}, {"charlie", 0},  {"delta", 0},
+      {"echo", 1},  {"foxtrot", 2}, {"golf", 0},   {"hotel", 0},
+      {"india", 1}, {"juliet", 3}, {"kilo", 1},    {"lima", 1},
+      {"mike", 2},  {"november", 2}, {"oscar", 2}, {"papa", 0},
+  };
+  std::vector<InodeNum> dirs;
+  for (const auto& [name, shard] : kPinned) {
+    ASSERT_EQ(ExpectedDirShard(kRootIno, name, 4), shard) << name;
+    auto ino = rig.fs->Create(kRootIno, name, FileType::kDirectory);
+    ASSERT_TRUE(ino.ok()) << ino.status().ToString();
+    EXPECT_EQ(rig.fs->ShardOf(*ino), shard) << name;
+    dirs.push_back(*ino);
+  }
+  // One level down the parent ino is no longer 1, so its bytes count too.
+  for (InodeNum dir : dirs) {
+    auto ino = rig.fs->Create(dir, "child", FileType::kDirectory);
+    ASSERT_TRUE(ino.ok()) << ino.status().ToString();
+    EXPECT_EQ(rig.fs->ShardOf(*ino), ExpectedDirShard(dir, "child", 4)) << "under " << dir;
+  }
+  ExpectClean(rig.fs.get());
+}
+
 TEST(ShardedLfsTest, CrossShardDataRoundTrip) {
   ShardedInstance rig(4);
   const auto payload = TestBytes(3 * 4096 + 17, 42);
@@ -137,13 +185,14 @@ TEST(ShardedLfsTest, CrossShardNamespaceOps) {
   ShardedInstance rig(4);
   // Directories land on hash-chosen shards; build a small tree.
   auto d1 = rig.fs->Create(kRootIno, "alpha", FileType::kDirectory);
-  auto d2 = rig.fs->Create(kRootIno, "beta", FileType::kDirectory);
+  auto d2 = rig.fs->Create(kRootIno, "charlie", FileType::kDirectory);
   ASSERT_TRUE(d1.ok() && d2.ok());
+  ASSERT_NE(rig.fs->ShardOf(*d1), rig.fs->ShardOf(*d2));  // Shards 2 and 0.
   auto f = rig.fs->Create(*d1, "file", FileType::kRegular);
   ASSERT_TRUE(f.ok());
   ASSERT_TRUE(rig.fs->Write(*f, 0, TestBytes(4096, 7)).ok());
 
-  // Hard link across directories (and almost surely across shards).
+  // Hard link across directories and across shards.
   ASSERT_TRUE(rig.fs->Link(*d2, "link", *f).ok());
   auto st = rig.fs->Stat(*f);
   ASSERT_TRUE(st.ok());

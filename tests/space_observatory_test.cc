@@ -372,6 +372,12 @@ TEST(SegUsageEdgeTest, AddLiveUnderflowClampsToZero) {
   // Recovery after a clamp: the estimate keeps tracking new live data.
   table.AddLive(2, 300);
   EXPECT_EQ(table.Get(2).live_bytes, 300u);
+  // The clamp is remembered (the cleaner will not trust a zero from this
+  // segment) until the segment is allocated afresh.
+  EXPECT_TRUE(table.Get(2).live_clamped);
+  EXPECT_FALSE(table.Get(3).live_clamped);
+  table.NoteAllocated(2, 1.0);
+  EXPECT_FALSE(table.Get(2).live_clamped);
 }
 
 TEST(SegUsageEdgeTest, HeatEwmaSeedsThenFolds) {

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Regenerates the wall-clock reports of the three harnesses perfbench does not
 # yet cover (BENCH_PR7.json, BENCH_PR8.json and BENCH_PR10.json at the repo
-# root) from a fresh build. The simulated-time paper benches are separate
-# binaries (bench_small_file, bench_cleaning, ...) whose shapes
-# `ctest -L paper` checks; host throughput, latency and the per-layer split of
+# root) from a fresh build. The simulated-time paper tables come from
+# `bench_paper [section...]`, whose shapes `ctest -L paper` checks through the
+# same experiment functions; host throughput, latency and the per-layer split of
 # the main workloads come from `python3 perfbench/run.py`. BENCH_PR2.json,
 # BENCH_PR2.metrics.json, BENCH_PR5.json and BENCH_PR6.json are frozen: the
 # harnesses that wrote them are gone.

@@ -73,10 +73,6 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
     // explorer's self-test (tests/crashsim_test.cc) can prove the Oracle
     // detects a real recovery bug. Must stay false everywhere else.
     bool unsafe_skip_rollforward_crc = false;
-    // Background scrubbing: verify up to this many segments per Tick(),
-    // round-robin, so latent media errors surface before a reader or the
-    // cleaner trips on them. 0 disables.
-    uint32_t scrub_segments_per_tick = 0;
     // Flight-recorder cadence: the telemetry sampler takes one sample per
     // interval (driven from Tick) plus one at every checkpoint, retaining
     // the newest `telemetry_capacity` samples. Each checkpoint embeds the
@@ -147,8 +143,9 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   // falling back to per-block checksums where the full CRC fails. A segment
   // with unreadable or corrupt *live* blocks is quarantined and its
   // still-verifiable live blocks are salvaged through the cleaner's staging
-  // path, as cleaner work. Driven from Tick() via
-  // Options::scrub_segments_per_tick and from the `lfs_inspect scrub` verb.
+  // path, as cleaner work. Nothing scrubs in the background (Tick() does
+  // not); the `lfs_inspect scrub` verb runs it on demand, so latent media
+  // errors surface before a reader or the cleaner trips on them.
   struct ScrubReport {
     uint64_t segments_scanned = 0;
     uint64_t partials_verified = 0;

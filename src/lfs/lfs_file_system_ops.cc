@@ -769,9 +769,6 @@ Status LfsFileSystem::Tick() {
   if (options_.auto_clean && CleanSegmentCount() < sb_.clean_start_segments) {
     RETURN_IF_ERROR(CleanNow(sb_.clean_stop_segments - CleanSegmentCount()).status());
   }
-  if (options_.scrub_segments_per_tick > 0) {
-    RETURN_IF_ERROR(Scrub(options_.scrub_segments_per_tick).status());
-  }
   return OkStatus();
 }
 

@@ -129,8 +129,8 @@ Result<LfsSuperblock> DecodeLfsSuperblock(std::span<const std::byte> block) {
       if (sb.shard_count < 2 || sb.shard_index >= sb.shard_count) {
         return CorruptedError("LFS shard extension out of range");
       }
-      // Optional intent extension: only meaningful on sharded superblocks.
-      // Absent (pre-intent-log images) decodes as 0/0 — no region.
+      // Intent extension: only meaningful on sharded superblocks. Absent
+      // decodes as 0/0 (no region), which ShardedLfs::Mount refuses.
       if (block.size() >= kIntentExtOffset + kIntentExtPayload + 4) {
         BufferReader iext(block.subspan(kIntentExtOffset));
         ASSIGN_OR_RETURN(uint32_t iext_magic, iext.ReadU32());

@@ -64,8 +64,8 @@ struct LfsParams {
   uint32_t shard_index = 0;
   // Cross-shard intent log region (src/lfs/lfs_intent.h), in RAW volume
   // sectors (the region lives after the last shard slice, outside every
-  // shard's window). 0/0 = no intent region: the unsharded seed format, and
-  // sharded volumes formatted before the intent log existed.
+  // shard's window). 0/0 = no intent region: the unsharded seed format.
+  // Every sharded volume has one; ShardedLfs::Mount refuses one without.
   uint64_t intent_start_sector = 0;
   uint32_t intent_sectors = 0;
 };
@@ -91,8 +91,8 @@ struct LfsSuperblock {
   // Intent-log region in RAW volume sectors (see LfsParams). Encoded as a
   // second tagged extension ("INT1") after the shard extension, present
   // only when sharded AND an intent region was formatted — so unsharded
-  // images stay byte-identical to the seed, and pre-intent sharded images
-  // decode with 0/0 (no region: recovery falls back to the repair walk).
+  // images stay byte-identical to the seed. A sharded superblock without
+  // it decodes with 0/0, and ShardedLfs::Mount rejects it as kCorrupted.
   uint64_t intent_start_sector = 0;
   uint32_t intent_sectors = 0;
 

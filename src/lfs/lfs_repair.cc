@@ -262,7 +262,7 @@ class Repairer {
   // about it: the half-applied child of a create/unlink/rmdir (or a rename
   // victim) is reaped; a rename's moved inode is reattached at its
   // destination name, else its source name; anything else (intent region
-  // lost, pre-intent image) is reattached under the per-shard lost+found.
+  // lost, seeded damage) is reattached under the per-shard lost+found.
   Result<uint64_t> HandleOrphans(const Walk& walk) {
     const uint64_t before = report_.total_edits();
     for (uint32_t i = 0; i < shards_.size(); ++i) {

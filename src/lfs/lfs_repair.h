@@ -8,10 +8,10 @@
 //     operation; the repairer probes the actual durable state and settles
 //     the operation forward or back (decision table in the .cc / §6i).
 //   * The online repairer behind CheckShardedLfs(..., kRepair): the same
-//     walk, run with an EMPTY intent list, fixes namespace damage on
-//     images that predate the intent log or whose intent region was lost
-//     to media faults — dangling dirents are dropped, orphans reattached
-//     or reaped, dot entries and nlink counts rebuilt.
+//     walk, run with an EMPTY intent list, fixes namespace damage no
+//     intent names (an intent region lost to media faults, or damage
+//     seeded through the shard seams) — dangling dirents are dropped,
+//     orphans reattached or reaped, dot entries and nlink counts rebuilt.
 //
 // The repairer never does incremental nlink arithmetic: structural edits
 // use the nlink-free ShardRepair* primitives and a final exact recount

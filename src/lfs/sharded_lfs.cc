@@ -147,11 +147,14 @@ Result<std::unique_ptr<ShardedLfs>> ShardedLfs::Mount(BlockDevice* device, SimCl
     sfs->shards_.push_back(std::move(shard));
     return sfs;
   }
+  // Format gives every sharded volume an intent region after its last
+  // slice; without one the router could not keep cross-shard operations
+  // atomic across a crash.
+  if (!sb0.has_intent_region()) {
+    return CorruptedError("sharded superblock has no intent-log region");
+  }
   const uint32_t n = sb0.shard_count;
-  // With an intent region the slices stop where it starts; legacy sharded
-  // images (no INT1 extension) tile the whole device.
-  const uint64_t slice = sb0.has_intent_region() ? sb0.intent_start_sector / n
-                                                 : device->sector_count() / n;
+  const uint64_t slice = sb0.intent_start_sector / n;
   for (uint32_t i = 0; i < n; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->window =
@@ -165,12 +168,10 @@ Result<std::unique_ptr<ShardedLfs>> ShardedLfs::Mount(BlockDevice* device, SimCl
     }
     sfs->shards_.push_back(std::move(shard));
   }
-  if (sb0.has_intent_region()) {
-    sfs->intent_dev_ = std::make_unique<ResilientDisk>(device, clock);
-    sfs->intents_ = std::make_unique<IntentLog>(
-        sfs->intent_dev_.get(), sb0.intent_start_sector, sb0.intent_sectors);
-    RETURN_IF_ERROR(sfs->ReconcileIntents());
-  }
+  sfs->intent_dev_ = std::make_unique<ResilientDisk>(device, clock);
+  sfs->intents_ = std::make_unique<IntentLog>(sfs->intent_dev_.get(), sb0.intent_start_sector,
+                                              sb0.intent_sectors);
+  RETURN_IF_ERROR(sfs->ReconcileIntents());
   return sfs;
 }
 
@@ -357,22 +358,19 @@ Result<InodeNum> ShardedLfs::Create(InodeNum dir, std::string_view name, FileTyp
   auto attempt = [&]() -> Result<InodeNum> {
     auto locks = LockSet({ds, cs});
     RETURN_IF_ERROR(fs(ds)->ShardCheckCanInsert(dir, name));
-    uint32_t slot = 0;
-    if (intents_ != nullptr) {
-      // The intent must name the child ino, and must be durable before ANY
-      // shard mutation — ShardAllocInode can pressure-flush, so the ino is
-      // peeked (deterministic under the held shard lock) and the intent
-      // published first. A kBusy (full ring) or media error (region
-      // unwritable) aborts with nothing mutated.
-      ASSIGN_OR_RETURN(InodeNum peek, fs(cs)->ShardPeekAllocInode());
-      IntentRecord rec;
-      rec.kind = IntentKind::kCreate;
-      rec.from_dir = dir;
-      rec.child = peek;
-      rec.child_type = type;
-      rec.from_name = std::string(name);
-      ASSIGN_OR_RETURN(slot, intents_->Publish(&rec));
-    }
+    // The intent must name the child ino, and must be durable before ANY
+    // shard mutation — ShardAllocInode can pressure-flush, so the ino is
+    // peeked (deterministic under the held shard lock) and the intent
+    // published first. A kBusy (full ring) or media error (region
+    // unwritable) aborts with nothing mutated.
+    ASSIGN_OR_RETURN(InodeNum peek, fs(cs)->ShardPeekAllocInode());
+    IntentRecord rec;
+    rec.kind = IntentKind::kCreate;
+    rec.from_dir = dir;
+    rec.child = peek;
+    rec.child_type = type;
+    rec.from_name = std::string(name);
+    ASSIGN_OR_RETURN(const uint32_t slot, intents_->Publish(&rec));
     ASSIGN_OR_RETURN(InodeNum ino, fs(cs)->ShardAllocInode(type, dir));
     Status inserted =
         fs(ds)->ShardAddEntry(dir, name, ino, type, type == FileType::kDirectory);
@@ -382,10 +380,8 @@ Result<InodeNum> ShardedLfs::Create(InodeNum dir, std::string_view name, FileTyp
       // state ends up half-applied, the next mount reconciles it.
       return inserted;
     }
-    if (intents_ != nullptr) {
-      intents_->MarkApplied(slot, {{ds, fs(ds)->mutation_seq()},
-                                   {cs, fs(cs)->mutation_seq()}});
-    }
+    intents_->MarkApplied(slot, {{ds, fs(ds)->mutation_seq()},
+                                 {cs, fs(cs)->mutation_seq()}});
     return ino;
   };
   for (int tries = 0;; ++tries) {
@@ -440,34 +436,29 @@ Status ShardedLfs::Unlink(InodeNum dir, std::string_view name) {
     if (found->type == FileType::kDirectory) {
       return IsDirectoryError("unlink of a directory; use Rmdir");
     }
-    uint32_t slot = 0;
-    if (intents_ != nullptr) {
-      IntentRecord rec;
-      rec.kind = IntentKind::kUnlink;
-      rec.from_dir = dir;
-      rec.child = found->ino;
-      rec.child_type = found->type;
-      rec.from_name = std::string(name);
-      Result<uint32_t> published = intents_->Publish(&rec);
-      if (!published.ok()) {
-        if (published.status().code() == ErrorCode::kBusy && drains++ < 2) {
-          dl.unlock();
-          if (cl.owns_lock()) {
-            cl.unlock();
-          }
-          RETURN_IF_ERROR(DrainIntents());
-          continue;
+    IntentRecord rec;
+    rec.kind = IntentKind::kUnlink;
+    rec.from_dir = dir;
+    rec.child = found->ino;
+    rec.child_type = found->type;
+    rec.from_name = std::string(name);
+    Result<uint32_t> published = intents_->Publish(&rec);
+    if (!published.ok()) {
+      if (published.status().code() == ErrorCode::kBusy && drains++ < 2) {
+        dl.unlock();
+        if (cl.owns_lock()) {
+          cl.unlock();
         }
-        return published.status();  // Nothing was mutated.
+        RETURN_IF_ERROR(DrainIntents());
+        continue;
       }
-      slot = published.value();
+      return published.status();  // Nothing was mutated.
     }
+    const uint32_t slot = published.value();
     RETURN_IF_ERROR(fs(ds)->ShardRemoveEntry(dir, name, /*child_was_dir=*/false));
     RETURN_IF_ERROR(fs(cs)->ShardDropLink(found->ino));
-    if (intents_ != nullptr) {
-      intents_->MarkApplied(slot, {{ds, fs(ds)->mutation_seq()},
-                                   {cs, fs(cs)->mutation_seq()}});
-    }
+    intents_->MarkApplied(slot, {{ds, fs(ds)->mutation_seq()},
+                                 {cs, fs(cs)->mutation_seq()}});
     return OkStatus();
   }
 }
@@ -512,34 +503,29 @@ Status ShardedLfs::Rmdir(InodeNum dir, std::string_view name) {
     if (!empty) {
       return NotEmptyError(name);
     }
-    uint32_t slot = 0;
-    if (intents_ != nullptr) {
-      IntentRecord rec;
-      rec.kind = IntentKind::kRmdir;
-      rec.from_dir = dir;
-      rec.child = found->ino;
-      rec.child_type = found->type;
-      rec.from_name = std::string(name);
-      Result<uint32_t> published = intents_->Publish(&rec);
-      if (!published.ok()) {
-        if (published.status().code() == ErrorCode::kBusy && drains++ < 2) {
-          dl.unlock();
-          if (cl.owns_lock()) {
-            cl.unlock();
-          }
-          RETURN_IF_ERROR(DrainIntents());
-          continue;
+    IntentRecord rec;
+    rec.kind = IntentKind::kRmdir;
+    rec.from_dir = dir;
+    rec.child = found->ino;
+    rec.child_type = found->type;
+    rec.from_name = std::string(name);
+    Result<uint32_t> published = intents_->Publish(&rec);
+    if (!published.ok()) {
+      if (published.status().code() == ErrorCode::kBusy && drains++ < 2) {
+        dl.unlock();
+        if (cl.owns_lock()) {
+          cl.unlock();
         }
-        return published.status();  // Nothing was mutated.
+        RETURN_IF_ERROR(DrainIntents());
+        continue;
       }
-      slot = published.value();
+      return published.status();  // Nothing was mutated.
     }
+    const uint32_t slot = published.value();
     RETURN_IF_ERROR(fs(ds)->ShardRemoveEntry(dir, name, /*child_was_dir=*/true));
     RETURN_IF_ERROR(fs(cs)->ShardReleaseDir(found->ino));
-    if (intents_ != nullptr) {
-      intents_->MarkApplied(slot, {{ds, fs(ds)->mutation_seq()},
-                                   {cs, fs(cs)->mutation_seq()}});
-    }
+    intents_->MarkApplied(slot, {{ds, fs(ds)->mutation_seq()},
+                                 {cs, fs(cs)->mutation_seq()}});
     return OkStatus();
   }
 }
@@ -558,23 +544,18 @@ Status ShardedLfs::Link(InodeNum dir, std::string_view name, InodeNum target) {
     if (st.type == FileType::kDirectory) {
       return IsDirectoryError("cannot hard-link a directory");
     }
-    uint32_t slot = 0;
-    if (intents_ != nullptr) {
-      IntentRecord rec;
-      rec.kind = IntentKind::kLink;
-      rec.from_dir = dir;
-      rec.child = target;
-      rec.child_type = st.type;
-      rec.from_name = std::string(name);
-      ASSIGN_OR_RETURN(slot, intents_->Publish(&rec));
-    }
+    IntentRecord rec;
+    rec.kind = IntentKind::kLink;
+    rec.from_dir = dir;
+    rec.child = target;
+    rec.child_type = st.type;
+    rec.from_name = std::string(name);
+    ASSIGN_OR_RETURN(const uint32_t slot, intents_->Publish(&rec));
     RETURN_IF_ERROR(
         fs(ds)->ShardAddEntry(dir, name, target, st.type, /*child_is_dir=*/false));
     RETURN_IF_ERROR(fs(ts)->ShardAddLink(target));
-    if (intents_ != nullptr) {
-      intents_->MarkApplied(slot, {{ds, fs(ds)->mutation_seq()},
-                                   {ts, fs(ts)->mutation_seq()}});
-    }
+    intents_->MarkApplied(slot, {{ds, fs(ds)->mutation_seq()},
+                                 {ts, fs(ts)->mutation_seq()}});
     return OkStatus();
   };
   for (int tries = 0;; ++tries) {
@@ -661,31 +642,28 @@ Status ShardedLfs::Rename(InodeNum from_dir, std::string_view from_name, InodeNu
           return NotDirectoryError("cannot replace a file with a directory");
         }
       }
-      uint32_t slot = 0;
-      if (intents_ != nullptr) {
-        IntentRecord rec;
-        rec.kind = IntentKind::kRename;
-        rec.from_dir = from_dir;
-        rec.to_dir = to_dir;
-        rec.child = src.ino;
-        rec.child_type = src.type;
-        rec.from_name = std::string(from_name);
-        rec.to_name = std::string(to_name);
-        if (dst.ok()) {
-          rec.victim = dst->ino;
-          rec.victim_type = dst->type;
-        }
-        Result<uint32_t> published = intents_->Publish(&rec);
-        if (!published.ok()) {
-          if (published.status().code() == ErrorCode::kBusy && drains++ < 2) {
-            need_drain = true;  // Drop the lock set, drain, retry the op.
-            restart = true;
-            break;
-          }
-          return published.status();  // Nothing was mutated.
-        }
-        slot = published.value();
+      IntentRecord rec;
+      rec.kind = IntentKind::kRename;
+      rec.from_dir = from_dir;
+      rec.to_dir = to_dir;
+      rec.child = src.ino;
+      rec.child_type = src.type;
+      rec.from_name = std::string(from_name);
+      rec.to_name = std::string(to_name);
+      if (dst.ok()) {
+        rec.victim = dst->ino;
+        rec.victim_type = dst->type;
       }
+      Result<uint32_t> published = intents_->Publish(&rec);
+      if (!published.ok()) {
+        if (published.status().code() == ErrorCode::kBusy && drains++ < 2) {
+          need_drain = true;  // Drop the lock set, drain, retry the op.
+          restart = true;
+          break;
+        }
+        return published.status();  // Nothing was mutated.
+      }
+      const uint32_t slot = published.value();
       if (dst.ok()) {
         LfsFileSystem* dst_fs = fs(ShardOf(dst->ino));
         if (dst->type == FileType::kDirectory) {
@@ -708,16 +686,14 @@ Status ShardedLfs::Rename(InodeNum from_dir, std::string_view from_name, InodeNu
       if (src_is_dir && from_dir != to_dir) {
         RETURN_IF_ERROR(fs(ShardOf(src.ino))->ShardSetDotDot(src.ino, to_dir));
       }
-      if (intents_ != nullptr) {
-        std::vector<std::pair<uint32_t, uint64_t>> covers = {
-            {fi, fs(fi)->mutation_seq()},
-            {ti, fs(ti)->mutation_seq()},
-            {ShardOf(src.ino), fs(ShardOf(src.ino))->mutation_seq()}};
-        if (dst.ok()) {
-          covers.emplace_back(ShardOf(dst->ino), fs(ShardOf(dst->ino))->mutation_seq());
-        }
-        intents_->MarkApplied(slot, std::move(covers));
+      std::vector<std::pair<uint32_t, uint64_t>> covers = {
+          {fi, fs(fi)->mutation_seq()},
+          {ti, fs(ti)->mutation_seq()},
+          {ShardOf(src.ino), fs(ShardOf(src.ino))->mutation_seq()}};
+      if (dst.ok()) {
+        covers.emplace_back(ShardOf(dst->ino), fs(ShardOf(dst->ino))->mutation_seq());
       }
+      intents_->MarkApplied(slot, std::move(covers));
       return OkStatus();
     }
     if (need_drain) {

@@ -121,10 +121,10 @@ class ShardedLfs : public FileSystem {
   // .write_cost, ...). Called from Tick(); callable directly by tools.
   void PublishShardMetrics();
 
-  // Cross-shard intent log. Present only on N>=2 volumes formatted with an
-  // intent region (the INT1 superblock extension); null on unsharded
-  // mounts (shards=1 stays byte-identical to the seed) and on sharded
-  // images that predate the region (repair mode covers those).
+  // Cross-shard intent log. Present on every N>=2 volume (Format writes the
+  // INT1 superblock extension, and Mount refuses a sharded image without
+  // it as kCorrupted); null on unsharded mounts (shards=1 stays
+  // byte-identical to the seed).
   bool intent_log_enabled() const { return intents_ != nullptr; }
   IntentLog* intent_log() { return intents_.get(); }
   // What mount-time intent reconciliation did (nullopt when there were no
@@ -226,8 +226,8 @@ class ShardedLfs : public FileSystem {
 // found by the first pass is fixed in place by the online repairer
 // (lfs_repair.h), the shards are synced, and the reported result is the
 // post-repair re-check (repairs_applied / repair_actions record the edits)
-// — this is the recovery path for images that predate the intent log or
-// whose intent region was lost to media faults.
+// — this is the recovery path for damage no intent names: an intent region
+// lost to media faults, or damage seeded through the shard seams.
 Result<LfsCheckReport> CheckShardedLfs(ShardedLfs* fs, bool verify_data = true,
                                        RepairMode repair = RepairMode::kCheckOnly);
 

@@ -19,6 +19,15 @@ Status ToStatus(const Response& resp) {
   return Status(resp.code, resp.error);
 }
 
+// Retransmission timeout; doubles per retry up to kMaxRtoSeconds.
+constexpr double kRtoSeconds = 0.01;
+constexpr double kMaxRtoSeconds = 1.0;
+// Renew asynchronously when a lease being used has less than this fraction
+// of its term left.
+constexpr double kRenewFraction = 0.25;
+// Parallel write-back RPCs per flush batch.
+constexpr size_t kWritebackWindow = 4;
+
 // Client-observed op latency distribution, microseconds.
 constexpr double kLatencyBoundsUs[] = {50,    100,   200,   500,    1000,   2000,
                                        5000,  10000, 20000, 50000,  100000, 200000,
@@ -84,7 +93,7 @@ void Client::Call(Request request, std::function<void(Response&&)> cb,
   }
   out.request = request;
   out.cb = std::move(cb);
-  out.rto = options_.rto_seconds;
+  out.rto = kRtoSeconds;
   out.timer = events_->ScheduleAfter(out.rto, [this, id] { Retransmit(id); });
   transport_->Send(server_, Message::MakeRequest(std::move(request)));
 }
@@ -109,7 +118,7 @@ void Client::Retransmit(uint64_t request_id) {
       out.request.attempt = static_cast<uint32_t>(out.attempts.size() - 1);
     }
   }
-  out.rto = std::min(out.rto * 2.0, options_.max_rto_seconds);
+  out.rto = std::min(out.rto * 2.0, kMaxRtoSeconds);
   out.timer = events_->ScheduleAfter(out.rto, [this, request_id] { Retransmit(request_id); });
   transport_->Send(server_, Message::MakeRequest(out.request));
 }
@@ -854,7 +863,7 @@ void Client::WritebackBlocks(uint64_t handle, std::vector<uint64_t> indices, Sta
       return;
     }
     const uint32_t bs = options_.block_size;
-    while (st->next < st->todo.size() && st->inflight < options_.writeback_window) {
+    while (st->next < st->todo.size() && st->inflight < kWritebackWindow) {
       const uint64_t b = st->todo[st->next++];
       auto it = h2->blocks.find(b);
       if (it == h2->blocks.end() || !it->second.dirty) {
@@ -1126,7 +1135,7 @@ void Client::MaybeRenew(uint64_t handle) {
     return;  // Never renew a lease we have been asked to surrender.
   }
   const double remaining = h->lease_expiry - Now();
-  if (h->lease_term <= 0.0 || remaining > options_.renew_fraction * h->lease_term) {
+  if (h->lease_term <= 0.0 || remaining > kRenewFraction * h->lease_term) {
     return;
   }
   h->renew_inflight = true;
@@ -1254,9 +1263,6 @@ void Client::RecordLatency(const char* kind, double start) {
     static obs::Histogram& hist = obs::Registry().GetHistogram(
         "logfs.serve.client.op_latency_us", kLatencyBoundsUs);
     hist.Observe(elapsed * 1e6);
-  }
-  if (options_.latency_hook) {
-    options_.latency_hook(kind, elapsed);
   }
 }
 

@@ -51,14 +51,6 @@ struct ClientOptions {
   // Clean-block cache capacity (dirty and not-yet-durable blocks are pinned
   // on top of this; they are the client's replay state).
   size_t cache_blocks = 256;
-  // Retransmission timeout; doubles per retry up to max_rto_seconds.
-  double rto_seconds = 0.01;
-  double max_rto_seconds = 1.0;
-  // Renew asynchronously when a lease being used has less than this
-  // fraction of its term left.
-  double renew_fraction = 0.25;
-  // Parallel write-back RPCs per flush batch.
-  size_t writeback_window = 4;
   // Consistency-model hooks (cluster.h): local write application (the
   // serialization point under the exclusive lease) and read observation.
   std::function<void(const std::string& path, uint64_t offset,
@@ -67,10 +59,6 @@ struct ClientOptions {
   std::function<void(const std::string& path, uint64_t offset,
                      std::span<const std::byte> data, bool from_cache)>
       read_hook;
-  // Fires once per completed op with its client-observed latency — the
-  // per-sample feed the latency-percentile benches need (the aggregate
-  // latencies() map only keeps count/sum/max).
-  std::function<void(const char* kind, double seconds)> latency_hook;
 };
 
 class Client {

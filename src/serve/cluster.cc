@@ -86,7 +86,6 @@ Status ServeCluster::Init() {
 FileServerOptions ServeCluster::MakeServerOptions() {
   FileServerOptions so;
   so.lease_seconds = params_.lease_seconds;
-  so.tick_seconds = params_.server_tick_seconds;
   so.write_hook = params_.server_write_hook;
   so.sync_hook = params_.server_sync_hook;
   so.open_hook = params_.server_open_hook;

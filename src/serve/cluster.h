@@ -70,7 +70,6 @@ struct ServeClusterParams {
   LfsFileSystem::Options mount_options;
   TransportParams transport;
   double lease_seconds = 30.0;
-  double server_tick_seconds = 1.0;
   ClientOptions client;  // Hooks set here are chained after the shadow's.
   size_t clients = 2;
   // Wrap the disk in a RecordingDisk (crash-image sweeps need the journal).

@@ -12,6 +12,22 @@ namespace logfs::serve {
 
 namespace {
 
+// Event budget for a whole drive; running out means a protocol livelock.
+constexpr size_t kMaxEvents = 50'000'000;
+
+// Deterministic payload for client `client`'s schedule entry `op_index`.
+std::vector<std::byte> DrivePayload(uint64_t client, uint64_t op_index, size_t length) {
+  std::vector<std::byte> data(length);
+  uint64_t x = (client + 1) * 0x9E3779B97F4A7C15ull + op_index * 0xBF58476D1CE4E5B9ull + 1;
+  for (size_t i = 0; i < length; ++i) {
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    data[i] = static_cast<std::byte>((x * 0x2545F4914F6CDD1Dull) >> 56);
+  }
+  return data;
+}
+
 Status EnsureParentDirs(LfsFileSystem* fs, const std::vector<std::string>& paths) {
   PathFs pathfs(fs);
   std::set<std::string> parents;
@@ -42,7 +58,6 @@ struct ClientRun {
 struct Drive {
   ServeCluster* cluster = nullptr;
   const ServeLoad* load = nullptr;
-  DriveOptions options;
   DriveStats stats;
   std::vector<ClientRun> runs;
   std::function<void(size_t)> step;
@@ -121,7 +136,7 @@ void Execute(const std::shared_ptr<Drive>& d, size_t c) {
     });
   } else {
     cl->Write(handle, op.offset,
-              DrivePayload(c, d->runs[c].index, d->options.payload_salt, op.length),
+              DrivePayload(c, d->runs[c].index, op.length),
               [d, c, advance](Status st) {
                 if (st.ok()) {
                   ++d->stats.ops_completed;
@@ -137,7 +152,7 @@ void Step(const std::shared_ptr<Drive>& d, size_t c) {
   ClientRun& r = d->runs[c];
   const auto& schedule = d->load->schedules[c];
   if (r.index >= schedule.size()) {
-    if (d->options.close_at_end && !r.handles.empty()) {
+    if (!r.handles.empty()) {
       CloseNext(d, c);
     } else {
       r.done = true;
@@ -154,22 +169,7 @@ void Step(const std::shared_ptr<Drive>& d, size_t c) {
 
 }  // namespace
 
-std::vector<std::byte> DrivePayload(uint64_t client, uint64_t op_index, uint64_t salt,
-                                    size_t length) {
-  std::vector<std::byte> data(length);
-  uint64_t x = (client + 1) * 0x9E3779B97F4A7C15ull + op_index * 0xBF58476D1CE4E5B9ull +
-               salt * 0x94D049BB133111EBull + 1;
-  for (size_t i = 0; i < length; ++i) {
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    data[i] = static_cast<std::byte>((x * 0x2545F4914F6CDD1Dull) >> 56);
-  }
-  return data;
-}
-
-Result<DriveStats> DriveSharedLoad(ServeCluster& cluster, const ServeLoad& load,
-                                   DriveOptions options) {
+Result<DriveStats> DriveSharedLoad(ServeCluster& cluster, const ServeLoad& load) {
   if (load.schedules.size() > cluster.num_clients()) {
     return InvalidArgumentError("load has more schedules than the cluster has clients");
   }
@@ -178,7 +178,6 @@ Result<DriveStats> DriveSharedLoad(ServeCluster& cluster, const ServeLoad& load,
   auto d = std::make_shared<Drive>();
   d->cluster = &cluster;
   d->load = &load;
-  d->options = options;
   d->runs.resize(load.schedules.size());
   d->step = [d_weak = std::weak_ptr<Drive>(d)](size_t c) {
     if (auto drive = d_weak.lock()) {
@@ -199,7 +198,7 @@ Result<DriveStats> DriveSharedLoad(ServeCluster& cluster, const ServeLoad& load,
   };
   size_t ran = 0;
   while (!all_done()) {
-    if (ran >= options.max_events) {
+    if (ran >= kMaxEvents) {
       return BusyError("drive exceeded its event budget (protocol livelock?)");
     }
     if (cluster.events()->empty()) {

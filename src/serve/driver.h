@@ -17,31 +17,19 @@
 
 namespace logfs::serve {
 
-struct DriveOptions {
-  // Commit and close every handle once a client's schedule is exhausted
-  // (leaves the server with no dirty client state).
-  bool close_at_end = true;
-  // Event budget for the whole run; exceeded = protocol livelock.
-  size_t max_events = 50'000'000;
-  // Folded into write payloads so repeated runs can differ.
-  uint64_t payload_salt = 0;
-};
-
 struct DriveStats {
   uint64_t ops_completed = 0;
   uint64_t errors = 0;
   std::vector<std::string> first_errors;  // Up to 8, for diagnostics.
 };
 
-// Deterministic payload for client `client`'s schedule entry `op_index`.
-std::vector<std::byte> DrivePayload(uint64_t client, uint64_t op_index, uint64_t salt,
-                                    size_t length);
-
 // Requires load.schedules.size() <= cluster.num_clients(). Creates any
 // missing parent directories of load.paths directly on the server's file
-// system before driving. Returns BusyError if the event budget runs out.
-Result<DriveStats> DriveSharedLoad(ServeCluster& cluster, const ServeLoad& load,
-                                   DriveOptions options = {});
+// system before driving. Each client commits and closes every handle once
+// its schedule is exhausted, leaving the server with no dirty client state.
+// Returns BusyError if the run exceeds its event budget (a protocol
+// livelock).
+Result<DriveStats> DriveSharedLoad(ServeCluster& cluster, const ServeLoad& load);
 
 }  // namespace logfs::serve
 

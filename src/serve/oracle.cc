@@ -55,9 +55,7 @@ Result<ServeCrashReport> ExploreServeCrashStates(const ServeCrashSweepParams& pa
   model.CloseOp({rec->write_count(), /*global_barrier=*/true, {}});
 
   ServeLoad load = MakeSharedLoad(params.load);
-  DriveOptions drive_options;
-  drive_options.close_at_end = true;
-  ASSIGN_OR_RETURN(DriveStats drive, DriveSharedLoad(*cluster, load, drive_options));
+  ASSIGN_OR_RETURN(DriveStats drive, DriveSharedLoad(*cluster, load));
 
   // Final quiesce: the complete image must show exactly the end state.
   RETURN_IF_ERROR(cluster->fs()->Sync());

@@ -7,6 +7,24 @@
 #include "src/obs/tracer.h"
 
 namespace logfs::serve {
+namespace {
+
+// Background cadence: lease-expiry sweep, parked-grant retries, and the
+// file system's own Tick (write-behind, checkpoints, cleaner).
+constexpr double kTickSeconds = 1.0;
+// Cached responses kept per client for duplicate suppression.
+constexpr size_t kDedupWindow = 64;
+// Minimum hold: a lease younger than this is never recalled — the
+// conflicting acquire parks and the recall is retried at hold expiry.
+// Several transport round trips long, so a grant always reaches its holder
+// with no revoke chasing it. Without the quiet window two writers
+// ping-ponging over one file can each void every grant they receive (a
+// revoke from the previous handoff is forever in flight when the grant
+// lands) and the protocol livelocks; with it, each handoff completes at
+// least one operation.
+constexpr double kMinHoldSeconds = 0.002;
+
+}  // namespace
 
 FileServer::FileServer(LfsFileSystem* fs, SimClock* clock, EventQueue* events,
                        SimTransport* transport, FileServerOptions options, NodeId node,
@@ -31,7 +49,7 @@ FileServer::FileServer(LfsFileSystem* fs, SimClock* clock, EventQueue* events,
   // leases exist, so no grace period is needed. Every restart must fence.
   grace_until_ = epoch_ > 1 ? Now() + options_.lease_seconds : 0.0;
   last_seen_synced_seq_ = fs_->synced_seq();
-  tick_event_ = events_->ScheduleAfter(options_.tick_seconds, [this] { Tick(); });
+  tick_event_ = events_->ScheduleAfter(kTickSeconds, [this] { Tick(); });
   tick_scheduled_ = true;
 }
 
@@ -83,7 +101,7 @@ void FileServer::Tick() {
       options_.sync_hook(last_seen_synced_seq_);
     }
   }
-  tick_event_ = events_->ScheduleAfter(options_.tick_seconds, [this] { Tick(); });
+  tick_event_ = events_->ScheduleAfter(kTickSeconds, [this] { Tick(); });
   tick_scheduled_ = true;
 }
 
@@ -237,7 +255,7 @@ void FileServer::FinishRequest(const Request& req, Response resp) {
   }
   Session& session = sessions_[req.client_id];
   session.replies[req.request_id] = resp;
-  while (session.replies.size() > options_.dedup_window) {
+  while (session.replies.size() > kDedupWindow) {
     session.replies.erase(session.replies.begin());
   }
   SendResponse(std::move(resp));
@@ -475,7 +493,7 @@ bool FileServer::AcquireOrPark(const Request& req, LeaseKind kind, Response* res
       }
       if (!leases_.RecallPosted(req.fh, holder)) {
         const double hold_left =
-            options_.min_hold_seconds - (now - leases_.HeldSince(req.fh, holder));
+            kMinHoldSeconds - (now - leases_.HeldSince(req.fh, holder));
         // The nanosecond slack absorbs double rounding: at the scheduled
         // retry instant `now - granted_at` can land a few ulps short of the
         // hold, and a residual hold of ~1e-16 would reschedule the retry at

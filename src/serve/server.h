@@ -44,20 +44,6 @@ namespace logfs::serve {
 
 struct FileServerOptions {
   double lease_seconds = 30.0;
-  // Background cadence: lease-expiry sweep, parked-grant retries, and the
-  // file system's own Tick (write-behind, checkpoints, cleaner).
-  double tick_seconds = 1.0;
-  // Cached responses kept per client for duplicate suppression.
-  size_t dedup_window = 64;
-  // Minimum hold: a lease younger than this is never recalled — the
-  // conflicting acquire parks and the recall is retried at hold expiry.
-  // Several transport round trips long, so a grant always reaches its holder
-  // with no revoke chasing it. Without the quiet window two writers
-  // ping-ponging over one file can each void every grant they receive (a
-  // revoke from the previous handoff is forever in flight when the grant
-  // lands) and the protocol livelocks; with it, each handoff completes at
-  // least one operation.
-  double min_hold_seconds = 0.002;
   // Observability hooks for the consistency model (cluster.h): called after
   // a write lands in the LFS and after a sync advances the durable horizon.
   std::function<void(const std::string& path, uint64_t offset,
@@ -92,7 +78,8 @@ class FileServer {
   // cluster calls this to simulate a server crash (state is simply lost).
   void Shutdown();
 
-  // Background maintenance; normally self-scheduled every tick_seconds.
+  // Background maintenance; normally self-scheduled every kTickSeconds
+  // (server.cc).
   void Tick();
 
   LfsFileSystem* fs() const { return fs_; }

@@ -5,6 +5,12 @@
 #include "src/obs/metrics.h"
 
 namespace logfs::serve {
+namespace {
+
+// One-way propagation + service latency. 200 us ~ a fast 1990s LAN RPC.
+constexpr double kLatencySeconds = 200e-6;
+
+}  // namespace
 
 SimTransport::SimTransport(SimClock* clock, EventQueue* events, TransportParams params)
     : clock_(clock), events_(events), params_(params), rng_(params.seed) {}
@@ -36,7 +42,7 @@ void SimTransport::Send(NodeId to, Message message) {
   // not perturb the drop/jitter stream seen by the survivors.
   const bool drop =
       params_.drop_probability > 0.0 && rng_.NextBool(params_.drop_probability);
-  double delay = params_.latency_seconds;
+  double delay = kLatencySeconds;
   if (params_.jitter_seconds > 0.0) {
     delay += rng_.NextDouble() * params_.jitter_seconds;
   }

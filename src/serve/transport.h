@@ -1,7 +1,7 @@
 // SimTransport: the in-sim message fabric between clients and the server.
 //
-// Every Send schedules a delivery event on the shared EventQueue after the
-// configured one-way latency plus (optionally) seeded uniform jitter — two
+// Every Send schedules a delivery event on the shared EventQueue after a
+// fixed one-way latency plus (optionally) seeded uniform jitter — two
 // messages whose jittered delays cross arrive reordered, which is how the
 // fault mode exercises the protocol's sequencing. A seeded drop probability
 // silently discards messages; correctness then rests on client
@@ -27,8 +27,6 @@ namespace logfs::serve {
 using NodeId = uint32_t;
 
 struct TransportParams {
-  // One-way propagation + service latency. 200 us ~ a fast 1990s LAN RPC.
-  double latency_seconds = 200e-6;
   // Uniform extra delay in [0, jitter_seconds); > 0 lets messages overtake
   // each other (reordering). Deterministic per seed.
   double jitter_seconds = 0.0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/disk/striped_disk.h"
+#include "src/disk/tracing_disk.h"
 #include "src/lfs/lfs_file_system.h"
 #include "src/obs/tracer.h"
 
@@ -25,7 +27,6 @@ std::string SmallFilePath(const SmallFileParams& params, int index) {
   return "/bench/dir" + std::to_string(index % params.num_dirs) + "/file" +
          std::to_string(index);
 }
-
 
 // Every completed benchmark phase becomes a workload-category span (sim
 // time), so a Chrome-trace export lines phases up against the cleaner and
@@ -332,6 +333,276 @@ Result<OfficeWorkloadResult> RunOfficeWorkload(Testbed& bed,
   RETURN_IF_ERROR(bed.fs->Sync());
   result.seconds = bed.Now() - t0;
   return result;
+}
+
+// --- The paper experiments -------------------------------------------------------
+
+Result<CreatePattern> RunCreatePattern(bool lfs) {
+  // The example measures the delayed write-back only; push LFS's periodic
+  // checkpoint out of the way so its writes don't join the trace.
+  TestbedParams params;
+  params.lfs.checkpoint_interval_seconds = 1e9;
+  ASSIGN_OR_RETURN(Testbed bed, lfs ? MakeLfsTestbed(params) : MakeFfsTestbed(params));
+  RETURN_IF_ERROR(bed.fs->Sync());
+  bed.fs.reset();
+  // Remount the same image over a tracing view. The mount probes for LFS
+  // and falls back to FFS, so FFS's trace times include the probe's read.
+  TracingDisk traced(bed.disk.get(), bed.clock.get());
+  std::unique_ptr<FileSystem> fs;
+  if (auto probe = LfsFileSystem::Mount(&traced, bed.clock.get(), bed.cpu.get()); probe.ok()) {
+    fs = std::move(*probe);
+  } else {
+    ASSIGN_OR_RETURN(fs, FfsFileSystem::Mount(&traced, bed.clock.get(), bed.cpu.get()));
+  }
+  // The paper's example assumes the directories exist; quiesce so only the
+  // two file creations appear in the trace.
+  PathFs paths(fs.get());
+  RETURN_IF_ERROR(paths.Mkdir("/dir1").status());
+  RETURN_IF_ERROR(paths.Mkdir("/dir2").status());
+  RETURN_IF_ERROR(fs->Sync());
+  traced.ClearTrace();
+
+  const std::vector<std::byte> block(4096, std::byte{0xAB});
+  ASSIGN_OR_RETURN(InodeNum dir1, paths.Resolve("/dir1"));
+  ASSIGN_OR_RETURN(InodeNum file1, fs->Create(dir1, "file1", FileType::kRegular));
+  RETURN_IF_ERROR(fs->Write(file1, 0, block).status());
+  ASSIGN_OR_RETURN(InodeNum dir2, paths.Resolve("/dir2"));
+  ASSIGN_OR_RETURN(InodeNum file2, fs->Create(dir2, "file2", FileType::kRegular));
+  RETURN_IF_ERROR(fs->Write(file2, 0, block).status());
+  bed.clock->Advance(31.0);  // The write-back age expires.
+  RETURN_IF_ERROR(fs->Tick());
+
+  CreatePattern pattern;
+  for (const TraceRecord& record : traced.trace()) {
+    if (record.kind == TraceRecord::Kind::kWrite) {
+      ++pattern.writes;
+      pattern.sync_writes += record.synchronous ? 1 : 0;
+      pattern.non_sequential += record.sequential ? 0 : 1;
+      pattern.trace.push_back(record.ToString());
+    }
+  }
+  return pattern;
+}
+
+Result<std::vector<FsPair>> RunCpuScaling(const std::vector<double>& mips, int pairs) {
+  std::vector<FsPair> points;
+  for (double speed : mips) {
+    TestbedParams params;
+    params.mips = speed;
+    ASSIGN_OR_RETURN(Testbed ffs_bed, MakeFfsTestbed(params));
+    ASSIGN_OR_RETURN(Testbed lfs_bed, MakeLfsTestbed(params));
+    ASSIGN_OR_RETURN(CreateDeleteLatencyResult ffs, RunCreateDeleteLatency(ffs_bed, pairs));
+    ASSIGN_OR_RETURN(CreateDeleteLatencyResult lfs, RunCreateDeleteLatency(lfs_bed, pairs));
+    points.push_back({lfs.seconds_per_pair, ffs.seconds_per_pair});
+  }
+  return points;
+}
+
+Result<PhaseComparison> CompareSmallFile(const SmallFileParams& params) {
+  ASSIGN_OR_RETURN(Testbed lfs_bed, MakeLfsTestbed());
+  ASSIGN_OR_RETURN(Testbed ffs_bed, MakeFfsTestbed());
+  PhaseComparison phases;
+  ASSIGN_OR_RETURN(phases.lfs, RunSmallFileBenchmark(lfs_bed, params));
+  ASSIGN_OR_RETURN(phases.ffs, RunSmallFileBenchmark(ffs_bed, params));
+  return phases;
+}
+
+Result<PhaseComparison> CompareLargeFile(const LargeFileParams& params) {
+  ASSIGN_OR_RETURN(Testbed lfs_bed, MakeLfsTestbed());
+  ASSIGN_OR_RETURN(Testbed ffs_bed, MakeFfsTestbed());
+  PhaseComparison phases;
+  ASSIGN_OR_RETURN(phases.lfs, RunLargeFileBenchmark(lfs_bed, params));
+  ASSIGN_OR_RETURN(phases.ffs, RunLargeFileBenchmark(ffs_bed, params));
+  return phases;
+}
+
+Result<std::vector<CleaningRateResult>> RunCleaningSweep(
+    const std::vector<double>& utilizations, uint64_t disk_bytes) {
+  std::vector<CleaningRateResult> results;
+  for (double utilization : utilizations) {
+    TestbedParams bed_params;
+    bed_params.disk_bytes = disk_bytes;
+    bed_params.lfs_options.auto_clean = false;
+    ASSIGN_OR_RETURN(Testbed bed, MakeLfsTestbed(bed_params));
+    CleaningRateParams params;
+    params.utilization = utilization;
+    ASSIGN_OR_RETURN(CleaningRateResult result, RunCleaningRateBenchmark(bed, params));
+    results.push_back(result);
+  }
+  return results;
+}
+
+namespace {
+
+// A testbed whose device is a RAID-0 array; the runners only use the
+// Testbed's fs, paths and clock.
+struct ArrayBed {
+  std::unique_ptr<StripedDisk> array;  // Outlives `bed`, which syncs to it.
+  Testbed bed;
+};
+
+Result<ArrayBed> MakeArrayBed(uint32_t members, uint64_t array_bytes, bool lfs) {
+  ArrayBed rig;
+  rig.bed.clock = std::make_unique<SimClock>();
+  rig.bed.cpu = std::make_unique<CpuModel>(rig.bed.clock.get(), 10.0);
+  rig.array = std::make_unique<StripedDisk>(members, array_bytes / kSectorSize / members,
+                                            (128 * 1024) / kSectorSize, rig.bed.clock.get());
+  if (lfs) {
+    RETURN_IF_ERROR(LfsFileSystem::Format(rig.array.get(), LfsParams{}));
+    ASSIGN_OR_RETURN(rig.bed.fs, LfsFileSystem::Mount(rig.array.get(), rig.bed.clock.get(),
+                                                      rig.bed.cpu.get()));
+  } else {
+    RETURN_IF_ERROR(FfsFileSystem::Format(rig.array.get(), FfsParams{}));
+    ASSIGN_OR_RETURN(rig.bed.fs, FfsFileSystem::Mount(rig.array.get(), rig.bed.clock.get(),
+                                                      rig.bed.cpu.get()));
+  }
+  rig.bed.paths = std::make_unique<PathFs>(rig.bed.fs.get());
+  return rig;
+}
+
+// `measure` on a fresh LFS and a fresh FFS array per member count.
+template <typename Measure>
+Result<std::vector<FsPair>> ArraySweep(const std::vector<uint32_t>& members,
+                                       uint64_t array_bytes, Measure measure) {
+  std::vector<FsPair> points;
+  for (uint32_t count : members) {
+    ASSIGN_OR_RETURN(ArrayBed lfs_bed, MakeArrayBed(count, array_bytes, true));
+    ASSIGN_OR_RETURN(ArrayBed ffs_bed, MakeArrayBed(count, array_bytes, false));
+    FsPair point;
+    ASSIGN_OR_RETURN(point.lfs, measure(lfs_bed.bed));
+    ASSIGN_OR_RETURN(point.ffs, measure(ffs_bed.bed));
+    points.push_back(point);
+  }
+  return points;
+}
+
+}  // namespace
+
+Result<std::vector<FsPair>> RunArraySeqWrite(const std::vector<uint32_t>& members,
+                                             uint64_t array_bytes) {
+  return ArraySweep(members, array_bytes, [](Testbed& bed) -> Result<double> {
+    LargeFileParams params;
+    params.file_bytes = 48ull << 20;
+    ASSIGN_OR_RETURN(std::vector<PhaseResult> phases, RunLargeFileBenchmark(bed, params));
+    return phases[0].KBytesPerSecond();
+  });
+}
+
+Result<std::vector<FsPair>> RunArrayCreates(const std::vector<uint32_t>& members,
+                                            uint64_t array_bytes) {
+  return ArraySweep(members, array_bytes, [](Testbed& bed) -> Result<double> {
+    SmallFileParams params;
+    params.num_files = 4000;
+    params.file_size = 4096;
+    ASSIGN_OR_RETURN(std::vector<PhaseResult> phases, RunSmallFileBenchmark(bed, params));
+    return phases[0].OpsPerSecond();
+  });
+}
+
+Result<std::vector<ReadAheadPoint>> RunReadAheadSweep(const std::vector<uint32_t>& depths) {
+  std::vector<ReadAheadPoint> points;
+  for (uint32_t depth : depths) {
+    TestbedParams params;
+    params.lfs_options.read_ahead_blocks = depth;
+    // Model a late-80s SCSI command overhead so per-request costs are
+    // visible (the default calibration charges positioning + transfer only).
+    params.disk_model.command_overhead_ms = 1.0;
+    ASSIGN_OR_RETURN(Testbed small_bed, MakeLfsTestbed(params));
+    SmallFileParams small;
+    small.num_files = 4000;
+    small.file_size = 4096;
+    ASSIGN_OR_RETURN(std::vector<PhaseResult> small_phases,
+                     RunSmallFileBenchmark(small_bed, small));
+    ASSIGN_OR_RETURN(Testbed large_bed, MakeLfsTestbed(params));
+    LargeFileParams large;
+    large.file_bytes = 64ull << 20;
+    ASSIGN_OR_RETURN(std::vector<PhaseResult> large_phases,
+                     RunLargeFileBenchmark(large_bed, large));
+    points.push_back({small_phases[1].OpsPerSecond(), large_phases[1].KBytesPerSecond(),
+                      small_bed.disk->stats().read_ops});
+  }
+  return points;
+}
+
+Result<std::vector<double>> RunScatteredSegmentWrites(const std::vector<uint32_t>& segment_kb,
+                                                      uint64_t disk_bytes) {
+  const uint64_t total_bytes = 32ull << 20;
+  std::vector<double> mb_per_s;
+  for (uint32_t kb : segment_kb) {
+    SimClock clock;
+    MemoryDisk disk(disk_bytes / kSectorSize, &clock);
+    const std::vector<std::byte> segment(kb * 1024, std::byte{0x11});
+    uint64_t sector = 0;
+    for (uint64_t written = 0; written < total_bytes; written += segment.size()) {
+      RETURN_IF_ERROR(disk.WriteSectors(sector, segment));
+      sector += 2 * segment.size() / kSectorSize;  // Skip a live segment: forced seek.
+    }
+    mb_per_s.push_back(total_bytes / 1048576.0 / clock.Now());
+  }
+  return mb_per_s;
+}
+
+Result<std::vector<SegmentSizePoint>> RunSegmentSizeSweep(
+    const std::vector<uint32_t>& segment_kb, uint64_t disk_bytes) {
+  std::vector<SegmentSizePoint> points;
+  for (uint32_t kb : segment_kb) {
+    TestbedParams params;
+    params.disk_bytes = disk_bytes;
+    params.lfs.segment_size = kb * 1024;
+    ASSIGN_OR_RETURN(Testbed bed, MakeLfsTestbed(params));
+    SmallFileParams small;
+    small.num_files = 4000;
+    small.file_size = 1024;
+    ASSIGN_OR_RETURN(std::vector<PhaseResult> phases, RunSmallFileBenchmark(bed, small));
+    const DiskStats& stats = bed.disk->stats();
+    const double written_mb = stats.sectors_written * 512.0 / 1048576.0;
+    points.push_back({phases[0].OpsPerSecond(),
+                      written_mb > 0 ? stats.busy_seconds / written_mb : 0.0});
+  }
+  return points;
+}
+
+Result<std::vector<LfsFileSystem::CleanerStats>> RunPolicyChurn(
+    const std::vector<SegmentUsageTable::VictimPolicy>& policies, uint64_t disk_bytes) {
+  std::vector<LfsFileSystem::CleanerStats> results;
+  for (SegmentUsageTable::VictimPolicy policy : policies) {
+    TestbedParams params;
+    params.disk_bytes = disk_bytes;
+    params.lfs_options.cleaner_policy = policy;
+    params.lfs_options.telemetry_capacity = 8;
+    ASSIGN_OR_RETURN(Testbed bed, MakeLfsTestbed(params));
+    const int num_files = 200;
+    const std::vector<std::byte> payload(256 * 1024, std::byte{0x77});
+    for (int i = 0; i < num_files; ++i) {
+      RETURN_IF_ERROR(bed.paths->WriteFile("/f" + std::to_string(i), payload));
+    }
+    RETURN_IF_ERROR(bed.fs->Sync());
+    Rng rng(7);
+    for (int round = 0; round < 400; ++round) {
+      const uint64_t target = rng.NextBool(0.7) ? rng.NextBelow(num_files / 10)
+                                                : rng.NextBelow(num_files);
+      RETURN_IF_ERROR(bed.paths->WriteFile("/f" + std::to_string(target), payload));
+      bed.clock->Advance(31.0);
+      RETURN_IF_ERROR(bed.fs->Tick());
+    }
+    RETURN_IF_ERROR(bed.fs->Sync());
+    results.push_back(static_cast<LfsFileSystem&>(*bed.fs).cleaner_stats());
+  }
+  return results;
+}
+
+Result<std::vector<OfficeTraffic>> RunOfficeTrafficSweep(const std::vector<CachePolicy>& caches) {
+  std::vector<OfficeTraffic> traffic;
+  for (const CachePolicy& cache : caches) {
+    TestbedParams params;
+    params.lfs_options.cache_policy = cache;
+    ASSIGN_OR_RETURN(Testbed bed, MakeLfsTestbed(params));
+    OfficeWorkloadParams office;
+    office.operations = 4000;
+    ASSIGN_OR_RETURN(OfficeWorkloadResult result, RunOfficeWorkload(bed, office));
+    traffic.push_back({result.OpsPerSecond(), bed.disk->stats()});
+  }
+  return traffic;
 }
 
 }  // namespace logfs

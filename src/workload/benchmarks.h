@@ -2,8 +2,9 @@
 // the synthetic office/engineering workload the design targets (Section 3).
 //
 // Each benchmark runs against the abstract FileSystem interface and reports
-// phase results measured on the simulated clock, so every binary in bench/
-// can run it unchanged on both LFS and FFS.
+// phase results measured on the simulated clock, so it runs unchanged on
+// both LFS and FFS. The experiment functions at the end build the paper's
+// sweeps out of them.
 #ifndef LOGFS_SRC_WORKLOAD_BENCHMARKS_H_
 #define LOGFS_SRC_WORKLOAD_BENCHMARKS_H_
 
@@ -129,6 +130,105 @@ Result<OfficeWorkloadResult> RunOfficeWorkload(Testbed& bed,
 // number of relatively small files, less than 8 KB, accessed in their
 // entirety"; a small tail of big files).
 size_t DrawOfficeFileSize(Rng& rng);
+
+// --- The paper experiments (EXPERIMENTS.md) -------------------------------------
+//
+// One function per experiment: it builds its own testbeds, runs one
+// measurement per sweep point it is given, and returns what that
+// experiment's table reports, in sweep order. `bench/bench_paper` prints the
+// tables at full scale; tests/paper_shapes_test.cc asserts their shapes,
+// at reduced scale where the full run is slow. Unless a disk size is an
+// argument, every testbed is the Section 5 machine (TestbedParams defaults).
+
+// LFS and FFS measured at one sweep point.
+struct FsPair {
+  double lfs = 0.0;
+  double ffs = 0.0;
+};
+
+// Figures 1 & 2: creates dir1/file1 and dir2/file2 (one block each) on a
+// traced device, lets delayed write-back complete, and reports the disk
+// writes that caused.
+struct CreatePattern {
+  uint64_t writes = 0;
+  uint64_t sync_writes = 0;
+  uint64_t non_sequential = 0;
+  std::vector<std::string> trace;  // One line per disk write.
+};
+
+Result<CreatePattern> RunCreatePattern(bool lfs);
+
+// Section 3.1: seconds per create+delete pair, `pairs` pairs at each CPU
+// speed in `mips`.
+Result<std::vector<FsPair>> RunCpuScaling(const std::vector<double>& mips, int pairs);
+
+// Figures 3 and 4: one runner on a fresh LFS and a fresh FFS testbed.
+struct PhaseComparison {
+  std::vector<PhaseResult> lfs;
+  std::vector<PhaseResult> ffs;
+};
+
+Result<PhaseComparison> CompareSmallFile(const SmallFileParams& params);
+Result<PhaseComparison> CompareLargeFile(const LargeFileParams& params);
+
+// Figure 5: one cleaning-rate measurement per target utilization, each on a
+// fresh LFS of `disk_bytes` that only cleans when the benchmark asks.
+Result<std::vector<CleaningRateResult>> RunCleaningSweep(
+    const std::vector<double>& utilizations, uint64_t disk_bytes);
+
+// RAID-0 (Section 2.1): both file systems on an array of each member count
+// in `members`, `array_bytes` in all, with a 128 KB stripe unit. The first
+// reports sequential-write KB/s of a 48 MB file, the second creates/s of
+// 4000 x 4 KB files.
+Result<std::vector<FsPair>> RunArraySeqWrite(const std::vector<uint32_t>& members,
+                                             uint64_t array_bytes);
+Result<std::vector<FsPair>> RunArrayCreates(const std::vector<uint32_t>& members,
+                                            uint64_t array_bytes);
+
+// Read-ahead: an LFS with each read-ahead depth (0 = off) in `depths`, on a
+// disk that charges 1 ms per command.
+struct ReadAheadPoint {
+  double small_reads_per_s = 0.0;  // Figure 3's read phase, 4000 x 4 KB files.
+  double seq_read_kbps = 0.0;      // Figure 4's sequential read, 64 MB file.
+  uint64_t small_disk_reads = 0;   // Disk reads of the whole small-file run.
+};
+
+Result<std::vector<ReadAheadPoint>> RunReadAheadSweep(const std::vector<uint32_t>& depths);
+
+// ABL1, the mechanism: MB/s of 32 MB written straight to a `disk_bytes`
+// device as segment-sized transfers into alternating holes, so that every
+// transfer pays one positioning delay. One point per size in `segment_kb`.
+Result<std::vector<double>> RunScatteredSegmentWrites(const std::vector<uint32_t>& segment_kb,
+                                                      uint64_t disk_bytes);
+
+// ABL1 on a fresh, contiguous log: Figure 3's 4000 x 1 KB run on an LFS of
+// `disk_bytes` with each segment size in `segment_kb`.
+struct SegmentSizePoint {
+  double creates_per_s = 0.0;
+  double disk_seconds_per_mb = 0.0;  // Disk busy time per MB written, whole run.
+};
+
+Result<std::vector<SegmentSizePoint>> RunSegmentSizeSweep(
+    const std::vector<uint32_t>& segment_kb, uint64_t disk_bytes);
+
+// ABL2: hot/cold overwrite churn on an LFS of `disk_bytes` under each victim
+// policy. 200 files of 256 KB, then 400 whole-file overwrites, 70% of them
+// to the hottest 10%, each followed by 31 s and a Tick. Returns the
+// cleaner's totals. Every round checkpoints; the flight recorder's ring
+// rides in the checkpoint region's slack at no simulated cost, and an
+// 8-sample ring keeps its host-side encoding cheap without moving any
+// number.
+Result<std::vector<LfsFileSystem::CleanerStats>> RunPolicyChurn(
+    const std::vector<SegmentUsageTable::VictimPolicy>& policies, uint64_t disk_bytes);
+
+// ABL3: the 4000-op office workload on an LFS with each cache policy in
+// `caches`.
+struct OfficeTraffic {
+  double ops_per_s = 0.0;
+  DiskStats disk;
+};
+
+Result<std::vector<OfficeTraffic>> RunOfficeTrafficSweep(const std::vector<CachePolicy>& caches);
 
 }  // namespace logfs
 

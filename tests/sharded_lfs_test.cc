@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/disk/memory_disk.h"
+#include "src/disk/window_disk.h"
 #include "src/lfs/lfs_check.h"
 #include "src/lfs/sharded_lfs.h"
 #include "src/obs/metrics.h"
@@ -313,6 +314,30 @@ TEST(ShardedLfsTest, UnshardedImageMountsAsPassthrough) {
   auto ino = (*mounted)->Create(kRootIno, "x", FileType::kRegular);
   EXPECT_TRUE(ino.ok());
   ExpectClean(mounted->get());
+}
+
+// A 4-shard image laid out as sharded volumes were before the intent log:
+// the device split into four equal slices, each formatted with its shard
+// fields and no intent region. Without the region the router could not keep
+// cross-shard operations atomic across a crash, so Mount refuses the image.
+TEST(ShardedLfsTest, ShardedImageWithoutIntentRegionDoesNotMount) {
+  const uint32_t kShards = 4;
+  SimClock clock;
+  CpuModel cpu(&clock, 10.0);
+  MemoryDisk disk(131072, &clock);
+  const uint64_t slice = disk.sector_count() / kShards;
+  const LfsParams base = ShardParams();
+  for (uint32_t i = 0; i < kShards; ++i) {
+    LfsParams params = base;
+    params.shard_count = kShards;
+    params.shard_index = i;
+    params.max_inodes = (base.max_inodes - i - 1) / kShards + 1;
+    WindowDisk window(&disk, i * slice, slice);
+    ASSERT_TRUE(LfsFileSystem::Format(&window, params).ok());
+  }
+  auto mounted = ShardedLfs::Mount(&disk, &clock, &cpu);
+  ASSERT_FALSE(mounted.ok());
+  EXPECT_EQ(mounted.status().code(), ErrorCode::kCorrupted) << mounted.status().ToString();
 }
 
 // The same op sequence, executed against a plain LfsFileSystem and against

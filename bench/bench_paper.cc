@@ -65,7 +65,7 @@ Result<bool> Fig12() {
 Result<bool> Cpu() {
   std::cout << "=== Section 3.1: create+delete latency vs CPU MIPS ===\n";
   const std::vector<double> mips = {0.9, 2.0, 5.0, 14.0, 50.0};
-  ASSIGN_OR_RETURN(std::vector<FsPair> points, RunCpuScaling(mips, 500));
+  ASSIGN_OR_RETURN(std::vector<FsPair> points, RunCpuScaling(mips));
   TablePrinter table({"MIPS", "FFS ms/pair", "LFS ms/pair", "FFS speedup", "LFS speedup"});
   for (size_t i = 0; i < points.size(); ++i) {
     table.AddRow({TablePrinter::Fixed(mips[i], 1), TablePrinter::Fixed(points[i].ffs * 1e3, 2),
@@ -164,7 +164,7 @@ Result<bool> Abl1() {
   std::cout << "=== Ablation ABL1 part 1: raw transfers into alternating "
                "segment-sized holes ===\n";
   const std::vector<uint32_t> raw_kb = {64, 128, 256, 512, 1024, 2048, 4096};
-  ASSIGN_OR_RETURN(std::vector<double> mb_s, RunScatteredSegmentWrites(raw_kb, 256ull << 20));
+  ASSIGN_OR_RETURN(std::vector<double> mb_s, RunScatteredSegmentWrites(raw_kb));
   TablePrinter raw({"segment", "effective MB/s", "% of disk max"});
   for (size_t i = 0; i < raw_kb.size(); ++i) {
     raw.AddRow({std::to_string(raw_kb[i]) + " KB", TablePrinter::Fixed(mb_s[i], 2),
@@ -179,8 +179,7 @@ Result<bool> Abl1() {
   std::cout << "=== Ablation ABL1 part 2: full-LFS small-file flush cost per segment "
                "size ===\n";
   const std::vector<uint32_t> fresh_kb = {64, 256, 1024, 4096};
-  ASSIGN_OR_RETURN(std::vector<SegmentSizePoint> fresh,
-                   RunSegmentSizeSweep(fresh_kb, 128ull << 20));
+  ASSIGN_OR_RETURN(std::vector<SegmentSizePoint> fresh, RunSegmentSizeSweep(fresh_kb));
   TablePrinter table({"segment", "create files/s", "disk s per flushed MB"});
   for (size_t i = 0; i < fresh_kb.size(); ++i) {
     table.AddRow({std::to_string(fresh_kb[i]) + " KB",
@@ -198,23 +197,19 @@ Result<bool> Abl1() {
 // free space" — greedy (the paper) against FIFO (oldest segment first).
 Result<bool> Abl2() {
   std::cout << "=== Ablation ABL2: cleaner victim policy, greedy (paper) vs FIFO ===\n";
-  ASSIGN_OR_RETURN(
-      std::vector<LfsFileSystem::CleanerStats> stats,
-      RunPolicyChurn(
-          {SegmentUsageTable::VictimPolicy::kGreedy, SegmentUsageTable::VictimPolicy::kFifo},
-          96ull << 20));
+  ASSIGN_OR_RETURN(PolicyChurn churn, RunPolicyChurn());
   TablePrinter table({"policy", "segments cleaned", "live blocks copied", "copies/segment"});
-  const char* names[] = {"greedy", "fifo"};
-  for (size_t i = 0; i < stats.size(); ++i) {
-    const LfsFileSystem::CleanerStats& cleaner = stats[i];
-    table.AddRow({names[i], TablePrinter::Int(cleaner.segments_cleaned),
+  auto add_row = [&table](const char* policy, const LfsFileSystem::CleanerStats& cleaner) {
+    table.AddRow({policy, TablePrinter::Int(cleaner.segments_cleaned),
                   TablePrinter::Int(cleaner.live_blocks_copied),
                   TablePrinter::Fixed(cleaner.segments_cleaned > 0
                                           ? static_cast<double>(cleaner.live_blocks_copied) /
                                                 cleaner.segments_cleaned
                                           : 0.0,
                                       1)});
-  }
+  };
+  add_row("greedy", churn.greedy);
+  add_row("fifo", churn.fifo);
   table.Print(std::cout);
   std::cout << "\nExpected shape: greedy copies fewer live blocks per reclaimed segment\n"
             << "(it picks the emptiest victims), so its cleaning overhead is lower on\n"
@@ -279,7 +274,7 @@ Result<bool> Raid() {
   std::cout << "=== Extension: RAID-0 scaling, large-file sequential write (Section 2.1) "
                "===\n";
   const std::vector<uint32_t> members = {1, 2, 4, 8};
-  ASSIGN_OR_RETURN(std::vector<FsPair> seq_write, RunArraySeqWrite(members, 300ull << 20));
+  ASSIGN_OR_RETURN(std::vector<FsPair> seq_write, RunArraySeqWrite(members));
   TablePrinter table({"members", "LFS seq-write KB/s", "FFS seq-write KB/s", "LFS scaling",
                       "FFS scaling"});
   for (size_t i = 0; i < members.size(); ++i) {
@@ -292,7 +287,7 @@ Result<bool> Raid() {
 
   std::cout << "\n=== Extension: RAID-0 scaling, small-file creation ===\n";
   const std::vector<uint32_t> create_members = {1, 4};
-  ASSIGN_OR_RETURN(std::vector<FsPair> creates, RunArrayCreates(create_members, 300ull << 20));
+  ASSIGN_OR_RETURN(std::vector<FsPair> creates, RunArrayCreates(create_members));
   TablePrinter small_table(
       {"members", "LFS create/s", "FFS create/s", "LFS scaling", "FFS scaling"});
   for (size_t i = 0; i < create_members.size(); ++i) {

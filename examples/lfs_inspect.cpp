@@ -31,9 +31,10 @@
 //                                              simulated crash + remount
 //      ./build/examples/lfs_inspect check [--repair]
 //                                              global namespace check against
-//                                              seeded pre-intent-log damage;
-//                                              exits nonzero on damage, zero
-//                                              after --repair fixes it
+//                                              cross-shard damage seeded
+//                                              through the shard seams; exits
+//                                              nonzero on damage, zero after
+//                                              --repair fixes it
 //      ./build/examples/lfs_inspect iostat     per-source write attribution and
 //                                              the exact-sum invariant check
 //      ./build/examples/lfs_inspect segstat    lifecycle counters + utilization
@@ -939,8 +940,9 @@ int RunIntents() {
 }
 
 // `check [--repair]`: the global checker and the online repairer against a
-// volume with seeded pre-intent-log damage (a dangling dirent, an orphan, a
-// wrong nlink — exactly what a crash predating the intent log leaves).
+// volume with damage no intent names (a dangling dirent, an orphan, a wrong
+// nlink), seeded through the shard seams — the shape an intent region lost
+// to media faults would leave.
 // Exits nonzero on unreconciled damage; `--repair` fixes in place and exits
 // zero once the post-repair re-check is clean.
 int RunCheck(const char* arg) {

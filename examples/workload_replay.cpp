@@ -12,8 +12,8 @@
 #include <iostream>
 #include <sstream>
 
+#include "src/workload/benchmarks.h"
 #include "src/workload/report.h"
-#include "src/workload/testbed.h"
 #include "src/workload/trace.h"
 
 namespace {
@@ -44,43 +44,32 @@ int Run(int argc, char** argv) {
               << " operations (seed 42)\n";
   }
 
-  struct Row {
-    std::string name;
-    TraceReplayResult result;
-    DiskStats disk;
-  };
-  std::vector<Row> rows;
-  for (const bool use_lfs : {true, false}) {
-    auto bed = use_lfs ? MakeLfsTestbed() : MakeFfsTestbed();
-    if (!bed.ok()) {
-      std::cerr << "testbed setup failed\n";
-      return 1;
-    }
-    auto result = ReplayTrace(*bed, trace);
-    if (!result.ok()) {
-      std::cerr << (use_lfs ? "LFS" : "FFS")
-                << " replay failed: " << result.status().ToString() << "\n";
-      return 1;
-    }
-    if (!bed->fs->Sync().ok()) {
-      return 1;
-    }
-    rows.push_back(Row{use_lfs ? "LFS" : "FFS", *result, bed->disk->stats()});
+  auto runs = CompareTraceReplay(trace);
+  if (!runs.ok()) {
+    std::cerr << "replay failed: " << runs.status().ToString() << "\n";
+    return 1;
   }
+  struct Row {
+    const char* name;
+    const TraceRun& run;
+  };
+  const Row rows[] = {{"LFS", runs->lfs}, {"FFS", runs->ffs}};
 
   TablePrinter table({"fs", "active s", "ops/s", "MB read", "MB written", "disk writes",
                       "sync writes", "seeks"});
   for (const Row& row : rows) {
-    const double active = row.result.ActiveSeconds();
+    const TraceReplayResult& replay = row.run.replay;
+    const DiskStats& disk = row.run.disk;
+    const double active = replay.ActiveSeconds();
     table.AddRow({row.name, TablePrinter::Fixed(active, 1),
-                  TablePrinter::Fixed(row.result.operations / active, 1),
-                  TablePrinter::Fixed(row.result.bytes_read / 1048576.0, 1),
-                  TablePrinter::Fixed(row.result.bytes_written / 1048576.0, 1),
-                  TablePrinter::Int(row.disk.write_ops), TablePrinter::Int(row.disk.sync_writes),
-                  TablePrinter::Int(row.disk.seeks)});
+                  TablePrinter::Fixed(replay.operations / active, 1),
+                  TablePrinter::Fixed(replay.bytes_read / 1048576.0, 1),
+                  TablePrinter::Fixed(replay.bytes_written / 1048576.0, 1),
+                  TablePrinter::Int(disk.write_ops), TablePrinter::Int(disk.sync_writes),
+                  TablePrinter::Int(disk.seeks)});
   }
   table.Print(std::cout);
-  const double speedup = rows[1].result.ActiveSeconds() / rows[0].result.ActiveSeconds();
+  const double speedup = runs->ffs.replay.ActiveSeconds() / runs->lfs.replay.ActiveSeconds();
   std::cout << "\nLFS completed the identical operation stream "
             << TablePrinter::Fixed(speedup, 2) << "x faster than FFS.\n"
             << "Note the synchronous-write and seek counts: that is Figure 1 vs\n"

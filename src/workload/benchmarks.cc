@@ -384,7 +384,8 @@ Result<CreatePattern> RunCreatePattern(bool lfs) {
   return pattern;
 }
 
-Result<std::vector<FsPair>> RunCpuScaling(const std::vector<double>& mips, int pairs) {
+Result<std::vector<FsPair>> RunCpuScaling(const std::vector<double>& mips) {
+  const int pairs = 500;
   std::vector<FsPair> points;
   for (double speed : mips) {
     TestbedParams params;
@@ -441,7 +442,8 @@ struct ArrayBed {
   Testbed bed;
 };
 
-Result<ArrayBed> MakeArrayBed(uint32_t members, uint64_t array_bytes, bool lfs) {
+Result<ArrayBed> MakeArrayBed(uint32_t members, bool lfs) {
+  const uint64_t array_bytes = 300ull << 20;
   ArrayBed rig;
   rig.bed.clock = std::make_unique<SimClock>();
   rig.bed.cpu = std::make_unique<CpuModel>(rig.bed.clock.get(), 10.0);
@@ -462,12 +464,11 @@ Result<ArrayBed> MakeArrayBed(uint32_t members, uint64_t array_bytes, bool lfs) 
 
 // `measure` on a fresh LFS and a fresh FFS array per member count.
 template <typename Measure>
-Result<std::vector<FsPair>> ArraySweep(const std::vector<uint32_t>& members,
-                                       uint64_t array_bytes, Measure measure) {
+Result<std::vector<FsPair>> ArraySweep(const std::vector<uint32_t>& members, Measure measure) {
   std::vector<FsPair> points;
   for (uint32_t count : members) {
-    ASSIGN_OR_RETURN(ArrayBed lfs_bed, MakeArrayBed(count, array_bytes, true));
-    ASSIGN_OR_RETURN(ArrayBed ffs_bed, MakeArrayBed(count, array_bytes, false));
+    ASSIGN_OR_RETURN(ArrayBed lfs_bed, MakeArrayBed(count, true));
+    ASSIGN_OR_RETURN(ArrayBed ffs_bed, MakeArrayBed(count, false));
     FsPair point;
     ASSIGN_OR_RETURN(point.lfs, measure(lfs_bed.bed));
     ASSIGN_OR_RETURN(point.ffs, measure(ffs_bed.bed));
@@ -478,9 +479,8 @@ Result<std::vector<FsPair>> ArraySweep(const std::vector<uint32_t>& members,
 
 }  // namespace
 
-Result<std::vector<FsPair>> RunArraySeqWrite(const std::vector<uint32_t>& members,
-                                             uint64_t array_bytes) {
-  return ArraySweep(members, array_bytes, [](Testbed& bed) -> Result<double> {
+Result<std::vector<FsPair>> RunArraySeqWrite(const std::vector<uint32_t>& members) {
+  return ArraySweep(members, [](Testbed& bed) -> Result<double> {
     LargeFileParams params;
     params.file_bytes = 48ull << 20;
     ASSIGN_OR_RETURN(std::vector<PhaseResult> phases, RunLargeFileBenchmark(bed, params));
@@ -488,9 +488,8 @@ Result<std::vector<FsPair>> RunArraySeqWrite(const std::vector<uint32_t>& member
   });
 }
 
-Result<std::vector<FsPair>> RunArrayCreates(const std::vector<uint32_t>& members,
-                                            uint64_t array_bytes) {
-  return ArraySweep(members, array_bytes, [](Testbed& bed) -> Result<double> {
+Result<std::vector<FsPair>> RunArrayCreates(const std::vector<uint32_t>& members) {
+  return ArraySweep(members, [](Testbed& bed) -> Result<double> {
     SmallFileParams params;
     params.num_files = 4000;
     params.file_size = 4096;
@@ -524,8 +523,8 @@ Result<std::vector<ReadAheadPoint>> RunReadAheadSweep(const std::vector<uint32_t
   return points;
 }
 
-Result<std::vector<double>> RunScatteredSegmentWrites(const std::vector<uint32_t>& segment_kb,
-                                                      uint64_t disk_bytes) {
+Result<std::vector<double>> RunScatteredSegmentWrites(const std::vector<uint32_t>& segment_kb) {
+  const uint64_t disk_bytes = 256ull << 20;
   const uint64_t total_bytes = 32ull << 20;
   std::vector<double> mb_per_s;
   for (uint32_t kb : segment_kb) {
@@ -543,11 +542,11 @@ Result<std::vector<double>> RunScatteredSegmentWrites(const std::vector<uint32_t
 }
 
 Result<std::vector<SegmentSizePoint>> RunSegmentSizeSweep(
-    const std::vector<uint32_t>& segment_kb, uint64_t disk_bytes) {
+    const std::vector<uint32_t>& segment_kb) {
   std::vector<SegmentSizePoint> points;
   for (uint32_t kb : segment_kb) {
     TestbedParams params;
-    params.disk_bytes = disk_bytes;
+    params.disk_bytes = 128ull << 20;
     params.lfs.segment_size = kb * 1024;
     ASSIGN_OR_RETURN(Testbed bed, MakeLfsTestbed(params));
     SmallFileParams small;
@@ -562,33 +561,40 @@ Result<std::vector<SegmentSizePoint>> RunSegmentSizeSweep(
   return points;
 }
 
-Result<std::vector<LfsFileSystem::CleanerStats>> RunPolicyChurn(
-    const std::vector<SegmentUsageTable::VictimPolicy>& policies, uint64_t disk_bytes) {
-  std::vector<LfsFileSystem::CleanerStats> results;
-  for (SegmentUsageTable::VictimPolicy policy : policies) {
-    TestbedParams params;
-    params.disk_bytes = disk_bytes;
-    params.lfs_options.cleaner_policy = policy;
-    params.lfs_options.telemetry_capacity = 8;
-    ASSIGN_OR_RETURN(Testbed bed, MakeLfsTestbed(params));
-    const int num_files = 200;
-    const std::vector<std::byte> payload(256 * 1024, std::byte{0x77});
-    for (int i = 0; i < num_files; ++i) {
-      RETURN_IF_ERROR(bed.paths->WriteFile("/f" + std::to_string(i), payload));
-    }
-    RETURN_IF_ERROR(bed.fs->Sync());
-    Rng rng(7);
-    for (int round = 0; round < 400; ++round) {
-      const uint64_t target = rng.NextBool(0.7) ? rng.NextBelow(num_files / 10)
-                                                : rng.NextBelow(num_files);
-      RETURN_IF_ERROR(bed.paths->WriteFile("/f" + std::to_string(target), payload));
-      bed.clock->Advance(31.0);
-      RETURN_IF_ERROR(bed.fs->Tick());
-    }
-    RETURN_IF_ERROR(bed.fs->Sync());
-    results.push_back(static_cast<LfsFileSystem&>(*bed.fs).cleaner_stats());
+namespace {
+
+// One ABL2 churn run under `policy`.
+Result<LfsFileSystem::CleanerStats> ChurnUnder(SegmentUsageTable::VictimPolicy policy) {
+  TestbedParams params;
+  params.disk_bytes = 96ull << 20;
+  params.lfs_options.cleaner_policy = policy;
+  params.lfs_options.telemetry_capacity = 8;
+  ASSIGN_OR_RETURN(Testbed bed, MakeLfsTestbed(params));
+  const int num_files = 200;
+  const std::vector<std::byte> payload(256 * 1024, std::byte{0x77});
+  for (int i = 0; i < num_files; ++i) {
+    RETURN_IF_ERROR(bed.paths->WriteFile("/f" + std::to_string(i), payload));
   }
-  return results;
+  RETURN_IF_ERROR(bed.fs->Sync());
+  Rng rng(7);
+  for (int round = 0; round < 400; ++round) {
+    const uint64_t target =
+        rng.NextBool(0.7) ? rng.NextBelow(num_files / 10) : rng.NextBelow(num_files);
+    RETURN_IF_ERROR(bed.paths->WriteFile("/f" + std::to_string(target), payload));
+    bed.clock->Advance(31.0);
+    RETURN_IF_ERROR(bed.fs->Tick());
+  }
+  RETURN_IF_ERROR(bed.fs->Sync());
+  return static_cast<LfsFileSystem&>(*bed.fs).cleaner_stats();
+}
+
+}  // namespace
+
+Result<PolicyChurn> RunPolicyChurn() {
+  PolicyChurn churn;
+  ASSIGN_OR_RETURN(churn.greedy, ChurnUnder(SegmentUsageTable::VictimPolicy::kGreedy));
+  ASSIGN_OR_RETURN(churn.fifo, ChurnUnder(SegmentUsageTable::VictimPolicy::kFifo));
+  return churn;
 }
 
 Result<std::vector<OfficeTraffic>> RunOfficeTrafficSweep(const std::vector<CachePolicy>& caches) {
@@ -603,6 +609,18 @@ Result<std::vector<OfficeTraffic>> RunOfficeTrafficSweep(const std::vector<Cache
     traffic.push_back({result.OpsPerSecond(), bed.disk->stats()});
   }
   return traffic;
+}
+
+Result<ReplayComparison> CompareTraceReplay(const std::vector<TraceOp>& trace) {
+  ReplayComparison runs;
+  for (const bool lfs : {true, false}) {
+    TraceRun& run = lfs ? runs.lfs : runs.ffs;
+    ASSIGN_OR_RETURN(Testbed bed, lfs ? MakeLfsTestbed() : MakeFfsTestbed());
+    ASSIGN_OR_RETURN(run.replay, ReplayTrace(bed, trace));
+    RETURN_IF_ERROR(bed.fs->Sync());
+    run.disk = bed.disk->stats();
+  }
+  return runs;
 }
 
 }  // namespace logfs

@@ -16,6 +16,7 @@
 #include "src/util/result.h"
 #include "src/util/rng.h"
 #include "src/workload/testbed.h"
+#include "src/workload/trace.h"
 
 namespace logfs {
 
@@ -102,8 +103,8 @@ Result<CreateDeleteLatencyResult> RunCreateDeleteLatency(Testbed& bed, int itera
 // --- Office/engineering synthetic workload (Section 3) -------------------------
 //
 // The design-target workload: many small short-lived files accessed whole,
-// with an 80/20 working-set skew and occasional large files. Used by the
-// workload-replay example and the cache ablation bench.
+// with an 80/20 working-set skew and occasional large files. ABL3's cache
+// sweep runs it; GenerateOfficeTrace draws its file sizes the same way.
 struct OfficeWorkloadParams {
   int operations = 5000;
   int max_live_files = 400;
@@ -137,8 +138,10 @@ size_t DrawOfficeFileSize(Rng& rng);
 // measurement per sweep point it is given, and returns what that
 // experiment's table reports, in sweep order. `bench/bench_paper` prints the
 // tables at full scale; tests/paper_shapes_test.cc asserts their shapes,
-// at reduced scale where the full run is slow. Unless a disk size is an
-// argument, every testbed is the Section 5 machine (TestbedParams defaults).
+// on fewer sweep points (or, for Figure 5, a smaller disk) where the full
+// run is slow. Each rig's other settings are fixed inside its function, so
+// the table and the asserted shape measure the same thing. Every testbed is
+// the Section 5 machine (TestbedParams defaults) unless stated.
 
 // LFS and FFS measured at one sweep point.
 struct FsPair {
@@ -158,9 +161,9 @@ struct CreatePattern {
 
 Result<CreatePattern> RunCreatePattern(bool lfs);
 
-// Section 3.1: seconds per create+delete pair, `pairs` pairs at each CPU
-// speed in `mips`.
-Result<std::vector<FsPair>> RunCpuScaling(const std::vector<double>& mips, int pairs);
+// Section 3.1: seconds per create+delete pair, 500 pairs at each CPU speed
+// in `mips`.
+Result<std::vector<FsPair>> RunCpuScaling(const std::vector<double>& mips);
 
 // Figures 3 and 4: one runner on a fresh LFS and a fresh FFS testbed.
 struct PhaseComparison {
@@ -176,14 +179,12 @@ Result<PhaseComparison> CompareLargeFile(const LargeFileParams& params);
 Result<std::vector<CleaningRateResult>> RunCleaningSweep(
     const std::vector<double>& utilizations, uint64_t disk_bytes);
 
-// RAID-0 (Section 2.1): both file systems on an array of each member count
-// in `members`, `array_bytes` in all, with a 128 KB stripe unit. The first
-// reports sequential-write KB/s of a 48 MB file, the second creates/s of
+// RAID-0 (Section 2.1): both file systems on a 300 MB array of each member
+// count in `members`, with a 128 KB stripe unit. The first reports
+// sequential-write KB/s of a 48 MB file, the second creates/s of
 // 4000 x 4 KB files.
-Result<std::vector<FsPair>> RunArraySeqWrite(const std::vector<uint32_t>& members,
-                                             uint64_t array_bytes);
-Result<std::vector<FsPair>> RunArrayCreates(const std::vector<uint32_t>& members,
-                                            uint64_t array_bytes);
+Result<std::vector<FsPair>> RunArraySeqWrite(const std::vector<uint32_t>& members);
+Result<std::vector<FsPair>> RunArrayCreates(const std::vector<uint32_t>& members);
 
 // Read-ahead: an LFS with each read-ahead depth (0 = off) in `depths`, on a
 // disk that charges 1 ms per command.
@@ -195,31 +196,34 @@ struct ReadAheadPoint {
 
 Result<std::vector<ReadAheadPoint>> RunReadAheadSweep(const std::vector<uint32_t>& depths);
 
-// ABL1, the mechanism: MB/s of 32 MB written straight to a `disk_bytes`
-// device as segment-sized transfers into alternating holes, so that every
-// transfer pays one positioning delay. One point per size in `segment_kb`.
-Result<std::vector<double>> RunScatteredSegmentWrites(const std::vector<uint32_t>& segment_kb,
-                                                      uint64_t disk_bytes);
+// ABL1, the mechanism: MB/s of 32 MB written straight to a 256 MB device as
+// segment-sized transfers into alternating holes, so that every transfer
+// pays one positioning delay. One point per size in `segment_kb`.
+Result<std::vector<double>> RunScatteredSegmentWrites(const std::vector<uint32_t>& segment_kb);
 
-// ABL1 on a fresh, contiguous log: Figure 3's 4000 x 1 KB run on an LFS of
-// `disk_bytes` with each segment size in `segment_kb`.
+// ABL1 on a fresh, contiguous log: Figure 3's 4000 x 1 KB run on a 128 MB
+// LFS with each segment size in `segment_kb`.
 struct SegmentSizePoint {
   double creates_per_s = 0.0;
   double disk_seconds_per_mb = 0.0;  // Disk busy time per MB written, whole run.
 };
 
 Result<std::vector<SegmentSizePoint>> RunSegmentSizeSweep(
-    const std::vector<uint32_t>& segment_kb, uint64_t disk_bytes);
+    const std::vector<uint32_t>& segment_kb);
 
-// ABL2: hot/cold overwrite churn on an LFS of `disk_bytes` under each victim
-// policy. 200 files of 256 KB, then 400 whole-file overwrites, 70% of them
-// to the hottest 10%, each followed by 31 s and a Tick. Returns the
-// cleaner's totals. Every round checkpoints; the flight recorder's ring
-// rides in the checkpoint region's slack at no simulated cost, and an
-// 8-sample ring keeps its host-side encoding cheap without moving any
-// number.
-Result<std::vector<LfsFileSystem::CleanerStats>> RunPolicyChurn(
-    const std::vector<SegmentUsageTable::VictimPolicy>& policies, uint64_t disk_bytes);
+// ABL2: hot/cold overwrite churn on a 96 MB LFS under the greedy (paper) and
+// the FIFO victim policy. 200 files of 256 KB, then 400 whole-file
+// overwrites, 70% of them to the hottest 10%, each followed by 31 s and a
+// Tick. Reports each run's cleaner totals. Every round checkpoints; the
+// flight recorder's ring rides in the checkpoint region's slack at no
+// simulated cost, and an 8-sample ring keeps its host-side encoding cheap
+// without moving any number.
+struct PolicyChurn {
+  LfsFileSystem::CleanerStats greedy;
+  LfsFileSystem::CleanerStats fifo;
+};
+
+Result<PolicyChurn> RunPolicyChurn();
 
 // ABL3: the 4000-op office workload on an LFS with each cache policy in
 // `caches`.
@@ -229,6 +233,20 @@ struct OfficeTraffic {
 };
 
 Result<std::vector<OfficeTraffic>> RunOfficeTrafficSweep(const std::vector<CachePolicy>& caches);
+
+// Office/engineering replay (Section 3): `trace` on a fresh LFS and a fresh
+// FFS testbed, each synced after the replay.
+struct TraceRun {
+  TraceReplayResult replay;
+  DiskStats disk;
+};
+
+struct ReplayComparison {
+  TraceRun lfs;
+  TraceRun ffs;
+};
+
+Result<ReplayComparison> CompareTraceReplay(const std::vector<TraceOp>& trace);
 
 }  // namespace logfs
 

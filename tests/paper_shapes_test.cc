@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/workload/benchmarks.h"
-#include "src/workload/testbed.h"
 #include "src/workload/trace.h"
 
 namespace logfs {
@@ -42,7 +41,7 @@ TEST(PaperShapesTest, Sec31CreateDeleteLatencyScalesWithCpuOnlyUnderLfs) {
   double ffs_ms[2];
   double lfs_ms[2];
   const std::vector<double> mips = {0.9, 14.0};
-  auto points = RunCpuScaling(mips, 500);
+  auto points = RunCpuScaling(mips);
   ASSERT_TRUE(points.ok()) << points.status().ToString();
   for (int i = 0; i < 2; ++i) {
     ffs_ms[i] = (*points)[i].ffs * 1e3;
@@ -145,20 +144,13 @@ TEST(PaperShapesTest, Fig5CleaningRateDeclinesWithUtilization) {
 // --- Office/engineering replay ------------------------------------------------
 
 TEST(PaperShapesTest, OfficeReplayRunsFasterOnLfs) {
-  const std::vector<TraceOp> trace = GenerateOfficeTrace(2000, /*seed=*/42);
-  auto lfs_bed = MakeLfsTestbed();
-  auto ffs_bed = MakeFfsTestbed();
-  ASSERT_TRUE(lfs_bed.ok() && ffs_bed.ok());
-  auto lfs = ReplayTrace(*lfs_bed, trace);
-  auto ffs = ReplayTrace(*ffs_bed, trace);
-  ASSERT_TRUE(lfs.ok()) << lfs.status().ToString();
-  ASSERT_TRUE(ffs.ok()) << ffs.status().ToString();
-  ASSERT_TRUE(lfs_bed->fs->Sync().ok() && ffs_bed->fs->Sync().ok());
+  auto runs = CompareTraceReplay(GenerateOfficeTrace(2000, /*seed=*/42));
+  ASSERT_TRUE(runs.ok()) << runs.status().ToString();
   // 4.80x faster (bound >= 3.5x) with 19x fewer disk writes (bound >= 10x)
   // and 35x fewer synchronous ones (bound >= 10x).
-  EXPECT_GE(ffs->ActiveSeconds() / lfs->ActiveSeconds(), 3.5);
-  const DiskStats& l = lfs_bed->disk->stats();
-  const DiskStats& f = ffs_bed->disk->stats();
+  EXPECT_GE(runs->ffs.replay.ActiveSeconds() / runs->lfs.replay.ActiveSeconds(), 3.5);
+  const DiskStats& l = runs->lfs.disk;
+  const DiskStats& f = runs->ffs.disk;
   EXPECT_GE(f.write_ops, 10 * l.write_ops);
   EXPECT_GE(f.sync_writes, 10 * l.sync_writes);
 }
@@ -167,8 +159,8 @@ TEST(PaperShapesTest, OfficeReplayRunsFasterOnLfs) {
 
 TEST(PaperShapesTest, RaidArrayHelpsBandwidthBoundLfsNotLatencyBoundFfs) {
   // Reduced: 1 and 4 members (the bench also runs 2 and 8).
-  auto seq_write = RunArraySeqWrite({1, 4}, 300ull << 20);
-  auto creates = RunArrayCreates({1, 4}, 300ull << 20);
+  auto seq_write = RunArraySeqWrite({1, 4});
+  auto creates = RunArrayCreates({1, 4});
   ASSERT_TRUE(seq_write.ok()) << seq_write.status().ToString();
   ASSERT_TRUE(creates.ok()) << creates.status().ToString();
   // Sequential write at 4 members: LFS 2.18x (bound >= 1.7x), FFS 0.99x
@@ -200,7 +192,7 @@ TEST(PaperShapesTest, ReadAheadSpeedsSequentialReadsNotOneBlockFiles) {
 TEST(PaperShapesTest, Abl1LargeSegmentsAmortizeTheSeek) {
   // Share of the disk maximum at 64 KB, 256 KB, 1 MB and 4 MB segments,
   // each transfer written into alternating holes of a 256 MB disk.
-  auto mb_s = RunScatteredSegmentWrites({64, 256, 1024, 4096}, 256ull << 20);
+  auto mb_s = RunScatteredSegmentWrites({64, 256, 1024, 4096});
   ASSERT_TRUE(mb_s.ok()) << mb_s.status().ToString();
   std::vector<double> share;
   for (double rate : *mb_s) {
@@ -215,7 +207,7 @@ TEST(PaperShapesTest, Abl1LargeSegmentsAmortizeTheSeek) {
 
   // On a fresh, contiguous log the segment size costs nothing: small-file
   // creates/s at 64 KB segments are 97% of those at 1 MB (bound >= 90%).
-  auto fresh = RunSegmentSizeSweep({64, 1024}, 128ull << 20);
+  auto fresh = RunSegmentSizeSweep({64, 1024});
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   EXPECT_GE((*fresh)[0].creates_per_s, 0.9 * (*fresh)[1].creates_per_s);
 }
@@ -223,16 +215,14 @@ TEST(PaperShapesTest, Abl1LargeSegmentsAmortizeTheSeek) {
 TEST(PaperShapesTest, Abl2GreedyVictimsCopyLessThanFifo) {
   // Live blocks copied per cleaned segment under hot/cold churn on a 96 MB
   // disk.
-  auto stats = RunPolicyChurn(
-      {SegmentUsageTable::VictimPolicy::kGreedy, SegmentUsageTable::VictimPolicy::kFifo},
-      96ull << 20);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  auto churn = RunPolicyChurn();
+  ASSERT_TRUE(churn.ok()) << churn.status().ToString();
   auto copies_per_segment = [](const LfsFileSystem::CleanerStats& cleaner) {
     return static_cast<double>(cleaner.live_blocks_copied) /
            static_cast<double>(cleaner.segments_cleaned);
   };
-  const double greedy = copies_per_segment((*stats)[0]);
-  const double fifo = copies_per_segment((*stats)[1]);
+  const double greedy = copies_per_segment(churn->greedy);
+  const double fifo = copies_per_segment(churn->fifo);
   // Greedy 40.0 vs FIFO 117.1 copies per segment (0.34x, bound <= 0.5x).
   EXPECT_LE(greedy, 0.5 * fifo) << "greedy " << greedy << " fifo " << fifo;
 }

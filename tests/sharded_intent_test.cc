@@ -9,8 +9,9 @@
 //     fails the op cleanly with NO shard mutated, and a transient error
 //     is absorbed by the ResilientDisk retry layer (the op succeeds);
 //   * the online repairer — CheckShardedLfs(..., RepairMode::kRepair)
-//     fixes seeded pre-intent-log damage (dangling dirents, orphans,
-//     wrong nlinks) in place and reports a clean post-repair state.
+//     fixes damage no intent names (dangling dirents, orphans, wrong
+//     nlinks, seeded through the shard seams) in place and reports a clean
+//     post-repair state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -246,8 +247,9 @@ TEST(ShardedIntentTest, RepairModeFixesSeededPreIntentDamage) {
   ASSERT_TRUE(rig.fs->Write(*keep, 0, TestBytes(4096, 7)).ok());
   ASSERT_TRUE(rig.fs->Sync().ok());
 
-  // Seed exactly the damage a pre-intent-log crash leaves, via direct seam
-  // calls (the documented test/tool backdoor — the router is quiescent):
+  // Seed damage no intent names (what an intent region lost to media
+  // faults would leave), via direct seam calls (the documented test/tool
+  // backdoor — the router is quiescent):
   //   1. a dangling dirent: names an ino that was never allocated;
   //   2. an orphan: an allocated inode no dirent references;
   //   3. a wrong nlink on a healthy file.

@@ -1,4 +1,4 @@
-// CrashImageGenerator: turns a recorded write stream (recording_disk.h)
+// CrashImageGenerator: turns a recorded write stream (src/disk/recording_disk.h)
 // into candidate post-crash disk images, CrashMonkey/ALICE-style.
 //
 // Three families of crash states, all relative to the journal:
@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "src/crashsim/recording_disk.h"
+#include "src/disk/recording_disk.h"
 #include "src/util/result.h"
 
 namespace logfs {

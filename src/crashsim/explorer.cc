@@ -3,8 +3,8 @@
 #include <cstring>
 #include <sstream>
 
-#include "src/crashsim/recording_disk.h"
 #include "src/disk/memory_disk.h"
+#include "src/disk/recording_disk.h"
 #include "src/fsbase/path.h"
 #include "src/obs/metrics.h"
 #include "src/obs/tracer.h"

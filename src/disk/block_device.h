@@ -1,7 +1,6 @@
 // BlockDevice: the sector-extent storage interface every file system in
 // logfs is built on. Implementations: MemoryDisk (simulated spindle),
-// StripedDisk (RAID-0), FaultInjectingDisk, TracingDisk and
-// crashsim::RecordingDisk (decorators).
+// StripedDisk (RAID-0), FaultInjectingDisk and RecordingDisk (decorators).
 #ifndef LOGFS_SRC_DISK_BLOCK_DEVICE_H_
 #define LOGFS_SRC_DISK_BLOCK_DEVICE_H_
 

@@ -154,13 +154,7 @@ class FaultInjectingDisk : public BlockDevice {
   Status Flush() override;
 
   uint64_t sector_count() const override { return inner_->sector_count(); }
-  // This decorator keeps no stats of its own, so stats() IS the inner
-  // device's view. inner_stats() names that explicitly — the decorator
-  // convention (see StripedDisk) is that both accessors always exist, so
-  // tools never have to guess whether stats() already includes the device
-  // underneath or double-counts it.
   const DiskStats& stats() const override { return inner_->stats(); }
-  const DiskStats& inner_stats() const { return inner_->stats(); }
   void ResetStats() override { inner_->ResetStats(); }
 
  private:

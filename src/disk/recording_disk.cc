@@ -1,10 +1,12 @@
-#include "src/crashsim/recording_disk.h"
+#include "src/disk/recording_disk.h"
 
 namespace logfs {
 
 Status RecordingDisk::ReadSectors(uint64_t first, std::span<std::byte> out,
                                   IoOptions options) {
-  return inner_->ReadSectors(first, out, options);
+  RETURN_IF_ERROR(inner_->ReadSectors(first, out, options));
+  last_end_ = first + out.size() / kSectorSize;
+  return OkStatus();
 }
 
 Status RecordingDisk::WriteSectors(uint64_t first, std::span<const std::byte> data,
@@ -17,7 +19,9 @@ Status RecordingDisk::WriteSectors(uint64_t first, std::span<const std::byte> da
 
 Status RecordingDisk::ReadSectorsV(uint64_t first, std::span<const std::span<std::byte>> bufs,
                                    IoOptions options) {
-  return inner_->ReadSectorsV(first, bufs, options);
+  RETURN_IF_ERROR(inner_->ReadSectorsV(first, bufs, options));
+  last_end_ = first + IoVecBytes(bufs) / kSectorSize;
+  return OkStatus();
 }
 
 Status RecordingDisk::WriteSectorsV(uint64_t first,
@@ -43,7 +47,10 @@ void RecordingDisk::Journal(uint64_t first, std::span<const std::span<const std:
   }
   record.epoch = epoch_;
   record.synchronous = options.synchronous;
+  record.sequential = last_end_ == first;
+  record.time_seconds = clock_ != nullptr ? clock_->Now() : 0.0;
   sectors_recorded_ += record.SectorCount();
+  last_end_ = first + record.SectorCount();
   writes_.push_back(std::move(record));
   if (options.synchronous) {
     ++epoch_;

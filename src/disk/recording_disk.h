@@ -1,22 +1,33 @@
 // RecordingDisk: BlockDevice decorator that journals the complete write
-// stream of a workload run — sector extent, payload bytes, and the flush
-// epoch each request belongs to. The journal is the raw material the crash
-// explorer (explorer.h) slices into candidate post-crash disk images:
-// every prefix of the stream is a crash state, every prefix plus a partial
-// final request is a torn-write state, and requests inside one flush epoch
-// may be reordered or dropped.
+// stream of a workload run — sector extent, payload bytes, the flush epoch
+// each request belongs to, when it returned and whether it continued the
+// previous request. Two kinds of reader use the journal:
+//
+// * the Figures 1–2 trace (RunCreatePattern in src/workload/benchmarks.h),
+//   which prints each write's extent, sync flag, sequentiality and time;
+// * crash-image sweeps (src/crashsim/crash_image.h), which slice it into
+//   candidate post-crash disk images: every prefix of the stream is a
+//   crash state, every prefix plus a partial final request is a torn-write
+//   state, and requests inside one flush epoch may be reordered or dropped.
 //
 // Flush epochs: Flush() closes the current epoch, and a synchronous write
 // (IoOptions::synchronous) is treated as a full barrier — it gets an epoch
 // of its own, so it can never be reordered against its neighbours. This is
 // the write-ahead contract LFS relies on for the checkpoint region.
-#ifndef LOGFS_SRC_CRASHSIM_RECORDING_DISK_H_
-#define LOGFS_SRC_CRASHSIM_RECORDING_DISK_H_
+//
+// Reads are forwarded and not journaled, but they still count as the
+// previous request when the next write's sequentiality is judged.
+//
+// Not thread-safe: every caller drives it from one thread.
+#ifndef LOGFS_SRC_DISK_RECORDING_DISK_H_
+#define LOGFS_SRC_DISK_RECORDING_DISK_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/disk/block_device.h"
+#include "src/sim/sim_clock.h"
 
 namespace logfs {
 
@@ -26,13 +37,17 @@ struct WriteRecord {
   std::vector<std::byte> data;  // Full payload (multiple of kSectorSize).
   uint64_t epoch = 0;           // Flush epoch the request belongs to.
   bool synchronous = false;     // Marked IoOptions::synchronous.
+  bool sequential = false;      // Began where the previous request ended.
+  double time_seconds = 0.0;    // Simulated time when the request returned.
 
   uint64_t SectorCount() const { return data.size() / kSectorSize; }
 };
 
 class RecordingDisk : public BlockDevice {
  public:
-  explicit RecordingDisk(BlockDevice* inner) : inner_(inner) {}
+  // `clock` may be null; time stamps are then 0.
+  explicit RecordingDisk(BlockDevice* inner, const SimClock* clock = nullptr)
+      : inner_(inner), clock_(clock) {}
 
   Status ReadSectors(uint64_t first, std::span<std::byte> out,
                      IoOptions options = {}) override;
@@ -51,7 +66,9 @@ class RecordingDisk : public BlockDevice {
   const DiskStats& stats() const override { return inner_->stats(); }
   void ResetStats() override { inner_->ResetStats(); }
 
-  // The journal. Stable across calls; grows only at the tail.
+  // The journal. Stable across calls; grows only at the tail, so a reader
+  // interested in one phase of a run remembers write_count() before it and
+  // reads from that index on.
   const std::vector<WriteRecord>& writes() const { return writes_; }
   size_t write_count() const { return writes_.size(); }
   uint64_t sectors_recorded() const { return sectors_recorded_; }
@@ -62,11 +79,14 @@ class RecordingDisk : public BlockDevice {
                IoOptions options);
 
   BlockDevice* inner_;
+  const SimClock* clock_;
   std::vector<WriteRecord> writes_;
   uint64_t sectors_recorded_ = 0;
   uint64_t epoch_ = 0;
+  // One past the previous request's last sector; empty before the first.
+  std::optional<uint64_t> last_end_;
 };
 
 }  // namespace logfs
 
-#endif  // LOGFS_SRC_CRASHSIM_RECORDING_DISK_H_
+#endif  // LOGFS_SRC_DISK_RECORDING_DISK_H_

@@ -34,8 +34,7 @@ ResilientMetrics& Metrics() {
 
 template <typename Attempt>
 Status ResilientDisk::RunWithRetries(Attempt&& attempt) {
-  double backoff = policy_.initial_backoff_seconds;
-  const uint32_t max_attempts = policy_.max_attempts < 1 ? 1 : policy_.max_attempts;
+  double backoff = kInitialBackoffSeconds;
   for (uint32_t attempt_index = 0;; ++attempt_index) {
     Status status = attempt();
     if (status.ok()) {
@@ -58,7 +57,7 @@ Status ResilientDisk::RunWithRetries(Attempt&& attempt) {
       // kCrashed and everything else: not transient, pass through untouched.
       return status;
     }
-    if (attempt_index + 1 >= max_attempts) {
+    if (attempt_index + 1 >= kMaxAttempts) {
       ++exhausted_;
       ++media_errors_;
       if constexpr (obs::kMetricsEnabled) {
@@ -76,7 +75,7 @@ Status ResilientDisk::RunWithRetries(Attempt&& attempt) {
       Metrics().retries->Increment();
       Metrics().backoff_us->Increment(static_cast<uint64_t>(backoff * 1e6));
     }
-    backoff *= policy_.backoff_multiplier;
+    backoff *= kBackoffMultiplier;
   }
 }
 

@@ -4,8 +4,8 @@
 // the identical request can succeed — bus glitches, ECC-recoverable reads)
 // and persistent media errors (no retry will ever succeed). This decorator
 // implements the bounded-retry half of that contract: kIoError results are
-// retried up to RetryPolicy::max_attempts total attempts with exponential
-// simulated-time backoff, and an exhausted retry budget is *reclassified* as
+// retried up to kMaxAttempts total attempts with exponential simulated-time
+// backoff, and an exhausted retry budget is *reclassified* as
 // kMediaError so upper layers see one persistent-failure code regardless of
 // whether the device said so directly or the retries just never won.
 //
@@ -29,20 +29,18 @@
 
 namespace logfs {
 
-struct RetryPolicy {
-  // Total attempts per request, including the first (must be >= 1).
-  uint32_t max_attempts = 4;
-  // Simulated seconds to wait before the first retry.
-  double initial_backoff_seconds = 0.001;
-  // Backoff multiplier applied per further retry.
-  double backoff_multiplier = 2.0;
-};
-
 class ResilientDisk : public BlockDevice {
  public:
+  // Total attempts per request, including the first.
+  static constexpr uint32_t kMaxAttempts = 4;
+  // Simulated seconds to wait before the first retry.
+  static constexpr double kInitialBackoffSeconds = 0.001;
+  // Backoff multiplier applied per further retry.
+  static constexpr double kBackoffMultiplier = 2.0;
+
   // `clock` may be null: retries then happen with no simulated delay.
-  ResilientDisk(BlockDevice* inner, SimClock* clock = nullptr, RetryPolicy policy = {})
-      : inner_(inner), clock_(clock), policy_(policy) {}
+  explicit ResilientDisk(BlockDevice* inner, SimClock* clock = nullptr)
+      : inner_(inner), clock_(clock) {}
 
   Status ReadSectors(uint64_t first, std::span<std::byte> out, IoOptions options = {}) override;
   Status WriteSectors(uint64_t first, std::span<const std::byte> data,
@@ -55,10 +53,8 @@ class ResilientDisk : public BlockDevice {
 
   uint64_t sector_count() const override { return inner_->sector_count(); }
   const DiskStats& stats() const override { return inner_->stats(); }
-  const DiskStats& inner_stats() const { return inner_->stats(); }
   void ResetStats() override { inner_->ResetStats(); }
 
-  const RetryPolicy& policy() const { return policy_; }
   uint64_t retries() const { return retries_; }
   uint64_t recovered() const { return recovered_; }
   uint64_t exhausted() const { return exhausted_; }
@@ -68,7 +64,7 @@ class ResilientDisk : public BlockDevice {
   double backoff_seconds() const { return backoff_seconds_; }
 
  private:
-  // Runs `attempt` under the retry policy. `attempt` must be re-issuable
+  // Runs `attempt` under the retry budget. `attempt` must be re-issuable
   // verbatim (all our request lambdas are: the fault layer injects errors
   // before transferring bytes, so a failed attempt left no partial state
   // worth preserving).
@@ -77,7 +73,6 @@ class ResilientDisk : public BlockDevice {
 
   BlockDevice* inner_;
   SimClock* clock_;
-  RetryPolicy policy_;
   uint64_t retries_ = 0;
   uint64_t recovered_ = 0;
   uint64_t exhausted_ = 0;

@@ -118,21 +118,4 @@ void StripedDisk::ResetStats() {
   }
 }
 
-DiskStats StripedDisk::inner_stats() const {
-  DiskStats sum;
-  for (const auto& member : members_) {
-    const DiskStats& m = member->stats();
-    sum.read_ops += m.read_ops;
-    sum.write_ops += m.write_ops;
-    sum.sectors_read += m.sectors_read;
-    sum.sectors_written += m.sectors_written;
-    sum.seeks += m.seeks;
-    sum.sequential_ops += m.sequential_ops;
-    sum.sync_writes += m.sync_writes;
-    sum.busy_seconds += m.busy_seconds;
-    sum.seek_seconds += m.seek_seconds;
-  }
-  return sum;
-}
-
 }  // namespace logfs

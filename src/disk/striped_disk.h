@@ -54,13 +54,8 @@ class StripedDisk : public BlockDevice {
 
   uint64_t sector_count() const override { return total_sectors_; }
   // Array-level view: one logical request is one op here even when it
-  // touched several members.
+  // touched several members. member(i).stats() holds each member's own.
   const DiskStats& stats() const override { return stats_; }
-  // Member-level view: the members' own counters summed (per-member
-  // requests, sectors, and busy time — NOT the same as stats(), which would
-  // under-count member ops and double-count nothing). busy/seek seconds sum
-  // device-observed time across members, so they can exceed wall time.
-  DiskStats inner_stats() const;
   void ResetStats() override;
 
   uint32_t member_count() const { return static_cast<uint32_t>(members_.size()); }

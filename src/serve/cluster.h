@@ -23,8 +23,8 @@
 #include <string>
 #include <vector>
 
-#include "src/crashsim/recording_disk.h"
 #include "src/disk/memory_disk.h"
+#include "src/disk/recording_disk.h"
 #include "src/lfs/lfs_file_system.h"
 #include "src/serve/client.h"
 #include "src/serve/server.h"

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
+#include "src/disk/recording_disk.h"
 #include "src/disk/striped_disk.h"
-#include "src/disk/tracing_disk.h"
 #include "src/lfs/lfs_file_system.h"
 #include "src/obs/tracer.h"
 
@@ -345,12 +346,11 @@ Result<CreatePattern> RunCreatePattern(bool lfs) {
   ASSIGN_OR_RETURN(Testbed bed, lfs ? MakeLfsTestbed(params) : MakeFfsTestbed(params));
   RETURN_IF_ERROR(bed.fs->Sync());
   bed.fs.reset();
-  // Remount the same image over a tracing view. The mount probes for LFS
-  // and falls back to FFS, so FFS's trace times include the probe's read.
-  TracingDisk traced(bed.disk.get(), bed.clock.get());
+  // Remount the same image over a recording view.
+  RecordingDisk traced(bed.disk.get(), bed.clock.get());
   std::unique_ptr<FileSystem> fs;
-  if (auto probe = LfsFileSystem::Mount(&traced, bed.clock.get(), bed.cpu.get()); probe.ok()) {
-    fs = std::move(*probe);
+  if (lfs) {
+    ASSIGN_OR_RETURN(fs, LfsFileSystem::Mount(&traced, bed.clock.get(), bed.cpu.get()));
   } else {
     ASSIGN_OR_RETURN(fs, FfsFileSystem::Mount(&traced, bed.clock.get(), bed.cpu.get()));
   }
@@ -360,7 +360,7 @@ Result<CreatePattern> RunCreatePattern(bool lfs) {
   RETURN_IF_ERROR(paths.Mkdir("/dir1").status());
   RETURN_IF_ERROR(paths.Mkdir("/dir2").status());
   RETURN_IF_ERROR(fs->Sync());
-  traced.ClearTrace();
+  const size_t start = traced.write_count();
 
   const std::vector<std::byte> block(4096, std::byte{0xAB});
   ASSIGN_OR_RETURN(InodeNum dir1, paths.Resolve("/dir1"));
@@ -373,13 +373,16 @@ Result<CreatePattern> RunCreatePattern(bool lfs) {
   RETURN_IF_ERROR(fs->Tick());
 
   CreatePattern pattern;
-  for (const TraceRecord& record : traced.trace()) {
-    if (record.kind == TraceRecord::Kind::kWrite) {
-      ++pattern.writes;
-      pattern.sync_writes += record.synchronous ? 1 : 0;
-      pattern.non_sequential += record.sequential ? 0 : 1;
-      pattern.trace.push_back(record.ToString());
-    }
+  for (size_t i = start; i < traced.write_count(); ++i) {
+    const WriteRecord& record = traced.writes()[i];
+    ++pattern.writes;
+    pattern.sync_writes += record.synchronous ? 1 : 0;
+    pattern.non_sequential += record.sequential ? 0 : 1;
+    std::ostringstream line;
+    line << "W sector=" << record.first << "+" << record.SectorCount()
+         << (record.synchronous ? " sync" : " async") << (record.sequential ? " seq" : " rand")
+         << " t=" << record.time_seconds;
+    pattern.trace.push_back(line.str());
   }
   return pattern;
 }
@@ -390,30 +393,34 @@ Result<std::vector<FsPair>> RunCpuScaling(const std::vector<double>& mips) {
   for (double speed : mips) {
     TestbedParams params;
     params.mips = speed;
-    ASSIGN_OR_RETURN(Testbed ffs_bed, MakeFfsTestbed(params));
-    ASSIGN_OR_RETURN(Testbed lfs_bed, MakeLfsTestbed(params));
-    ASSIGN_OR_RETURN(CreateDeleteLatencyResult ffs, RunCreateDeleteLatency(ffs_bed, pairs));
-    ASSIGN_OR_RETURN(CreateDeleteLatencyResult lfs, RunCreateDeleteLatency(lfs_bed, pairs));
-    points.push_back({lfs.seconds_per_pair, ffs.seconds_per_pair});
+    FsPair point;
+    for (const bool lfs : {false, true}) {
+      ASSIGN_OR_RETURN(Testbed bed, lfs ? MakeLfsTestbed(params) : MakeFfsTestbed(params));
+      ASSIGN_OR_RETURN(CreateDeleteLatencyResult result, RunCreateDeleteLatency(bed, pairs));
+      (lfs ? point.lfs : point.ffs) = result.seconds_per_pair;
+    }
+    points.push_back(point);
   }
   return points;
 }
 
 Result<PhaseComparison> CompareSmallFile(const SmallFileParams& params) {
-  ASSIGN_OR_RETURN(Testbed lfs_bed, MakeLfsTestbed());
-  ASSIGN_OR_RETURN(Testbed ffs_bed, MakeFfsTestbed());
   PhaseComparison phases;
-  ASSIGN_OR_RETURN(phases.lfs, RunSmallFileBenchmark(lfs_bed, params));
-  ASSIGN_OR_RETURN(phases.ffs, RunSmallFileBenchmark(ffs_bed, params));
+  for (const bool lfs : {true, false}) {
+    ASSIGN_OR_RETURN(Testbed bed, lfs ? MakeLfsTestbed() : MakeFfsTestbed());
+    std::vector<PhaseResult>& out = lfs ? phases.lfs : phases.ffs;
+    ASSIGN_OR_RETURN(out, RunSmallFileBenchmark(bed, params));
+  }
   return phases;
 }
 
 Result<PhaseComparison> CompareLargeFile(const LargeFileParams& params) {
-  ASSIGN_OR_RETURN(Testbed lfs_bed, MakeLfsTestbed());
-  ASSIGN_OR_RETURN(Testbed ffs_bed, MakeFfsTestbed());
   PhaseComparison phases;
-  ASSIGN_OR_RETURN(phases.lfs, RunLargeFileBenchmark(lfs_bed, params));
-  ASSIGN_OR_RETURN(phases.ffs, RunLargeFileBenchmark(ffs_bed, params));
+  for (const bool lfs : {true, false}) {
+    ASSIGN_OR_RETURN(Testbed bed, lfs ? MakeLfsTestbed() : MakeFfsTestbed());
+    std::vector<PhaseResult>& out = lfs ? phases.lfs : phases.ffs;
+    ASSIGN_OR_RETURN(out, RunLargeFileBenchmark(bed, params));
+  }
   return phases;
 }
 
@@ -467,11 +474,12 @@ template <typename Measure>
 Result<std::vector<FsPair>> ArraySweep(const std::vector<uint32_t>& members, Measure measure) {
   std::vector<FsPair> points;
   for (uint32_t count : members) {
-    ASSIGN_OR_RETURN(ArrayBed lfs_bed, MakeArrayBed(count, true));
-    ASSIGN_OR_RETURN(ArrayBed ffs_bed, MakeArrayBed(count, false));
     FsPair point;
-    ASSIGN_OR_RETURN(point.lfs, measure(lfs_bed.bed));
-    ASSIGN_OR_RETURN(point.ffs, measure(ffs_bed.bed));
+    for (const bool lfs : {true, false}) {
+      ASSIGN_OR_RETURN(ArrayBed rig, MakeArrayBed(count, lfs));
+      double& out = lfs ? point.lfs : point.ffs;
+      ASSIGN_OR_RETURN(out, measure(rig.bed));
+    }
     points.push_back(point);
   }
   return points;
@@ -506,19 +514,24 @@ Result<std::vector<ReadAheadPoint>> RunReadAheadSweep(const std::vector<uint32_t
     // Model a late-80s SCSI command overhead so per-request costs are
     // visible (the default calibration charges positioning + transfer only).
     params.disk_model.command_overhead_ms = 1.0;
-    ASSIGN_OR_RETURN(Testbed small_bed, MakeLfsTestbed(params));
-    SmallFileParams small;
-    small.num_files = 4000;
-    small.file_size = 4096;
-    ASSIGN_OR_RETURN(std::vector<PhaseResult> small_phases,
-                     RunSmallFileBenchmark(small_bed, small));
-    ASSIGN_OR_RETURN(Testbed large_bed, MakeLfsTestbed(params));
-    LargeFileParams large;
-    large.file_bytes = 64ull << 20;
-    ASSIGN_OR_RETURN(std::vector<PhaseResult> large_phases,
-                     RunLargeFileBenchmark(large_bed, large));
-    points.push_back({small_phases[1].OpsPerSecond(), large_phases[1].KBytesPerSecond(),
-                      small_bed.disk->stats().read_ops});
+    ReadAheadPoint point;
+    {
+      ASSIGN_OR_RETURN(Testbed small_bed, MakeLfsTestbed(params));
+      SmallFileParams small;
+      small.num_files = 4000;
+      small.file_size = 4096;
+      ASSIGN_OR_RETURN(std::vector<PhaseResult> phases, RunSmallFileBenchmark(small_bed, small));
+      point.small_reads_per_s = phases[1].OpsPerSecond();
+      point.small_disk_reads = small_bed.disk->stats().read_ops;
+    }
+    {
+      ASSIGN_OR_RETURN(Testbed large_bed, MakeLfsTestbed(params));
+      LargeFileParams large;
+      large.file_bytes = 64ull << 20;
+      ASSIGN_OR_RETURN(std::vector<PhaseResult> phases, RunLargeFileBenchmark(large_bed, large));
+      point.seq_read_kbps = phases[1].KBytesPerSecond();
+    }
+    points.push_back(point);
   }
   return points;
 }

@@ -10,8 +10,8 @@
 #include "src/crashsim/crash_image.h"
 #include "src/crashsim/explorer.h"
 #include "src/crashsim/oracle.h"
-#include "src/crashsim/recording_disk.h"
 #include "src/disk/memory_disk.h"
+#include "src/disk/recording_disk.h"
 #include "src/fsbase/path.h"
 #include "src/lfs/lfs_blackbox.h"
 #include "src/obs/metrics.h"

@@ -1,5 +1,5 @@
 // Unit tests for the simulated block-device stack: MemoryDisk timing and
-// stats, FaultInjectingDisk crash semantics, TracingDisk records.
+// stats, FaultInjectingDisk crash semantics, RecordingDisk records.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,8 +8,8 @@
 
 #include "src/disk/fault_disk.h"
 #include "src/disk/memory_disk.h"
+#include "src/disk/recording_disk.h"
 #include "src/disk/striped_disk.h"
-#include "src/disk/tracing_disk.h"
 #include "src/fsbase/path.h"
 #include "src/lfs/lfs_file_system.h"
 #include "src/sim/disk_model.h"
@@ -392,26 +392,66 @@ TEST(FaultDiskTest, VectoredReadsSeeTheSameFaults) {
   EXPECT_EQ(disk.ReadSectorsV(0, bufs).code(), ErrorCode::kCrashed);
 }
 
-TEST(TracingDiskTest, RecordsRequests) {
+TEST(RecordingDiskTest, RecordsRequests) {
   SimClock clock;
   MemoryDisk inner(4096, &clock);
-  TracingDisk disk(&inner, &clock);
+  RecordingDisk disk(&inner, &clock);
+  std::vector<double> returned;
   ASSERT_TRUE(disk.WriteSectors(0, Pattern(2 * kSectorSize, 0),
                                 IoOptions{.synchronous = true}).ok());
+  returned.push_back(clock.Now());
   ASSERT_TRUE(disk.WriteSectors(2, Pattern(kSectorSize, 0)).ok());
+  returned.push_back(clock.Now());
   ASSERT_TRUE(disk.WriteSectors(100, Pattern(kSectorSize, 0)).ok());
+  returned.push_back(clock.Now());
   std::vector<std::byte> out(kSectorSize);
   ASSERT_TRUE(disk.ReadSectors(0, out).ok());
 
-  ASSERT_EQ(disk.trace().size(), 4u);
-  EXPECT_EQ(disk.WriteRequestCount(), 3u);
-  EXPECT_EQ(disk.SyncWriteRequestCount(), 1u);
+  // Three writes journaled; the read is not.
+  const std::vector<WriteRecord>& writes = disk.writes();
+  ASSERT_EQ(writes.size(), 3u);
+  EXPECT_EQ(std::count_if(writes.begin(), writes.end(),
+                          [](const WriteRecord& w) { return w.synchronous; }),
+            1);
   // Second write continued at sector 2 (sequential); writes 1 and 3 did not.
-  EXPECT_EQ(disk.NonSequentialWriteCount(), 2u);
-  EXPECT_TRUE(disk.trace()[1].sequential);
-  EXPECT_FALSE(disk.trace()[2].sequential);
-  disk.ClearTrace();
-  EXPECT_TRUE(disk.trace().empty());
+  EXPECT_EQ(std::count_if(writes.begin(), writes.end(),
+                          [](const WriteRecord& w) { return !w.sequential; }),
+            2);
+  EXPECT_TRUE(writes[1].sequential);
+  EXPECT_FALSE(writes[2].sequential);
+  // Each write is stamped with the simulated time its request returned.
+  for (size_t i = 0; i < writes.size(); ++i) {
+    EXPECT_EQ(writes[i].time_seconds, returned[i]);
+  }
+  EXPECT_GT(writes[0].time_seconds, 0.0);
+  EXPECT_LT(writes[0].time_seconds, writes[2].time_seconds);
+}
+
+TEST(RecordingDiskTest, SequentialityCountsReadsAndEarlierRequests) {
+  MemoryDisk inner(1024, nullptr);
+  RecordingDisk disk(&inner);  // No clock: every time stamp is 0.
+  std::vector<std::byte> sector(kSectorSize);
+  ASSERT_TRUE(disk.WriteSectors(0, sector).ok());
+  // A reader of one phase starts at the journal's current length.
+  const size_t start = disk.write_count();
+  ASSERT_TRUE(disk.WriteSectors(1, sector).ok());  // Continues the write before `start`.
+  ASSERT_TRUE(disk.ReadSectors(6, sector).ok());
+  ASSERT_TRUE(disk.WriteSectors(7, sector).ok());  // Continues the read.
+  const std::span<std::byte> halves[] = {std::span(sector).first(256),
+                                         std::span(sector).subspan(256)};
+  ASSERT_TRUE(disk.ReadSectorsV(20, halves).ok());
+  ASSERT_TRUE(disk.WriteSectors(21, sector).ok());  // Continues the vectored read.
+  ASSERT_TRUE(disk.WriteSectors(40, sector).ok());
+
+  ASSERT_EQ(disk.write_count() - start, 4u);
+  EXPECT_FALSE(disk.writes()[0].sequential);  // Nothing came before it.
+  EXPECT_TRUE(disk.writes()[start].sequential);
+  EXPECT_TRUE(disk.writes()[start + 1].sequential);
+  EXPECT_TRUE(disk.writes()[start + 2].sequential);
+  EXPECT_FALSE(disk.writes()[start + 3].sequential);
+  for (const WriteRecord& w : disk.writes()) {
+    EXPECT_EQ(w.time_seconds, 0.0);
+  }
 }
 
 TEST(StripedDiskTest, ReadBackAcrossStripeBoundaries) {

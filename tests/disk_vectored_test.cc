@@ -1,21 +1,20 @@
 // Conformance suite for the vectored (scatter-gather) BlockDevice API,
 // run against every implementation: MemoryDisk (native), StripedDisk
-// (stripe-boundary splitting), FaultInjectingDisk / TracingDisk /
-// crashsim::RecordingDisk (decorators), and the base-class bounce-buffer
-// fallback. The contract under test: a vectored request behaves exactly
-// like the scalar request on the coalesced buffer — same bytes, same
-// single-operation stats and timing, same trace/journal/fault accounting —
-// for any carve-up of the payload, sector-aligned or not.
+// (stripe-boundary splitting), FaultInjectingDisk / RecordingDisk
+// (decorators), and the base-class bounce-buffer fallback. The contract
+// under test: a vectored request behaves exactly like the scalar request on
+// the coalesced buffer — same bytes, same single-operation stats and
+// timing, same journal/fault accounting — for any carve-up of the payload,
+// sector-aligned or not.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
-#include "src/crashsim/recording_disk.h"
 #include "src/disk/fault_disk.h"
 #include "src/disk/memory_disk.h"
+#include "src/disk/recording_disk.h"
 #include "src/disk/striped_disk.h"
-#include "src/disk/tracing_disk.h"
 #include "src/sim/sim_clock.h"
 
 namespace logfs {
@@ -82,7 +81,6 @@ enum class Impl {
   kMemory,
   kStriped,
   kFault,
-  kTracing,
   kRecording,
   kDefaultFallback,
 };
@@ -94,7 +92,6 @@ struct Stack {
   std::unique_ptr<MemoryDisk> base;
   std::unique_ptr<StripedDisk> striped;
   std::unique_ptr<FaultInjectingDisk> fault;
-  std::unique_ptr<TracingDisk> tracing;
   std::unique_ptr<RecordingDisk> recording;
   std::unique_ptr<ForwardingDisk> forwarding;
   BlockDevice* dut = nullptr;
@@ -118,11 +115,6 @@ Stack MakeStack(Impl impl) {
       s.fault = std::make_unique<FaultInjectingDisk>(s.base.get());
       s.dut = s.fault.get();
       break;
-    case Impl::kTracing:
-      s.base = std::make_unique<MemoryDisk>(kSectors, s.clock.get());
-      s.tracing = std::make_unique<TracingDisk>(s.base.get(), s.clock.get());
-      s.dut = s.tracing.get();
-      break;
     case Impl::kRecording:
       s.base = std::make_unique<MemoryDisk>(kSectors, s.clock.get());
       s.recording = std::make_unique<RecordingDisk>(s.base.get());
@@ -142,7 +134,6 @@ const char* ImplName(Impl impl) {
     case Impl::kMemory: return "MemoryDisk";
     case Impl::kStriped: return "StripedDisk";
     case Impl::kFault: return "FaultInjectingDisk";
-    case Impl::kTracing: return "TracingDisk";
     case Impl::kRecording: return "RecordingDisk";
     case Impl::kDefaultFallback: return "DefaultFallback";
   }
@@ -216,8 +207,7 @@ TEST_P(VectoredIoTest, RejectsBadExtents) {
 
 INSTANTIATE_TEST_SUITE_P(AllImpls, VectoredIoTest,
                          testing::Values(Impl::kMemory, Impl::kStriped, Impl::kFault,
-                                         Impl::kTracing, Impl::kRecording,
-                                         Impl::kDefaultFallback),
+                                         Impl::kRecording, Impl::kDefaultFallback),
                          [](const testing::TestParamInfo<Impl>& param_info) {
                            return ImplName(param_info.param);
                          });

@@ -2,7 +2,9 @@
 // persistence across remount.
 #include <gtest/gtest.h>
 
-#include "src/disk/tracing_disk.h"
+#include <algorithm>
+
+#include "src/disk/recording_disk.h"
 #include "tests/fs_fixture.h"
 
 namespace logfs {
@@ -279,12 +281,14 @@ TEST(FfsTest, CreateUsesSynchronousWrites) {
   SimClock clock;
   MemoryDisk inner(70000, &clock);
   ASSERT_TRUE(FfsFileSystem::Format(&inner, FfsParams{}).ok());
-  TracingDisk traced(&inner, &clock);
+  RecordingDisk traced(&inner, &clock);
   auto fs = FfsFileSystem::Mount(&traced, &clock, nullptr);
   ASSERT_TRUE(fs.ok());
-  traced.ClearTrace();
+  const size_t start = traced.write_count();
   ASSERT_TRUE((*fs)->Create(kRootIno, "f1", FileType::kRegular).ok());
-  EXPECT_GE(traced.SyncWriteRequestCount(), 2u);  // Inode block + dir block.
+  EXPECT_GE(std::count_if(traced.writes().begin() + start, traced.writes().end(),
+                          [](const WriteRecord& w) { return w.synchronous; }),
+            2);  // Inode block + dir block.
 }
 
 TEST(FfsTest, OutOfSpaceSurfacesNoSpace) {

@@ -3,7 +3,9 @@
 // consistency checker on healthy images.
 #include <gtest/gtest.h>
 
-#include "src/disk/tracing_disk.h"
+#include <algorithm>
+
+#include "src/disk/recording_disk.h"
 #include "src/lfs/lfs_check.h"
 #include "tests/fs_fixture.h"
 
@@ -55,24 +57,27 @@ TEST(LfsTest, CreatePerformsNoSynchronousOrRandomWrites) {
   SimClock clock;
   MemoryDisk inner(131072, &clock);
   ASSERT_TRUE(LfsFileSystem::Format(&inner, LfsInstance::DefaultParams()).ok());
-  TracingDisk traced(&inner, &clock);
+  RecordingDisk traced(&inner, &clock);
   auto fs = LfsFileSystem::Mount(&traced, &clock, nullptr);
   ASSERT_TRUE(fs.ok());
   PathFs paths(fs->get());
 
-  traced.ClearTrace();
+  const size_t start = traced.write_count();
   ASSERT_TRUE(paths.Mkdir("/dir1").ok());
   ASSERT_TRUE(paths.Mkdir("/dir2").ok());
   ASSERT_TRUE(paths.WriteFile("/dir1/file1", TestBytes(4096, 1)).ok());
   ASSERT_TRUE(paths.WriteFile("/dir2/file2", TestBytes(4096, 2)).ok());
   // Nothing hit the disk yet: all changes sit in the cache.
-  EXPECT_EQ(traced.WriteRequestCount(), 0u);
+  EXPECT_EQ(traced.write_count(), start);
 
   ASSERT_TRUE((*fs)->Sync().ok());
-  EXPECT_EQ(traced.SyncWriteRequestCount(), 1u);  // Only the checkpoint region.
+  const auto first = traced.writes().begin() + start;
+  const auto last = traced.writes().end();
+  // Only the checkpoint region.
+  EXPECT_EQ(std::count_if(first, last, [](const WriteRecord& w) { return w.synchronous; }), 1);
   // The log writes form a small number of large sequential transfers, not
   // 8 scattered small ones.
-  EXPECT_LE(traced.NonSequentialWriteCount(), 3u);
+  EXPECT_LE(std::count_if(first, last, [](const WriteRecord& w) { return !w.sequential; }), 3);
 }
 
 TEST(LfsTest, DataSurvivesCheckpointAndRemount) {

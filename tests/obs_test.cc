@@ -1,17 +1,15 @@
 // Observability-layer tests: registry semantics (bucketing, reset,
-// concurrent increments), tracer ring behaviour, the TracingDisk trace cap,
-// decorator inner_stats() consistency, byte-identical snapshots across
-// identical seeded runs, and the cleaner's derived write cost against the
-// paper formula hand-computed from the same raw counters.
+// concurrent increments), tracer ring behaviour, decorator stats views,
+// byte-identical snapshots across identical seeded runs, and the cleaner's
+// derived write cost against the paper formula hand-computed from the same
+// raw counters.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <thread>
 
 #include "src/disk/fault_disk.h"
 #include "src/disk/memory_disk.h"
 #include "src/disk/striped_disk.h"
-#include "src/disk/tracing_disk.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_context.h"
 #include "src/obs/tracer.h"
@@ -155,152 +153,7 @@ TEST_F(ObsTest, MetricsJsonIsSortedAndStable) {
   EXPECT_EQ(json, obs::Registry().ToJson());
 }
 
-// --- TracingDisk ring cap (satellite) ------------------------------------------
-
-TEST(TracingDiskRingTest, CapDropsOldestRecords) {
-  MemoryDisk inner(1024, nullptr);
-  TracingDisk disk(&inner, nullptr);
-  disk.set_trace_limit(4);
-  std::vector<std::byte> sector(kSectorSize);
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(disk.WriteSectors(static_cast<uint64_t>(i) * 2, sector).ok());
-  }
-  EXPECT_EQ(disk.trace().size(), 4u);
-  EXPECT_EQ(disk.dropped_records(), 2u);
-  // Oldest two (sectors 0 and 2) were dropped; the window starts at 4.
-  EXPECT_EQ(disk.trace().front().first_sector, 4u);
-  EXPECT_EQ(disk.trace().back().first_sector, 10u);
-  // Summary counters cover the retained window only.
-  EXPECT_EQ(disk.WriteRequestCount(), 4u);
-  disk.ClearTrace();
-  EXPECT_EQ(disk.trace().size(), 0u);
-  EXPECT_EQ(disk.dropped_records(), 0u);
-}
-
-TEST(TracingDiskRingTest, SequentialityJudgedAcrossDroppedRecords) {
-  MemoryDisk inner(1024, nullptr);
-  TracingDisk disk(&inner, nullptr);
-  disk.set_trace_limit(1);
-  std::vector<std::byte> sector(kSectorSize);
-  ASSERT_TRUE(disk.WriteSectors(0, sector).ok());
-  ASSERT_TRUE(disk.WriteSectors(1, sector).ok());  // Continues the dropped write.
-  ASSERT_EQ(disk.trace().size(), 1u);
-  EXPECT_TRUE(disk.trace().front().sequential);
-  EXPECT_EQ(disk.dropped_records(), 1u);
-}
-
-TEST(TracingDiskRingTest, ShrinkingLimitEvictsImmediately) {
-  MemoryDisk inner(1024, nullptr);
-  TracingDisk disk(&inner, nullptr);
-  std::vector<std::byte> sector(kSectorSize);
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(disk.WriteSectors(static_cast<uint64_t>(i), sector).ok());
-  }
-  disk.set_trace_limit(3);
-  EXPECT_EQ(disk.trace().size(), 3u);
-  EXPECT_EQ(disk.dropped_records(), 5u);
-}
-
-TEST(TracingDiskRingTest, ExactLimitBoundaryDropsNothingThenOnePerRequest) {
-  MemoryDisk inner(1024, nullptr);
-  TracingDisk disk(&inner, nullptr);
-  disk.set_trace_limit(4);
-  std::vector<std::byte> sector(kSectorSize);
-  // Exactly at the limit: everything retained, nothing dropped.
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(disk.WriteSectors(static_cast<uint64_t>(i) * 2, sector).ok());
-  }
-  EXPECT_EQ(disk.trace().size(), 4u);
-  EXPECT_EQ(disk.dropped_records(), 0u);
-  // One past the limit: exactly one eviction, window slides by one.
-  ASSERT_TRUE(disk.WriteSectors(8, sector).ok());
-  EXPECT_EQ(disk.trace().size(), 4u);
-  EXPECT_EQ(disk.dropped_records(), 1u);
-  EXPECT_EQ(disk.trace().front().first_sector, 2u);
-  // Re-asserting the same limit is a no-op — no spurious evictions.
-  disk.set_trace_limit(4);
-  EXPECT_EQ(disk.trace().size(), 4u);
-  EXPECT_EQ(disk.dropped_records(), 1u);
-  // Limit zero retains nothing and counts every request as dropped.
-  disk.set_trace_limit(0);
-  EXPECT_EQ(disk.trace().size(), 0u);
-  EXPECT_EQ(disk.dropped_records(), 5u);
-  ASSERT_TRUE(disk.WriteSectors(10, sector).ok());
-  EXPECT_EQ(disk.trace().size(), 0u);
-  EXPECT_EQ(disk.dropped_records(), 6u);
-}
-
-// A do-nothing device for the concurrency test: MemoryDisk's stats counters
-// are not atomic, so hammering one from several threads would be a data
-// race in the *inner* device and mask what the test is about — the
-// TracingDisk ring's own locking.
-class NullDisk : public BlockDevice {
- public:
-  Status ReadSectors(uint64_t, std::span<std::byte>, IoOptions) override {
-    return OkStatus();
-  }
-  Status WriteSectors(uint64_t, std::span<const std::byte>, IoOptions) override {
-    return OkStatus();
-  }
-  Status Flush() override { return OkStatus(); }
-  uint64_t sector_count() const override { return 1u << 20; }
-  const DiskStats& stats() const override { return stats_; }
-  void ResetStats() override { stats_ = DiskStats{}; }
-
- private:
-  DiskStats stats_;
-};
-
-TEST(TracingDiskRingTest, DroppedRecordsMonotoneUnderConcurrentAppends) {
-  NullDisk inner;
-  TracingDisk disk(&inner, nullptr);
-  constexpr size_t kLimit = 64;
-  constexpr int kThreads = 4;
-  constexpr int kWritesPerThread = 2000;
-  disk.set_trace_limit(kLimit);
-
-  // A reader polls dropped_records() while writers hammer the ring: every
-  // observed value must be >= the previous one (monotone under the lock,
-  // no torn or rolled-back reads).
-  std::atomic<bool> done{false};
-  std::atomic<bool> monotone{true};
-  std::thread reader([&] {
-    uint64_t last = 0;
-    while (!done.load(std::memory_order_acquire)) {
-      const uint64_t now = disk.dropped_records();
-      if (now < last) {
-        monotone.store(false, std::memory_order_release);
-      }
-      last = now;
-    }
-  });
-
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&disk, t] {
-      std::vector<std::byte> sector(kSectorSize);
-      for (int i = 0; i < kWritesPerThread; ++i) {
-        EXPECT_TRUE(
-            disk.WriteSectors(static_cast<uint64_t>(t) * kWritesPerThread + i, sector)
-                .ok());
-      }
-    });
-  }
-  for (std::thread& w : writers) {
-    w.join();
-  }
-  done.store(true, std::memory_order_release);
-  reader.join();
-
-  EXPECT_TRUE(monotone.load());
-  // Conservation after quiescence: retained + dropped == appended exactly.
-  const uint64_t total = static_cast<uint64_t>(kThreads) * kWritesPerThread;
-  EXPECT_EQ(disk.trace().size(), kLimit);
-  EXPECT_EQ(disk.dropped_records(), total - kLimit);
-  EXPECT_EQ(disk.WriteRequestCount(), kLimit);
-}
-
-// --- Decorator inner_stats() (satellite) ----------------------------------------
+// --- Decorator stats views (satellite) -----------------------------------------
 
 TEST(InnerStatsTest, FaultDiskForwardsInnerStats) {
   MemoryDisk inner(1024, nullptr);
@@ -308,11 +161,10 @@ TEST(InnerStatsTest, FaultDiskForwardsInnerStats) {
   std::vector<std::byte> sector(kSectorSize);
   ASSERT_TRUE(disk.WriteSectors(0, sector).ok());
   ASSERT_TRUE(disk.ReadSectors(0, sector).ok());
-  // No stats of its own: both views are the inner device's, same object.
-  EXPECT_EQ(&disk.inner_stats(), &inner.stats());
-  EXPECT_EQ(&disk.stats(), &disk.inner_stats());
-  EXPECT_EQ(disk.inner_stats().write_ops, 1u);
-  EXPECT_EQ(disk.inner_stats().read_ops, 1u);
+  // No stats of its own: stats() is the inner device's object.
+  EXPECT_EQ(&disk.stats(), &inner.stats());
+  EXPECT_EQ(disk.stats().write_ops, 1u);
+  EXPECT_EQ(disk.stats().read_ops, 1u);
 }
 
 TEST(InnerStatsTest, StripedDiskSumsMemberStats) {
@@ -330,16 +182,15 @@ TEST(InnerStatsTest, StripedDiskSumsMemberStats) {
     member_ops += disk.member(m).stats().write_ops;
     member_sectors += disk.member(m).stats().sectors_written;
   }
-  const DiskStats summed = disk.inner_stats();
-  EXPECT_EQ(summed.write_ops, member_ops);
-  EXPECT_GT(summed.write_ops, disk.stats().write_ops);  // Would under-count.
-  EXPECT_EQ(summed.sectors_written, member_sectors);
+  EXPECT_GT(member_ops, disk.stats().write_ops);  // The array view counts requests.
   // No sector lost or double-counted between the two views.
-  EXPECT_EQ(summed.sectors_written, disk.stats().sectors_written);
+  EXPECT_EQ(member_sectors, disk.stats().sectors_written);
 
   disk.ResetStats();
-  EXPECT_EQ(disk.inner_stats().write_ops, 0u);
   EXPECT_EQ(disk.stats().write_ops, 0u);
+  for (uint32_t m = 0; m < disk.member_count(); ++m) {
+    EXPECT_EQ(disk.member(m).stats().write_ops, 0u);
+  }
 }
 
 // --- Determinism (satellite) ----------------------------------------------------

@@ -42,11 +42,10 @@ TEST(ResilientDiskTest, BackoffAdvancesSimulatedClockExponentially) {
   SimClock clock;
   MemoryDisk inner(64, &clock);
   FaultInjectingDisk faulty(&inner);
-  RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.initial_backoff_seconds = 0.001;
-  policy.backoff_multiplier = 2.0;
-  ResilientDisk disk(&faulty, &clock, policy);
+  ResilientDisk disk(&faulty, &clock);
+  static_assert(ResilientDisk::kMaxAttempts == 4);
+  static_assert(ResilientDisk::kInitialBackoffSeconds == 0.001);
+  static_assert(ResilientDisk::kBackoffMultiplier == 2.0);
   // Fail the next three read requests; the fourth attempt succeeds.
   const uint64_t base = faulty.read_requests_seen();
   faulty.FailNthRead(base);
@@ -66,16 +65,15 @@ TEST(ResilientDiskTest, ExhaustedBudgetReclassifiesToMediaError) {
   SimClock clock;
   MemoryDisk inner(64, &clock);
   FaultInjectingDisk faulty(&inner);
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  ResilientDisk disk(&faulty, &clock, policy);
+  ResilientDisk disk(&faulty, &clock);
   const uint64_t base = faulty.read_requests_seen();
-  for (uint64_t i = 0; i < policy.max_attempts; ++i) {
+  for (uint64_t i = 0; i < ResilientDisk::kMaxAttempts; ++i) {
     faulty.FailNthRead(base + i);
   }
   std::vector<std::byte> out(kSectorSize);
   EXPECT_EQ(disk.ReadSectors(0, out).code(), ErrorCode::kMediaError);
-  EXPECT_EQ(disk.retries(), 2u);  // max_attempts includes the first attempt.
+  // kMaxAttempts includes the first attempt.
+  EXPECT_EQ(disk.retries(), ResilientDisk::kMaxAttempts - 1);
   EXPECT_EQ(disk.recovered(), 0u);
   EXPECT_EQ(disk.exhausted(), 1u);
   EXPECT_EQ(disk.media_errors(), 1u);

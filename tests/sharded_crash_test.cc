@@ -31,8 +31,8 @@
 #include <vector>
 
 #include "src/crashsim/crash_image.h"
-#include "src/crashsim/recording_disk.h"
 #include "src/disk/memory_disk.h"
+#include "src/disk/recording_disk.h"
 #include "src/lfs/lfs_format.h"
 #include "src/lfs/sharded_lfs.h"
 #include "tests/fs_fixture.h"

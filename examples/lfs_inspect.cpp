@@ -968,7 +968,7 @@ int RunCheck(const char* arg) {
   }
   (void)(*fs)->Sync();
 
-  // Seed the damage through the seam backdoor (router quiescent).
+  // Seed the damage through the namespace edits (router quiescent).
   auto dir = paths.Resolve("/docs");
   auto f0 = paths.Resolve("/docs/f0");
   if (!dir.ok() || !f0.ok()) {
@@ -976,11 +976,9 @@ int RunCheck(const char* arg) {
   }
   const uint32_t n = (*fs)->shard_count();
   (void)(*fs)->shard((*fs)->ShardOf(*dir))
-      ->ShardAddEntry(*dir, "dangles", *f0 + 64 * n, FileType::kRegular,
-                      /*child_is_dir=*/false);
-  (void)(*fs)->shard(((*fs)->ShardOf(*dir) + 1) % n)
-      ->ShardAllocInode(FileType::kRegular, *dir);
-  (void)(*fs)->shard((*fs)->ShardOf(*f0))->ShardSetNlink(*f0, 7);
+      ->DirInsert(*dir, "dangles", *f0 + 64 * n, FileType::kRegular);
+  (void)(*fs)->shard(((*fs)->ShardOf(*dir) + 1) % n)->AllocInode(FileType::kRegular, *dir);
+  (void)(*fs)->shard((*fs)->ShardOf(*f0))->SetNlink(*f0, 7);
 
   auto before = CheckShardedLfs(fs->get());
   if (!before.ok()) {

@@ -49,7 +49,6 @@ void RecordingDisk::Journal(uint64_t first, std::span<const std::span<const std:
   record.synchronous = options.synchronous;
   record.sequential = last_end_ == first;
   record.time_seconds = clock_ != nullptr ? clock_->Now() : 0.0;
-  sectors_recorded_ += record.SectorCount();
   last_end_ = first + record.SectorCount();
   writes_.push_back(std::move(record));
   if (options.synchronous) {

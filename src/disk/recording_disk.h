@@ -71,8 +71,6 @@ class RecordingDisk : public BlockDevice {
   // reads from that index on.
   const std::vector<WriteRecord>& writes() const { return writes_; }
   size_t write_count() const { return writes_.size(); }
-  uint64_t sectors_recorded() const { return sectors_recorded_; }
-  uint64_t current_epoch() const { return epoch_; }
 
  private:
   void Journal(uint64_t first, std::span<const std::span<const std::byte>> bufs,
@@ -81,7 +79,6 @@ class RecordingDisk : public BlockDevice {
   BlockDevice* inner_;
   const SimClock* clock_;
   std::vector<WriteRecord> writes_;
-  uint64_t sectors_recorded_ = 0;
   uint64_t epoch_ = 0;
   // One past the previous request's last sector; empty before the first.
   std::optional<uint64_t> last_end_;

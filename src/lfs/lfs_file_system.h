@@ -35,6 +35,7 @@
 #include "src/lfs/lfs_blocks.h"
 #include "src/lfs/lfs_format.h"
 #include "src/lfs/lfs_inode_map.h"
+#include "src/lfs/lfs_intent.h"
 #include "src/lfs/lfs_seg_usage.h"
 #include "src/lfs/lfs_segment.h"
 #include "src/obs/sampler.h"
@@ -213,80 +214,73 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   // the .cc).
   uint32_t InodeLiveQuantum() const;
 
-  // --- Sharded-router seam (src/lfs/sharded_lfs.h) ---
+  // --- Namespace operations over one or more logs ---
   //
-  // A cross-shard namespace operation decomposes into these primitives: the
-  // router holds the locks of every involved shard and sequences dirent
-  // edits on the parent's shard against inode/link edits on the child's
-  // shard. Each primitive performs exactly the slice of the corresponding
-  // native operation that touches THIS shard's structures, with the same
-  // CPU charges, space reservations, dirtying and mutation accounting.
-  // Same-shard operations route through the unsliced native ops and never
-  // reach these. Implemented in lfs_shard_seam.cc.
+  // Create, Unlink, Rmdir, Link and Rename are each written once, as one
+  // validate-then-edit body (lfs_file_system_ops.cc) built from the edits
+  // below. The body runs on the log of the op's directory (the source
+  // directory for Rename) and finds every other inode's log through `Logs`:
+  // the FileSystem ops above put every inode on this log; the sharded router
+  // (sharded_lfs.h) puts each on its shard, holding the locks of every shard
+  // it names. The body does the op's bookkeeping once: the CPU charge on its
+  // own log, one writable check per log when the op first names it, and
+  // after the last edit one FinishEdits per log it edited.
+  struct Logs {
+    // The log that holds `ino`.
+    std::function<LfsFileSystem*(InodeNum ino)> of;
+    // Rename's cycle check: is `candidate` `ancestor` or beneath it? Set
+    // when the directories on the way up may sit on logs the caller does
+    // not hold; unset, the body walks ".." on its own log.
+    std::function<Result<bool>(InodeNum candidate, InodeNum ancestor)> in_subtree;
+    // Runs once the op has validated, before its first edit, with the op
+    // written out as an intent record. An error aborts the op unedited.
+    std::function<Status(IntentRecord& op)> before_edit;
+  };
+  // `home` is the log the new inode goes on.
+  Result<InodeNum> CreateIn(const Logs& logs, LfsFileSystem* home, InodeNum dir,
+                            std::string_view name, FileType type);
+  Status UnlinkIn(const Logs& logs, InodeNum dir, std::string_view name);
+  Status RmdirIn(const Logs& logs, InodeNum dir, std::string_view name);
+  Status LinkIn(const Logs& logs, InodeNum dir, std::string_view name, InodeNum target);
+  Status RenameIn(const Logs& logs, InodeNum from_dir, std::string_view from_name,
+                  InodeNum to_dir, std::string_view to_name);
 
-  // Read-only: `dir` must be a local directory; returns its entry for
-  // `name` (kNotFound if absent).
-  Result<DirEntry> ShardFindEntry(InodeNum dir, std::string_view name);
-  // Read-only precheck for an insert: dir exists, is a directory, `name`
-  // free — the fast-fail before the child's shard allocates an inode.
-  Status ShardCheckCanInsert(InodeNum dir, std::string_view name);
-  // Allocates and initializes a new child inode homed on this shard. For
-  // directories, inserts "." and ".." (the parent may live on any shard).
-  Result<InodeNum> ShardAllocInode(FileType type, InodeNum parent_dir);
-  // Undo of ShardAllocInode when the dirent insert on the parent's shard
-  // fails afterwards. Best-effort: a failure here leaves an orphaned inode,
-  // the same exposure a crash between the two shard edits has.
-  void ShardAbortAlloc(InodeNum ino);
-  // Inserts (dir, name) -> child. `child_is_dir` bumps dir's nlink for the
-  // child's ".." — the router passes it only when the child's ".." will
-  // newly point here (false for same-directory renames).
-  Status ShardAddEntry(InodeNum dir, std::string_view name, InodeNum child, FileType type,
-                       bool child_is_dir);
-  // Removes (dir, name); `child_was_dir` drops dir's nlink.
-  Status ShardRemoveEntry(InodeNum dir, std::string_view name, bool child_was_dir);
-  // Replaces the target of (dir, name); `nlink_delta` (-1, 0, +1) applies
-  // the child-directory ".." arithmetic computed by the router.
-  Status ShardReplaceEntry(InodeNum dir, std::string_view name, InodeNum child, FileType type,
-                           int nlink_delta);
-  // nlink++ on a local non-directory inode (hard-link target).
-  Status ShardAddLink(InodeNum ino);
-  // nlink-- on a local inode; frees it at zero (unlink victim,
-  // file-over-file rename victim).
-  Status ShardDropLink(InodeNum ino);
-  // Releases a local directory inode outright (rmdir victim, dir-over-dir
-  // rename victim — native semantics release without walking nlink to 0).
-  Status ShardReleaseDir(InodeNum ino);
-  // Local directory empty?
-  Result<bool> ShardDirIsEmpty(InodeNum ino);
-  // Rewrites a local directory's ".." (directory moved across parents).
-  Status ShardSetDotDot(InodeNum child_dir, InodeNum new_parent);
-
-  // The ino ShardAllocInode WOULD return, without mutating anything — the
-  // router records it in a cross-shard intent BEFORE the allocation can
-  // dirty (and potentially pressure-flush) this shard.
-  Result<InodeNum> ShardPeekAllocInode() const;
-
-  // --- Repair primitives (src/lfs/lfs_repair.h) ---
+  // --- Namespace edits: this log's part of an op ---
   //
-  // Raw structural edits for the cross-shard reconciler / repairer. Unlike
-  // the operation slices above they do NO nlink arithmetic — the repairer
-  // finishes with an exact nlink recount (ShardSetNlink), so intermediate
-  // counts do not need to be maintained edit by edit.
+  // No CPU charge, writable check, mutation-seq bump or pressure flush: the
+  // op bodies above and the cross-shard repairer (lfs_repair.h) do that
+  // bookkeeping once per op. Tests and tools seed namespace damage through
+  // them on a quiescent volume. FindEntry, AllocInode and the nlink edits
+  // are in lfs_shard_seam.cc, the rest beside their helpers in
+  // lfs_file_system_ops.cc.
 
-  // Removes (dir, name) without touching any nlink.
-  Status ShardRepairRemoveEntry(InodeNum dir, std::string_view name);
-  // Inserts (dir, name) -> child without touching any nlink.
-  Status ShardRepairInsertEntry(InodeNum dir, std::string_view name, InodeNum child,
-                                FileType type);
-  // Repoints (dir, name) -> child without touching any nlink ('.'/'..'
-  // fixes and duplicate-link detachment).
-  Status ShardRepairSetEntry(InodeNum dir, std::string_view name, InodeNum child,
-                             FileType type);
-  // Forces a local inode's nlink to the recounted value.
-  Status ShardSetNlink(InodeNum ino, uint32_t nlink);
-  // Reaps a local orphan outright: forces nlink to 0 and releases the
-  // inode (and its blocks), whatever its type.
-  Status ShardReapInode(InodeNum ino);
+  // `dir`'s entry for `name` (kNotFound if absent); `dir` must be a local
+  // directory.
+  Result<DirEntry> FindEntry(InodeNum dir, std::string_view name);
+  // Allocates a new inode on this log with its first link; a directory gets
+  // "." and ".." (its parent may live on any log).
+  Result<InodeNum> AllocInode(FileType type, InodeNum parent_dir);
+  // Directory entries of a local directory.
+  Status DirInsert(InodeNum dir_ino, std::string_view name, InodeNum ino, FileType type);
+  Status DirRemove(InodeNum dir_ino, std::string_view name);
+  Status DirReplace(InodeNum dir_ino, std::string_view name, InodeNum ino, FileType type);
+  // A name of `ino` came (+1) or went (-1): nlink and ctime move, and the
+  // inode is released when its last name goes.
+  Status AddLink(InodeNum ino, int delta);
+  // A child directory's ".." came to (+1) or left (-1) `dir`: nlink moves,
+  // ctime does not.
+  Status AddDirLink(InodeNum dir, int delta);
+  // Sets nlink outright (the repairer's recount).
+  Status SetNlink(InodeNum ino, uint32_t nlink);
+  // Drops an inode outright: releases its blocks, frees the imap entry and
+  // records the free for roll-forward.
+  Status ReleaseInode(InodeNum ino);
+
+  // kReadOnly once the mount is demoted (see read_only()).
+  Status CheckWritable() const;
+  // Closes an op's edits on this log: one mutation-seq bump and one
+  // pressure flush.
+  Status FinishEdits();
 
   // Write-provenance context for the repairer / router reconciliation
   // (DESIGN.md §6j): while set, every device write this mount issues is
@@ -329,8 +323,6 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
   // kOk when the index has no checksum for `addr` or the block matches;
   // otherwise quarantines the segment and returns kCorrupted.
   Status VerifyBlockChecksum(DiskAddr addr, std::span<const std::byte> block);
-  // Guard for every mutating entry point once read_only_ is set.
-  Status CheckWritable() const;
   // Marks the segment holding `addr`/`seg` quarantined (no-op for the
   // active segment and already-quarantined segments). State change and
   // metrics only — salvage runs from the scrubber/cleaner, never from
@@ -476,14 +468,14 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
 
   // --- namespace helpers ---
   Result<DirEntry> DirFind(InodeNum dir_ino, const Inode& dir, std::string_view name);
-  Status DirInsert(InodeNum dir_ino, std::string_view name, InodeNum ino, FileType type);
-  Status DirRemove(InodeNum dir_ino, std::string_view name);
-  Status DirReplace(InodeNum dir_ino, std::string_view name, InodeNum ino, FileType type);
   Result<bool> DirIsEmpty(InodeNum dir_ino, const Inode& dir);
   Result<bool> IsInSubtree(InodeNum candidate, InodeNum ancestor);
-  // Drops an inode whose last link went away: releases blocks, frees the
-  // imap entry, records the free for roll-forward.
-  Status ReleaseInode(InodeNum ino);
+  // Every inode on this log, for the FileSystem ops.
+  Logs ThisLog() {
+    Logs logs;
+    logs.of = [this](InodeNum) { return this; };
+    return logs;
+  }
   // Releases data blocks at index >= first_index (truncate/delete helper).
   Status ReleaseBlocksFrom(InodeNum ino, uint64_t first_index);
 
@@ -528,7 +520,6 @@ class LfsFileSystem : public FileSystem, private WritebackHandler {
 #endif
 
   Status InitializeRoot();
-  Status MaybePressureFlush();
   // Drops clean in-core inodes beyond the configured cap. Only called from
   // quiescent points (Tick), where no CachedInode pointers are live.
   void PruneInodeCache();

@@ -2,6 +2,7 @@
 // I/O, durability calls, and the background Tick. The log/checkpoint
 // machinery lives in lfs_file_system.cc.
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 
@@ -297,18 +298,95 @@ Result<uint32_t> LfsFileSystem::CleanTheseSegments(const std::vector<uint32_t>& 
   return cleaner.CleanVictims(segments);
 }
 
-Status LfsFileSystem::MaybePressureFlush() {
+Status LfsFileSystem::FinishEdits() {
+  ++mutation_seq_;
   if (cache_.NeedsWriteback()) {
     return cache_.FlushAll();
   }
   return OkStatus();
 }
 
-// --- FileSystem interface -------------------------------------------------------------
+// --- Namespace operations ----------------------------------------------------------
+//
+// One validate-then-edit body per op, run on the log of the op's directory
+// and reaching every other inode's log through `logs` (see the header). On a
+// single log every edit lands on `this`; the order of the edits in each body
+// decides what the log writes, and so every single-log benchmark figure.
+
+namespace {
+
+// The distinct logs one op edits. Each is checked writable when the op
+// first names it; after the last edit each gets one FinishEdits.
+class EditedLogs {
+ public:
+  Status Add(LfsFileSystem* log) {
+    for (size_t i = 0; i < count_; ++i) {
+      if (logs_[i] == log) {
+        return OkStatus();
+      }
+    }
+    RETURN_IF_ERROR(log->CheckWritable());
+    assert(count_ < logs_.size());
+    logs_[count_++] = log;
+    return OkStatus();
+  }
+  Status Finish() {
+    for (size_t i = 0; i < count_; ++i) {
+      RETURN_IF_ERROR(logs_[i]->FinishEdits());
+    }
+    return OkStatus();
+  }
+
+ private:
+  std::array<LfsFileSystem*, 4> logs_{};  // A rename names at most four.
+  size_t count_ = 0;
+};
+
+// The op as an intent record: the one name it edits and the inode it names.
+IntentRecord OpRecord(IntentKind kind, InodeNum dir, std::string_view name, InodeNum child,
+                      FileType child_type) {
+  IntentRecord op;
+  op.kind = kind;
+  op.from_dir = dir;
+  op.from_name = std::string(name);
+  op.child = child;
+  op.child_type = child_type;
+  return op;
+}
+
+Status BeforeEdit(const LfsFileSystem::Logs& logs, IntentRecord op) {
+  return logs.before_edit ? logs.before_edit(op) : OkStatus();
+}
+
+}  // namespace
 
 Result<InodeNum> LfsFileSystem::Create(InodeNum dir, std::string_view name, FileType type) {
+  return CreateIn(ThisLog(), this, dir, name, type);
+}
+
+Status LfsFileSystem::Unlink(InodeNum dir, std::string_view name) {
+  return UnlinkIn(ThisLog(), dir, name);
+}
+
+Status LfsFileSystem::Rmdir(InodeNum dir, std::string_view name) {
+  return RmdirIn(ThisLog(), dir, name);
+}
+
+Status LfsFileSystem::Link(InodeNum dir, std::string_view name, InodeNum target) {
+  return LinkIn(ThisLog(), dir, name, target);
+}
+
+Status LfsFileSystem::Rename(InodeNum from_dir, std::string_view from_name, InodeNum to_dir,
+                             std::string_view to_name) {
+  return RenameIn(ThisLog(), from_dir, from_name, to_dir, to_name);
+}
+
+Result<InodeNum> LfsFileSystem::CreateIn(const Logs& logs, LfsFileSystem* home, InodeNum dir,
+                                         std::string_view name, FileType type) {
+  assert(logs.of(dir) == this);
   OpScope op(this, Op::kCreate);
-  RETURN_IF_ERROR(CheckWritable());
+  EditedLogs edited;
+  RETURN_IF_ERROR(edited.Add(this));
   if (type != FileType::kRegular && type != FileType::kDirectory &&
       type != FileType::kSymlink) {
     return InvalidArgumentError("unsupported file type");
@@ -327,29 +405,31 @@ Result<InodeNum> LfsFileSystem::Create(InodeNum dir, std::string_view name, File
   if (existing.status().code() != ErrorCode::kNotFound) {
     return existing.status();
   }
+  RETURN_IF_ERROR(edited.Add(home));
+  // Room for the new inode and a directory block on each log it writes.
   RETURN_IF_ERROR(EnsureSpaceForWrite(2ull * BlockSize()));
-
-  ASSIGN_OR_RETURN(InodeNum ino, imap_.Allocate(next_ino_hint_));
-  next_ino_hint_ = ino + 1;
-  CachedInode fresh;
-  fresh.ino = ino;
-  fresh.inode.type = type;
-  fresh.inode.nlink = type == FileType::kDirectory ? 2 : 1;
-  fresh.inode.generation = imap_.Get(ino).version;
-  fresh.inode.mtime = fresh.inode.ctime = Now();
-  SetInodeDirty(&(inodes_[ino] = fresh));
-  imap_.SetAtime(ino, Now());
-
-  if (type == FileType::kDirectory) {
-    RETURN_IF_ERROR(DirInsert(ino, ".", ino, FileType::kDirectory));
-    RETURN_IF_ERROR(DirInsert(ino, "..", dir, FileType::kDirectory));
-    ASSIGN_OR_RETURN(CachedInode * parent, GetInode(dir));
-    ++parent->inode.nlink;
-    SetInodeDirty(parent);
+  if (home != this) {
+    RETURN_IF_ERROR(home->EnsureSpaceForWrite(2ull * BlockSize()));
   }
-  RETURN_IF_ERROR(DirInsert(dir, name, ino, type));
-  ++mutation_seq_;
-  RETURN_IF_ERROR(MaybePressureFlush());
+  // The intent names the inode AllocInode is about to take.
+  ASSIGN_OR_RETURN(InodeNum next, home->imap_.PeekAllocate(home->next_ino_hint_));
+  RETURN_IF_ERROR(BeforeEdit(logs, OpRecord(IntentKind::kCreate, dir, name, next, type)));
+
+  ASSIGN_OR_RETURN(InodeNum ino, home->AllocInode(type, dir));
+  const bool is_dir = type == FileType::kDirectory;
+  if (is_dir) {
+    RETURN_IF_ERROR(AddDirLink(dir, +1));
+  }
+  if (Status inserted = DirInsert(dir, name, ino, type); !inserted.ok()) {
+    // Best-effort undo: if it fails too, the new inode is left an orphan,
+    // as a crash between the two edits would leave it.
+    (void)home->ReleaseInode(ino);
+    if (is_dir) {
+      (void)AddDirLink(dir, -1);
+    }
+    return inserted;
+  }
+  RETURN_IF_ERROR(edited.Finish());
   return ino;
 }
 
@@ -357,16 +437,14 @@ Result<InodeNum> LfsFileSystem::Lookup(InodeNum dir, std::string_view name) {
   if (cpu_ != nullptr) {
     ChargeCpu(cpu_->costs().lookup_instructions);
   }
-  ASSIGN_OR_RETURN(CachedInode * dirnode, GetInode(dir));
-  if (!dirnode->inode.IsDirectory()) {
-    return NotDirectoryError("lookup in non-directory");
-  }
-  ASSIGN_OR_RETURN(DirEntry entry, DirFind(dir, dirnode->inode, name));
+  ASSIGN_OR_RETURN(DirEntry entry, FindEntry(dir, name));
   return entry.ino;
 }
 
-Status LfsFileSystem::Unlink(InodeNum dir, std::string_view name) {
-  RETURN_IF_ERROR(CheckWritable());
+Status LfsFileSystem::UnlinkIn(const Logs& logs, InodeNum dir, std::string_view name) {
+  assert(logs.of(dir) == this);
+  EditedLogs edited;
+  RETURN_IF_ERROR(edited.Add(this));
   if (cpu_ != nullptr) {
     ChargeCpu(cpu_->costs().remove_instructions);
   }
@@ -375,25 +453,24 @@ Status LfsFileSystem::Unlink(InodeNum dir, std::string_view name) {
     return NotDirectoryError("unlink in non-directory");
   }
   ASSIGN_OR_RETURN(DirEntry entry, DirFind(dir, dirnode->inode, name));
-  ASSIGN_OR_RETURN(CachedInode * target, GetInode(entry.ino));
+  LfsFileSystem* const home = logs.of(entry.ino);
+  ASSIGN_OR_RETURN(CachedInode * target, home->GetInode(entry.ino));
   if (target->inode.IsDirectory()) {
     return IsDirectoryError("unlink of a directory; use Rmdir");
   }
+  RETURN_IF_ERROR(edited.Add(home));
+  RETURN_IF_ERROR(
+      BeforeEdit(logs, OpRecord(IntentKind::kUnlink, dir, name, entry.ino, entry.type)));
+
   RETURN_IF_ERROR(DirRemove(dir, name));
-  ASSIGN_OR_RETURN(target, GetInode(entry.ino));  // Re-fetch (map may rehash).
-  --target->inode.nlink;
-  if (target->inode.nlink == 0) {
-    RETURN_IF_ERROR(ReleaseInode(entry.ino));
-  } else {
-    target->inode.ctime = Now();
-    SetInodeDirty(target);
-  }
-  ++mutation_seq_;
-  return MaybePressureFlush();
+  RETURN_IF_ERROR(home->AddLink(entry.ino, -1));
+  return edited.Finish();
 }
 
-Status LfsFileSystem::Rmdir(InodeNum dir, std::string_view name) {
-  RETURN_IF_ERROR(CheckWritable());
+Status LfsFileSystem::RmdirIn(const Logs& logs, InodeNum dir, std::string_view name) {
+  assert(logs.of(dir) == this);
+  EditedLogs edited;
+  RETURN_IF_ERROR(edited.Add(this));
   if (cpu_ != nullptr) {
     ChargeCpu(cpu_->costs().remove_instructions);
   }
@@ -405,25 +482,30 @@ Status LfsFileSystem::Rmdir(InodeNum dir, std::string_view name) {
     return NotDirectoryError("rmdir in non-directory");
   }
   ASSIGN_OR_RETURN(DirEntry entry, DirFind(dir, dirnode->inode, name));
-  ASSIGN_OR_RETURN(CachedInode * target, GetInode(entry.ino));
+  LfsFileSystem* const home = logs.of(entry.ino);
+  ASSIGN_OR_RETURN(CachedInode * target, home->GetInode(entry.ino));
   if (!target->inode.IsDirectory()) {
     return NotDirectoryError("rmdir of a non-directory");
   }
-  ASSIGN_OR_RETURN(bool empty, DirIsEmpty(entry.ino, target->inode));
+  ASSIGN_OR_RETURN(bool empty, home->DirIsEmpty(entry.ino, target->inode));
   if (!empty) {
     return NotEmptyError(name);
   }
+  RETURN_IF_ERROR(edited.Add(home));
+  RETURN_IF_ERROR(
+      BeforeEdit(logs, OpRecord(IntentKind::kRmdir, dir, name, entry.ino, entry.type)));
+
   RETURN_IF_ERROR(DirRemove(dir, name));
-  ASSIGN_OR_RETURN(dirnode, GetInode(dir));
-  --dirnode->inode.nlink;  // Lost the child's "..".
-  SetInodeDirty(dirnode);
-  RETURN_IF_ERROR(ReleaseInode(entry.ino));
-  ++mutation_seq_;
-  return MaybePressureFlush();
+  RETURN_IF_ERROR(AddDirLink(dir, -1));  // Lost the child's "..".
+  RETURN_IF_ERROR(home->ReleaseInode(entry.ino));
+  return edited.Finish();
 }
 
-Status LfsFileSystem::Link(InodeNum dir, std::string_view name, InodeNum target_ino) {
-  RETURN_IF_ERROR(CheckWritable());
+Status LfsFileSystem::LinkIn(const Logs& logs, InodeNum dir, std::string_view name,
+                             InodeNum target_ino) {
+  assert(logs.of(dir) == this);
+  EditedLogs edited;
+  RETURN_IF_ERROR(edited.Add(this));
   if (cpu_ != nullptr) {
     ChargeCpu(cpu_->costs().create_instructions);
   }
@@ -431,10 +513,12 @@ Status LfsFileSystem::Link(InodeNum dir, std::string_view name, InodeNum target_
   if (!dirnode->inode.IsDirectory()) {
     return NotDirectoryError("link in non-directory");
   }
-  ASSIGN_OR_RETURN(CachedInode * target, GetInode(target_ino));
+  LfsFileSystem* const home = logs.of(target_ino);
+  ASSIGN_OR_RETURN(CachedInode * target, home->GetInode(target_ino));
   if (target->inode.IsDirectory()) {
     return IsDirectoryError("hard link to a directory");
   }
+  const FileType type = target->inode.type;
   Result<DirEntry> existing = DirFind(dir, dirnode->inode, name);
   if (existing.ok()) {
     return ExistsError(name);
@@ -442,18 +526,19 @@ Status LfsFileSystem::Link(InodeNum dir, std::string_view name, InodeNum target_
   if (existing.status().code() != ErrorCode::kNotFound) {
     return existing.status();
   }
-  RETURN_IF_ERROR(DirInsert(dir, name, target_ino, target->inode.type));
-  ASSIGN_OR_RETURN(target, GetInode(target_ino));
-  ++target->inode.nlink;
-  target->inode.ctime = Now();
-  SetInodeDirty(target);
-  ++mutation_seq_;
-  return MaybePressureFlush();
+  RETURN_IF_ERROR(edited.Add(home));
+  RETURN_IF_ERROR(BeforeEdit(logs, OpRecord(IntentKind::kLink, dir, name, target_ino, type)));
+
+  RETURN_IF_ERROR(DirInsert(dir, name, target_ino, type));
+  RETURN_IF_ERROR(home->AddLink(target_ino, +1));
+  return edited.Finish();
 }
 
-Status LfsFileSystem::Rename(InodeNum from_dir, std::string_view from_name, InodeNum to_dir,
-                             std::string_view to_name) {
-  RETURN_IF_ERROR(CheckWritable());
+Status LfsFileSystem::RenameIn(const Logs& logs, InodeNum from_dir, std::string_view from_name,
+                               InodeNum to_dir, std::string_view to_name) {
+  assert(logs.of(from_dir) == this);
+  EditedLogs edited;
+  RETURN_IF_ERROR(edited.Add(this));
   if (cpu_ != nullptr) {
     ChargeCpu(cpu_->costs().create_instructions);
   }
@@ -465,70 +550,84 @@ Status LfsFileSystem::Rename(InodeNum from_dir, std::string_view from_name, Inod
   if (from_dir == to_dir && from_name == to_name) {
     return OkStatus();
   }
-  ASSIGN_OR_RETURN(CachedInode * src_node, GetInode(src.ino));
+  LfsFileSystem* const src_log = logs.of(src.ino);
+  ASSIGN_OR_RETURN(CachedInode * src_node, src_log->GetInode(src.ino));
   const bool src_is_dir = src_node->inode.IsDirectory();
   if (src_is_dir) {
-    ASSIGN_OR_RETURN(bool cyclic, IsInSubtree(to_dir, src.ino));
+    ASSIGN_OR_RETURN(bool cyclic, logs.in_subtree ? logs.in_subtree(to_dir, src.ino)
+                                                  : IsInSubtree(to_dir, src.ino));
     if (cyclic) {
       return InvalidArgumentError("rename would create a cycle");
     }
   }
-  ASSIGN_OR_RETURN(CachedInode * to_node, GetInode(to_dir));
-  Result<DirEntry> dst = DirFind(to_dir, to_node->inode, to_name);
+  LfsFileSystem* const to = logs.of(to_dir);
+  ASSIGN_OR_RETURN(CachedInode * to_node, to->GetInode(to_dir));
+  Result<DirEntry> dst = to->DirFind(to_dir, to_node->inode, to_name);
+  if (!dst.ok() && dst.status().code() != ErrorCode::kNotFound) {
+    return dst.status();
+  }
+  LfsFileSystem* const victim_log = dst.ok() ? logs.of(dst->ino) : nullptr;
+  bool dst_is_dir = false;
   if (dst.ok()) {
-    ASSIGN_OR_RETURN(CachedInode * dst_node, GetInode(dst->ino));
-    if (dst_node->inode.IsDirectory()) {
+    ASSIGN_OR_RETURN(CachedInode * dst_node, victim_log->GetInode(dst->ino));
+    dst_is_dir = dst_node->inode.IsDirectory();
+    if (dst_is_dir) {
       if (!src_is_dir) {
         return IsDirectoryError("cannot replace a directory with a file");
       }
-      ASSIGN_OR_RETURN(bool empty, DirIsEmpty(dst->ino, dst_node->inode));
+      ASSIGN_OR_RETURN(bool empty, victim_log->DirIsEmpty(dst->ino, dst_node->inode));
       if (!empty) {
         return NotEmptyError(to_name);
       }
-      RETURN_IF_ERROR(DirReplace(to_dir, to_name, src.ino, src.type));
-      if (from_dir == to_dir) {
-        // Old child directory's ".." is gone and src was already a child
-        // here; cross-directory moves swap one child directory for another,
-        // leaving the count unchanged.
-        ASSIGN_OR_RETURN(to_node, GetInode(to_dir));
-        --to_node->inode.nlink;
-        SetInodeDirty(to_node);
-      }
-      RETURN_IF_ERROR(ReleaseInode(dst->ino));
-    } else {
-      if (src_is_dir) {
-        return NotDirectoryError("cannot replace a file with a directory");
-      }
-      RETURN_IF_ERROR(DirReplace(to_dir, to_name, src.ino, src.type));
-      ASSIGN_OR_RETURN(dst_node, GetInode(dst->ino));
-      --dst_node->inode.nlink;
-      if (dst_node->inode.nlink == 0) {
-        RETURN_IF_ERROR(ReleaseInode(dst->ino));
-      } else {
-        SetInodeDirty(dst_node);
-      }
+    } else if (src_is_dir) {
+      return NotDirectoryError("cannot replace a file with a directory");
     }
+  }
+  // A directory moving to a new parent takes its ".." along.
+  const bool reparent = src_is_dir && from_dir != to_dir;
+  RETURN_IF_ERROR(edited.Add(to));
+  if (dst.ok()) {
+    RETURN_IF_ERROR(edited.Add(victim_log));
+  }
+  if (reparent) {
+    RETURN_IF_ERROR(edited.Add(src_log));
+  }
+  IntentRecord op = OpRecord(IntentKind::kRename, from_dir, from_name, src.ino, src.type);
+  op.to_dir = to_dir;
+  op.to_name = std::string(to_name);
+  if (dst.ok()) {
+    op.victim = dst->ino;
+    op.victim_type = dst->type;
+  }
+  RETURN_IF_ERROR(BeforeEdit(logs, std::move(op)));
+
+  if (!dst.ok()) {
+    RETURN_IF_ERROR(to->DirInsert(to_dir, to_name, src.ino, src.type));
+    if (reparent) {
+      RETURN_IF_ERROR(to->AddDirLink(to_dir, +1));
+    }
+  } else if (dst_is_dir) {
+    RETURN_IF_ERROR(to->DirReplace(to_dir, to_name, src.ino, src.type));
+    if (from_dir == to_dir) {
+      // The old child directory's ".." is gone and src was already a child
+      // here; a move from another parent swaps one child directory for
+      // another, leaving the count unchanged.
+      RETURN_IF_ERROR(to->AddDirLink(to_dir, -1));
+    }
+    RETURN_IF_ERROR(victim_log->ReleaseInode(dst->ino));
   } else {
-    if (dst.status().code() != ErrorCode::kNotFound) {
-      return dst.status();
-    }
-    RETURN_IF_ERROR(DirInsert(to_dir, to_name, src.ino, src.type));
-    if (src_is_dir && from_dir != to_dir) {
-      ASSIGN_OR_RETURN(to_node, GetInode(to_dir));
-      ++to_node->inode.nlink;
-      SetInodeDirty(to_node);
-    }
+    RETURN_IF_ERROR(to->DirReplace(to_dir, to_name, src.ino, src.type));
+    RETURN_IF_ERROR(victim_log->AddLink(dst->ino, -1));
   }
   RETURN_IF_ERROR(DirRemove(from_dir, from_name));
-  if (src_is_dir && from_dir != to_dir) {
-    ASSIGN_OR_RETURN(from_node, GetInode(from_dir));
-    --from_node->inode.nlink;
-    SetInodeDirty(from_node);
-    RETURN_IF_ERROR(DirReplace(src.ino, "..", to_dir, FileType::kDirectory));
+  if (reparent) {
+    RETURN_IF_ERROR(AddDirLink(from_dir, -1));
+    RETURN_IF_ERROR(src_log->DirReplace(src.ino, "..", to_dir, FileType::kDirectory));
   }
-  ++mutation_seq_;
-  return MaybePressureFlush();
+  return edited.Finish();
 }
+
+// --- File I/O and durability ---------------------------------------------------------
 
 Result<uint64_t> LfsFileSystem::Read(InodeNum ino, uint64_t offset, std::span<std::byte> out) {
   OpScope op(this, Op::kRead);
@@ -606,8 +705,7 @@ Result<uint64_t> LfsFileSystem::Write(InodeNum ino, uint64_t offset,
   }
   ci->inode.mtime = Now();
   SetInodeDirty(ci);
-  ++mutation_seq_;
-  RETURN_IF_ERROR(MaybePressureFlush());
+  RETURN_IF_ERROR(FinishEdits());
   return done;
 }
 
@@ -643,8 +741,7 @@ Status LfsFileSystem::Truncate(InodeNum ino, uint64_t new_size) {
   ci3->inode.size = new_size;
   ci3->inode.mtime = Now();
   SetInodeDirty(ci3);
-  ++mutation_seq_;
-  return MaybePressureFlush();
+  return FinishEdits();
 }
 
 Result<FileStat> LfsFileSystem::Stat(InodeNum ino) {

@@ -21,6 +21,9 @@ class Repairer {
       : shards_(shards), pending_(pending) {}
 
   Result<RepairReport> Run() {
+    for (LfsFileSystem* shard : shards_) {
+      RETURN_IF_ERROR(shard->CheckWritable());
+    }
     for (const IntentRecord& in : pending_) {
       RETURN_IF_ERROR(SettleIntent(in));
       ++report_.intents_settled;
@@ -36,6 +39,11 @@ class Repairer {
     Walk walk;
     RETURN_IF_ERROR(WalkAndFix(&walk).status());
     RETURN_IF_ERROR(RecountNlinks(walk));
+    for (LfsFileSystem* shard : shards_) {
+      if (edited_.contains(shard)) {
+        RETURN_IF_ERROR(shard->FinishEdits());
+      }
+    }
     return std::move(report_);
   }
 
@@ -51,6 +59,11 @@ class Repairer {
     return static_cast<uint32_t>((ino - 1) % shards_.size());
   }
   LfsFileSystem* Home(InodeNum ino) const { return shards_[ShardOf(ino)]; }
+  // The log `ino` lives on, which an edit is about to change.
+  LfsFileSystem* Edit(InodeNum ino) {
+    edited_.insert(Home(ino));
+    return Home(ino);
+  }
 
   bool Allocated(InodeNum ino) const {
     if (ino == 0) {
@@ -61,7 +74,7 @@ class Repairer {
   }
   // Target ino of (dir, name), or 0 when absent / unreadable.
   InodeNum EntryTarget(InodeNum dir, std::string_view name) {
-    Result<DirEntry> found = Home(dir)->ShardFindEntry(dir, name);
+    Result<DirEntry> found = Home(dir)->FindEntry(dir, name);
     return found.ok() ? found->ino : 0;
   }
   bool IsDirectory(InodeNum ino) {
@@ -72,7 +85,7 @@ class Repairer {
   void Note(std::string msg) { report_.actions.push_back(std::move(msg)); }
 
   Status Drop(InodeNum dir, std::string_view name, const char* why) {
-    RETURN_IF_ERROR(Home(dir)->ShardRepairRemoveEntry(dir, name));
+    RETURN_IF_ERROR(Edit(dir)->DirRemove(dir, name));
     ++report_.dirents_dropped;
     Note("dropped " + std::string(why) + " entry '" + std::string(name) + "' in dir " +
          std::to_string(dir));
@@ -80,7 +93,7 @@ class Repairer {
   }
   Status Insert(InodeNum dir, std::string_view name, InodeNum child, FileType type,
                 const char* why) {
-    RETURN_IF_ERROR(Home(dir)->ShardRepairInsertEntry(dir, name, child, type));
+    RETURN_IF_ERROR(Edit(dir)->DirInsert(dir, name, child, type));
     ++report_.dirents_added;
     Note("inserted entry '" + std::string(name) + "' -> ino " + std::to_string(child) +
          " in dir " + std::to_string(dir) + " (" + why + ")");
@@ -88,14 +101,14 @@ class Repairer {
   }
   Status Repoint(InodeNum dir, std::string_view name, InodeNum child, FileType type,
                  const char* why) {
-    RETURN_IF_ERROR(Home(dir)->ShardRepairSetEntry(dir, name, child, type));
+    RETURN_IF_ERROR(Edit(dir)->DirReplace(dir, name, child, type));
     ++report_.dirents_fixed;
     Note("repointed entry '" + std::string(name) + "' in dir " + std::to_string(dir) +
          " -> ino " + std::to_string(child) + " (" + why + ")");
     return OkStatus();
   }
   Status Reap(InodeNum ino, const char* why) {
-    RETURN_IF_ERROR(Home(ino)->ShardReapInode(ino));
+    RETURN_IF_ERROR(Edit(ino)->ReleaseInode(ino));
     ++report_.orphans_reaped;
     Note("reaped orphan ino " + std::to_string(ino) + " (" + why + ")");
     return OkStatus();
@@ -297,7 +310,7 @@ class Repairer {
         for (int k = 1; EntryTarget(lf, name) != 0; ++k) {
           name = "ino" + std::to_string(ino) + "." + std::to_string(k);
         }
-        RETURN_IF_ERROR(Home(lf)->ShardRepairInsertEntry(lf, name, ino, stat->type));
+        RETURN_IF_ERROR(Edit(lf)->DirInsert(lf, name, ino, stat->type));
         ++report_.orphans_reattached;
         Note("reattached orphan ino " + std::to_string(ino) + " as lost+found." +
              std::to_string(i) + "/" + name);
@@ -314,7 +327,7 @@ class Repairer {
         !IsDirectory(dir) || EntryTarget(dir, name) != 0) {
       return false;
     }
-    if (!Home(dir)->ShardRepairInsertEntry(dir, name, ino, type).ok()) {
+    if (!Edit(dir)->DirInsert(dir, name, ino, type).ok()) {
       return false;
     }
     ++report_.orphans_reattached;
@@ -335,10 +348,9 @@ class Repairer {
       RETURN_IF_ERROR(Drop(kRootIno, name, "unusable lost+found"));
     }
     (void)walk;
-    ASSIGN_OR_RETURN(InodeNum ino,
-                     shards_[shard]->ShardAllocInode(FileType::kDirectory, kRootIno));
-    RETURN_IF_ERROR(
-        Home(kRootIno)->ShardRepairInsertEntry(kRootIno, name, ino, FileType::kDirectory));
+    edited_.insert(shards_[shard]);
+    ASSIGN_OR_RETURN(InodeNum ino, shards_[shard]->AllocInode(FileType::kDirectory, kRootIno));
+    RETURN_IF_ERROR(Edit(kRootIno)->DirInsert(kRootIno, name, ino, FileType::kDirectory));
     Note("created " + name + " (ino " + std::to_string(ino) + ")");
     return ino;
   }
@@ -364,7 +376,7 @@ class Repairer {
                                       ? 2 + tally(walk.child_dirs, ino)
                                       : tally(walk.name_refs, ino);
         if (stat.nlink != expected) {
-          RETURN_IF_ERROR(shards_[i]->ShardSetNlink(ino, expected));
+          RETURN_IF_ERROR(Edit(ino)->SetNlink(ino, expected));
           ++report_.nlinks_fixed;
           Note("recounted ino " + std::to_string(ino) + " nlink " +
                std::to_string(stat.nlink) + " -> " + std::to_string(expected));
@@ -379,6 +391,7 @@ class Repairer {
   RepairReport report_;
   std::unordered_set<InodeNum> reap_if_orphan_;
   std::unordered_map<InodeNum, const IntentRecord*> rename_child_;
+  std::unordered_set<LfsFileSystem*> edited_;  // Each finished once, after the last edit.
 };
 
 }  // namespace

@@ -10,14 +10,17 @@
 //   * The online repairer behind CheckShardedLfs(..., kRepair): the same
 //     walk, run with an EMPTY intent list, fixes namespace damage no
 //     intent names (an intent region lost to media faults, or damage
-//     seeded through the shard seams) — dangling dirents are dropped,
+//     seeded through the namespace edits) — dangling dirents are dropped,
 //     orphans reattached or reaped, dot entries and nlink counts rebuilt.
 //
-// The repairer never does incremental nlink arithmetic: structural edits
-// use the nlink-free ShardRepair* primitives and a final exact recount
-// (ShardSetNlink) sets every inode's count from the walked namespace. That
-// makes each pass idempotent — re-running the repairer on a clean volume
-// performs zero edits.
+// The repairer edits through the same per-log namespace edits the op
+// bodies are built from (lfs_file_system.h), and does their bookkeeping as
+// an op does: every shard is checked writable up front, and each shard it
+// edited gets one FinishEdits at the end. It never does incremental nlink
+// arithmetic: structural edits are the directory-entry edits, and a final
+// exact recount (SetNlink) sets every inode's count from the walked
+// namespace. That makes each pass idempotent — re-running the repairer on a
+// clean volume performs zero edits.
 //
 // Callers must hold every shard's lock (and the router's rename lock) for
 // the duration; the repairer touches shard structures directly.

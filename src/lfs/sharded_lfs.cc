@@ -32,23 +32,31 @@ void CountLockMicros(const char* name, double seconds) {
 
 // --- shard-lock attribution ----------------------------------------------------
 
-ShardedLfs::Locked::Locked(ShardedLfs* sfs, uint32_t shard)
-    : sfs_(sfs), shard_(shard), lock_(sfs->shards_[shard]->mu, std::defer_lock) {
-  if constexpr (!obs::kMetricsEnabled) {
-    lock_.lock();
-    return;
-  }
-  ctx_ = obs::CurrentTraceContext();
+ShardedLfs::Locked::Locked(ShardedLfs* sfs, std::vector<uint32_t> shards)
+    : sfs_(sfs), shards_(std::move(shards)) {
+  std::sort(shards_.begin(), shards_.end());
+  shards_.erase(std::unique(shards_.begin(), shards_.end()), shards_.end());
+  locks_.reserve(shards_.size());
   const bool multi = sfs_->shards_.size() > 1;
-  if (!multi && !ctx_.active()) {
-    lock_.lock();  // Seed-identical fast path: nothing to attribute.
+  if constexpr (obs::kMetricsEnabled) {
+    ctx_ = obs::CurrentTraceContext();
+  }
+  if (!obs::kMetricsEnabled || (!multi && !ctx_.active())) {
+    for (uint32_t i : shards_) {
+      locks_.emplace_back(sfs_->shards_[i]->mu);  // Nothing to attribute.
+    }
     return;
   }
   SimClock* clock = sfs_->clock_;
   const double wait_start = clock != nullptr ? clock->Now() : 0.0;
-  const bool contended = !lock_.try_lock();
-  if (contended) {
-    lock_.lock();
+  bool contended = false;
+  for (uint32_t i : shards_) {
+    std::unique_lock<std::mutex> lock(sfs_->shards_[i]->mu, std::try_to_lock);
+    if (!lock.owns_lock()) {
+      contended = true;
+      lock.lock();
+    }
+    locks_.push_back(std::move(lock));
   }
   held_start_ = clock != nullptr ? clock->Now() : wait_start;
   if (multi) {
@@ -56,10 +64,9 @@ ShardedLfs::Locked::Locked(ShardedLfs* sfs, uint32_t shard)
   }
   if (ctx_.active()) {
     if (contended && held_start_ > wait_start) {
-      obs::Tracer().RecordSpanIds("shard.lock_wait", "acquire", wait_start,
-                                  held_start_, ctx_.trace_id, obs::Tracer().NextId(),
-                                  ctx_.span_id, {},
-                                  {{"shard", std::to_string(shard_)}});
+      obs::Tracer().RecordSpanIds("shard.lock_wait", "acquire", wait_start, held_start_,
+                                  ctx_.trace_id, obs::Tracer().NextId(), ctx_.span_id, {},
+                                  {{"shard", ShardArg()}});
     }
     held_span_ = obs::Tracer().NextId();
     scope_.emplace(obs::TraceContext{ctx_.trace_id, held_span_});
@@ -77,12 +84,57 @@ ShardedLfs::Locked::~Locked() {
       scope_.reset();  // Restore the caller's ambient context first.
       obs::Tracer().RecordSpanIds("shard.lock_held", "section", held_start_, end,
                                   ctx_.trace_id, held_span_, ctx_.span_id, {},
-                                  {{"shard", std::to_string(shard_)}});
+                                  {{"shard", ShardArg()}});
     }
     if (sfs_->shards_.size() > 1) {
       CountLockMicros("logfs.shard.lock.held_us", end - held_start_);
     }
   }
+}
+
+std::string ShardedLfs::Locked::ShardArg() const {
+  std::string arg;
+  for (uint32_t i : shards_) {
+    if (!arg.empty()) {
+      arg += ',';
+    }
+    arg += std::to_string(i);
+  }
+  return arg;
+}
+
+// --- one attempt's intent -------------------------------------------------------
+
+LfsFileSystem::Logs ShardedLfs::Intent::logs() {
+  LfsFileSystem::Logs logs;
+  logs.of = [sfs = sfs_](InodeNum ino) { return sfs->fs(sfs->ShardOf(ino)); };
+  if (publish_) {
+    // Durable before the first shard edit: a kBusy (full ring) or media
+    // error (region unwritable) aborts the op with nothing edited.
+    logs.before_edit = [this](IntentRecord& op) -> Status {
+      Result<uint32_t> slot = sfs_->intents_->Publish(&op);
+      ring_full_ = slot.status().code() == ErrorCode::kBusy;
+      if (slot.ok()) {
+        slot_ = *slot;
+      }
+      return slot.status();
+    };
+  }
+  return logs;
+}
+
+bool ShardedLfs::Intent::Settled(const Locked& locks, const Status& done, int drains) {
+  if (ring_full_ && drains < 2) {
+    return false;
+  }
+  if (done.ok() && slot_) {
+    std::vector<std::pair<uint32_t, uint64_t>> covers;
+    for (uint32_t i : locks.shards()) {
+      covers.emplace_back(i, sfs_->fs(i)->mutation_seq());
+    }
+    sfs_->intents_->MarkApplied(*slot_, std::move(covers));
+  }
+  return true;
 }
 
 // --- format / mount ------------------------------------------------------------
@@ -292,41 +344,10 @@ uint32_t ShardedLfs::PlaceShard(InodeNum dir, std::string_view name,
   return static_cast<uint32_t>(h % shards_.size());
 }
 
-std::vector<std::unique_lock<std::mutex>> ShardedLfs::LockSet(std::vector<uint32_t> want) {
-  std::sort(want.begin(), want.end());
-  want.erase(std::unique(want.begin(), want.end()), want.end());
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(want.size());
-  // Cross-shard acquisition is attributed as one wait covering the whole
-  // ascending sweep: per-shard held spans would misstate the section (the
-  // operation holds the set jointly, not each shard serially).
-  const double start = clock_ != nullptr ? clock_->Now() : 0.0;
-  bool contended = false;
-  for (uint32_t i : want) {
-    std::unique_lock<std::mutex> l(shards_[i]->mu, std::try_to_lock);
-    if (!l.owns_lock()) {
-      contended = true;
-      l.lock();
-    }
-    locks.push_back(std::move(l));
-  }
-  if constexpr (obs::kMetricsEnabled) {
-    const double end = clock_ != nullptr ? clock_->Now() : start;
-    if (shards_.size() > 1) {
-      CountLockMicros("logfs.shard.lock.wait_us", end - start);
-    }
-    const obs::TraceContext ctx = obs::CurrentTraceContext();
-    if (ctx.active() && contended && end > start) {
-      std::string which;
-      for (uint32_t i : want) {
-        which += (which.empty() ? "" : ",") + std::to_string(i);
-      }
-      obs::Tracer().RecordSpanIds("shard.lock_wait", "acquire_set", start, end,
-                                  ctx.trace_id, obs::Tracer().NextId(), ctx.span_id,
-                                  {}, {{"shards", std::move(which)}});
-    }
-  }
-  return locks;
+Result<DirEntry> ShardedLfs::Discover(InodeNum dir, std::string_view name) {
+  const uint32_t s = ShardOf(dir);
+  Locked lock(this, {s});
+  return fs(s)->FindEntry(dir, name);
 }
 
 Result<bool> ShardedLfs::IsInSubtreeGlobal(InodeNum candidate, InodeNum ancestor) {
@@ -338,365 +359,157 @@ Result<bool> ShardedLfs::IsInSubtreeGlobal(InodeNum candidate, InodeNum ancestor
     if (cur == kRootIno) {
       return false;
     }
-    const uint32_t s = ShardOf(cur);
-    Locked lock(this, s);
-    ASSIGN_OR_RETURN(DirEntry up, fs(s)->ShardFindEntry(cur, ".."));
+    ASSIGN_OR_RETURN(DirEntry up, Discover(cur, ".."));
     cur = up.ino;
   }
   return CorruptedError("'..' chain does not terminate at the root");
 }
 
+namespace {
+
+// Whether two reads of one entry agree; two failed reads do.
+bool SameEntry(const Result<DirEntry>& a, const Result<DirEntry>& b) {
+  if (a.ok() != b.ok()) {
+    return false;
+  }
+  return !a.ok() || (a->ino == b->ino && a->type == b->type);
+}
+
+}  // namespace
+
 // --- namespace operations ------------------------------------------------------
+//
+// Each op runs the body LfsFileSystem runs (lfs_file_system_ops.cc) on the
+// shard of its directory, under the locks of every shard it names. The
+// body's before_edit publishes the op's intent: Create, Unlink, Rmdir and
+// Link publish one only when they span shards, and Rename publishes one on
+// every sharded volume. A full intent ring stops the body before its first
+// edit; the router drains the ring and retries, at most twice.
 
 Result<InodeNum> ShardedLfs::Create(InodeNum dir, std::string_view name, FileType type) {
   const uint32_t ds = ShardOf(dir);
-  const uint32_t cs = shards_.size() == 1 ? ds : PlaceShard(dir, name, type);
-  if (cs == ds) {
-    Locked lock(this, ds);
-    return fs(ds)->Create(dir, name, type);
-  }
-  auto attempt = [&]() -> Result<InodeNum> {
-    auto locks = LockSet({ds, cs});
-    RETURN_IF_ERROR(fs(ds)->ShardCheckCanInsert(dir, name));
-    // The intent must name the child ino, and must be durable before ANY
-    // shard mutation — ShardAllocInode can pressure-flush, so the ino is
-    // peeked (deterministic under the held shard lock) and the intent
-    // published first. A kBusy (full ring) or media error (region
-    // unwritable) aborts with nothing mutated.
-    ASSIGN_OR_RETURN(InodeNum peek, fs(cs)->ShardPeekAllocInode());
-    IntentRecord rec;
-    rec.kind = IntentKind::kCreate;
-    rec.from_dir = dir;
-    rec.child = peek;
-    rec.child_type = type;
-    rec.from_name = std::string(name);
-    ASSIGN_OR_RETURN(const uint32_t slot, intents_->Publish(&rec));
-    ASSIGN_OR_RETURN(InodeNum ino, fs(cs)->ShardAllocInode(type, dir));
-    Status inserted =
-        fs(ds)->ShardAddEntry(dir, name, ino, type, type == FileType::kDirectory);
-    if (!inserted.ok()) {
-      fs(cs)->ShardAbortAlloc(ino);
-      // The intent stays pending (never applied): if the abort's durable
-      // state ends up half-applied, the next mount reconciles it.
-      return inserted;
+  const uint32_t cs = PlaceShard(dir, name, type);
+  for (int drains = 0;; ++drains) {
+    {
+      Locked locks(this, {ds, cs});
+      Intent intent(this, /*publish=*/cs != ds);
+      Result<InodeNum> ino = fs(ds)->CreateIn(intent.logs(), fs(cs), dir, name, type);
+      if (intent.Settled(locks, ino.status(), drains)) {
+        return ino;
+      }
     }
-    intents_->MarkApplied(slot, {{ds, fs(ds)->mutation_seq()},
-                                 {cs, fs(cs)->mutation_seq()}});
-    return ino;
-  };
-  for (int tries = 0;; ++tries) {
-    Result<InodeNum> r = attempt();
-    if (!r.ok() && r.status().code() == ErrorCode::kBusy && tries < 2) {
-      RETURN_IF_ERROR(DrainIntents());  // Ring full: sync, retire, retry.
-      continue;
-    }
-    return r;
+    RETURN_IF_ERROR(DrainIntents());
   }
 }
 
 Result<InodeNum> ShardedLfs::Lookup(InodeNum dir, std::string_view name) {
   const uint32_t s = ShardOf(dir);
-  Locked lock(this, s);
+  Locked lock(this, {s});
   return fs(s)->Lookup(dir, name);
 }
 
 Status ShardedLfs::Unlink(InodeNum dir, std::string_view name) {
-  const uint32_t ds = ShardOf(dir);
-  if (shards_.size() == 1) {
-    // Degenerate fast path: skip the discovery probe — the native op does
-    // its own entry lookup, so probing here would double the CPU charge
-    // and break shards=1 timing identity with the seed.
-    Locked lock(this, ds);
-    return fs(ds)->Unlink(dir, name);
-  }
-  int drains = 0;
-  for (;;) {
-    std::unique_lock<std::mutex> dl(shards_[ds]->mu);
-    Result<DirEntry> found = fs(ds)->ShardFindEntry(dir, name);
-    if (!found.ok()) {
-      return found.status();
-    }
-    const uint32_t cs = ShardOf(found->ino);
-    if (cs == ds) {
-      return fs(ds)->Unlink(dir, name);
-    }
-    std::unique_lock<std::mutex> cl;
-    if (cs > ds) {
-      cl = std::unique_lock<std::mutex>(shards_[cs]->mu);
-    } else {
-      // Lock-order inversion: release, relock ascending, revalidate.
-      dl.unlock();
-      cl = std::unique_lock<std::mutex>(shards_[cs]->mu);
-      dl.lock();
-      Result<DirEntry> again = fs(ds)->ShardFindEntry(dir, name);
-      if (!again.ok() || again->ino != found->ino || again->type != found->type) {
-        continue;
-      }
-    }
-    if (found->type == FileType::kDirectory) {
-      return IsDirectoryError("unlink of a directory; use Rmdir");
-    }
-    IntentRecord rec;
-    rec.kind = IntentKind::kUnlink;
-    rec.from_dir = dir;
-    rec.child = found->ino;
-    rec.child_type = found->type;
-    rec.from_name = std::string(name);
-    Result<uint32_t> published = intents_->Publish(&rec);
-    if (!published.ok()) {
-      if (published.status().code() == ErrorCode::kBusy && drains++ < 2) {
-        dl.unlock();
-        if (cl.owns_lock()) {
-          cl.unlock();
-        }
-        RETURN_IF_ERROR(DrainIntents());
-        continue;
-      }
-      return published.status();  // Nothing was mutated.
-    }
-    const uint32_t slot = published.value();
-    RETURN_IF_ERROR(fs(ds)->ShardRemoveEntry(dir, name, /*child_was_dir=*/false));
-    RETURN_IF_ERROR(fs(cs)->ShardDropLink(found->ino));
-    intents_->MarkApplied(slot, {{ds, fs(ds)->mutation_seq()},
-                                 {cs, fs(cs)->mutation_seq()}});
-    return OkStatus();
-  }
+  return RemoveName(dir, name, &LfsFileSystem::UnlinkIn);
 }
 
 Status ShardedLfs::Rmdir(InodeNum dir, std::string_view name) {
-  if (name == "." || name == "..") {
-    return InvalidArgumentError("cannot remove . or ..");
-  }
+  return RemoveName(dir, name, &LfsFileSystem::RmdirIn);
+}
+
+Status ShardedLfs::RemoveName(InodeNum dir, std::string_view name, RemoveBody body) {
   const uint32_t ds = ShardOf(dir);
   if (shards_.size() == 1) {
-    // Degenerate fast path: see Unlink.
-    Locked lock(this, ds);
-    return fs(ds)->Rmdir(dir, name);
+    // One log holds every inode: nothing to discover.
+    Locked lock(this, {ds});
+    return (fs(ds)->*body)(Intent(this, false).logs(), dir, name);
   }
-  int drains = 0;
-  for (;;) {
-    std::unique_lock<std::mutex> dl(shards_[ds]->mu);
-    Result<DirEntry> found = fs(ds)->ShardFindEntry(dir, name);
-    if (!found.ok()) {
-      return found.status();
-    }
-    const uint32_t cs = ShardOf(found->ino);
-    if (cs == ds) {
-      return fs(ds)->Rmdir(dir, name);
-    }
-    std::unique_lock<std::mutex> cl;
-    if (cs > ds) {
-      cl = std::unique_lock<std::mutex>(shards_[cs]->mu);
-    } else {
-      dl.unlock();
-      cl = std::unique_lock<std::mutex>(shards_[cs]->mu);
-      dl.lock();
-      Result<DirEntry> again = fs(ds)->ShardFindEntry(dir, name);
-      if (!again.ok() || again->ino != found->ino || again->type != found->type) {
-        continue;
+  for (int drains = 0;;) {
+    // The child's shard, from its entry. A failed read names no other
+    // shard; the body then reports the error.
+    const Result<DirEntry> seen = Discover(dir, name);
+    const uint32_t cs = seen.ok() ? ShardOf(seen->ino) : ds;
+    {
+      Locked locks(this, {ds, cs});
+      if (!SameEntry(fs(ds)->FindEntry(dir, name), seen)) {
+        continue;  // Changed since discovery.
+      }
+      Intent intent(this, /*publish=*/cs != ds);
+      Status done = (fs(ds)->*body)(intent.logs(), dir, name);
+      if (intent.Settled(locks, done, drains)) {
+        return done;
       }
     }
-    if (found->type != FileType::kDirectory) {
-      return NotDirectoryError(name);
-    }
-    ASSIGN_OR_RETURN(bool empty, fs(cs)->ShardDirIsEmpty(found->ino));
-    if (!empty) {
-      return NotEmptyError(name);
-    }
-    IntentRecord rec;
-    rec.kind = IntentKind::kRmdir;
-    rec.from_dir = dir;
-    rec.child = found->ino;
-    rec.child_type = found->type;
-    rec.from_name = std::string(name);
-    Result<uint32_t> published = intents_->Publish(&rec);
-    if (!published.ok()) {
-      if (published.status().code() == ErrorCode::kBusy && drains++ < 2) {
-        dl.unlock();
-        if (cl.owns_lock()) {
-          cl.unlock();
-        }
-        RETURN_IF_ERROR(DrainIntents());
-        continue;
-      }
-      return published.status();  // Nothing was mutated.
-    }
-    const uint32_t slot = published.value();
-    RETURN_IF_ERROR(fs(ds)->ShardRemoveEntry(dir, name, /*child_was_dir=*/true));
-    RETURN_IF_ERROR(fs(cs)->ShardReleaseDir(found->ino));
-    intents_->MarkApplied(slot, {{ds, fs(ds)->mutation_seq()},
-                                 {cs, fs(cs)->mutation_seq()}});
-    return OkStatus();
+    ++drains;
+    RETURN_IF_ERROR(DrainIntents());
   }
 }
 
 Status ShardedLfs::Link(InodeNum dir, std::string_view name, InodeNum target) {
   const uint32_t ds = ShardOf(dir);
   const uint32_t ts = ShardOf(target);
-  if (ts == ds) {
-    Locked lock(this, ds);
-    return fs(ds)->Link(dir, name, target);
-  }
-  auto attempt = [&]() -> Status {
-    auto locks = LockSet({ds, ts});
-    RETURN_IF_ERROR(fs(ds)->ShardCheckCanInsert(dir, name));
-    ASSIGN_OR_RETURN(FileStat st, fs(ts)->Stat(target));
-    if (st.type == FileType::kDirectory) {
-      return IsDirectoryError("cannot hard-link a directory");
+  for (int drains = 0;; ++drains) {
+    {
+      Locked locks(this, {ds, ts});
+      Intent intent(this, /*publish=*/ts != ds);
+      Status done = fs(ds)->LinkIn(intent.logs(), dir, name, target);
+      if (intent.Settled(locks, done, drains)) {
+        return done;
+      }
     }
-    IntentRecord rec;
-    rec.kind = IntentKind::kLink;
-    rec.from_dir = dir;
-    rec.child = target;
-    rec.child_type = st.type;
-    rec.from_name = std::string(name);
-    ASSIGN_OR_RETURN(const uint32_t slot, intents_->Publish(&rec));
-    RETURN_IF_ERROR(
-        fs(ds)->ShardAddEntry(dir, name, target, st.type, /*child_is_dir=*/false));
-    RETURN_IF_ERROR(fs(ts)->ShardAddLink(target));
-    intents_->MarkApplied(slot, {{ds, fs(ds)->mutation_seq()},
-                                 {ts, fs(ts)->mutation_seq()}});
-    return OkStatus();
-  };
-  for (int tries = 0;; ++tries) {
-    Status s = attempt();
-    if (s.code() == ErrorCode::kBusy && tries < 2) {
-      RETURN_IF_ERROR(DrainIntents());
-      continue;
-    }
-    return s;
+    RETURN_IF_ERROR(DrainIntents());
   }
 }
 
 Status ShardedLfs::Rename(InodeNum from_dir, std::string_view from_name, InodeNum to_dir,
                           std::string_view to_name) {
+  const uint32_t fi = ShardOf(from_dir);
+  const uint32_t ti = ShardOf(to_dir);
   if (shards_.size() == 1) {
-    Locked lock(this, 0);
-    return fs(0)->Rename(from_dir, from_name, to_dir, to_name);
-  }
-  if (from_name == "." || from_name == ".." || to_name == "." || to_name == "..") {
-    return InvalidArgumentError("cannot rename . or ..");
+    // One log: nothing to discover, the body walks ".." itself, and there
+    // is no intent log.
+    Locked lock(this, {fi});
+    return fs(fi)->RenameIn(Intent(this, false).logs(), from_dir, from_name, to_dir, to_name);
   }
   // rename_mu_ serializes every N>1 rename: only renames reparent
   // directories, so the cross-shard cycle walk below sees a stable
   // topology, and the apply phase cannot race another rename's.
   std::lock_guard<std::mutex> rename_guard(rename_mu_);
-  const uint32_t fi = ShardOf(from_dir);
-  const uint32_t ti = ShardOf(to_dir);
   int drains = 0;
   for (int attempt = 0; attempt < 64; ++attempt) {
-    bool need_drain = false;
-    DirEntry src;
-    {
-      std::lock_guard<std::mutex> lock(shards_[fi]->mu);
-      ASSIGN_OR_RETURN(src, fs(fi)->ShardFindEntry(from_dir, from_name));
+    // Discovery, before any shard lock is held: the source entry, and for a
+    // directory the cycle walk, whose verdict the body takes as its own.
+    const Result<DirEntry> src = Discover(from_dir, from_name);
+    bool cyclic = false;
+    if (src.ok() && src->type == FileType::kDirectory) {
+      ASSIGN_OR_RETURN(cyclic, IsInSubtreeGlobal(to_dir, src->ino));
     }
-    if (from_dir == to_dir && from_name == to_name) {
-      return OkStatus();
+    std::vector<uint32_t> want = {fi, ti};
+    if (src.ok()) {
+      want.push_back(ShardOf(src->ino));
     }
-    const bool src_is_dir = src.type == FileType::kDirectory;
-    if (src_is_dir) {
-      ASSIGN_OR_RETURN(bool cyclic, IsInSubtreeGlobal(to_dir, src.ino));
-      if (cyclic) {
-        return InvalidArgumentError("rename would create a cycle");
+    bool drain = false;
+    while (!drain) {
+      Locked locks(this, want);
+      if (!SameEntry(fs(fi)->FindEntry(from_dir, from_name), src)) {
+        break;  // Changed since discovery.
       }
+      Result<DirEntry> dst = fs(ti)->FindEntry(to_dir, to_name);
+      if (dst.ok() && !std::binary_search(locks.shards().begin(), locks.shards().end(),
+                                          ShardOf(dst->ino))) {
+        want.push_back(ShardOf(dst->ino));  // Re-lock with the victim's shard.
+        continue;
+      }
+      Intent intent(this, /*publish=*/true);
+      LfsFileSystem::Logs logs = intent.logs();
+      logs.in_subtree = [cyclic](InodeNum, InodeNum) -> Result<bool> { return cyclic; };
+      Status done = fs(fi)->RenameIn(logs, from_dir, from_name, to_dir, to_name);
+      if (intent.Settled(locks, done, drains)) {
+        return done;
+      }
+      drain = true;
     }
-    std::vector<uint32_t> want = {fi, ti, ShardOf(src.ino)};
-    bool restart = false;
-    while (!restart) {
-      auto locks = LockSet(want);
-      // Revalidate: src may have been unlinked/replaced between the
-      // discovery read and taking the full lock set.
-      Result<DirEntry> src2 = fs(fi)->ShardFindEntry(from_dir, from_name);
-      if (!src2.ok() || src2->ino != src.ino || src2->type != src.type) {
-        restart = true;
-        break;
-      }
-      Result<DirEntry> dst = fs(ti)->ShardFindEntry(to_dir, to_name);
-      if (!dst.ok() && dst.status().code() != ErrorCode::kNotFound) {
-        return dst.status();
-      }
-      if (dst.ok()) {
-        const uint32_t di = ShardOf(dst->ino);
-        if (std::find(want.begin(), want.end(), di) == want.end()) {
-          want.push_back(di);  // Re-lock with the victim's shard included.
-          continue;
-        }
-      }
-      LfsFileSystem* from_fs = fs(fi);
-      LfsFileSystem* to_fs = fs(ti);
-      // Validate everything BEFORE publishing the intent: a published
-      // intent means "this op may have started"; a validation failure must
-      // leave no trace.
-      if (dst.ok()) {
-        LfsFileSystem* dst_fs = fs(ShardOf(dst->ino));
-        if (dst->type == FileType::kDirectory) {
-          if (!src_is_dir) {
-            return IsDirectoryError("cannot replace a directory with a file");
-          }
-          ASSIGN_OR_RETURN(bool empty, dst_fs->ShardDirIsEmpty(dst->ino));
-          if (!empty) {
-            return NotEmptyError(to_name);
-          }
-        } else if (src_is_dir) {
-          return NotDirectoryError("cannot replace a file with a directory");
-        }
-      }
-      IntentRecord rec;
-      rec.kind = IntentKind::kRename;
-      rec.from_dir = from_dir;
-      rec.to_dir = to_dir;
-      rec.child = src.ino;
-      rec.child_type = src.type;
-      rec.from_name = std::string(from_name);
-      rec.to_name = std::string(to_name);
-      if (dst.ok()) {
-        rec.victim = dst->ino;
-        rec.victim_type = dst->type;
-      }
-      Result<uint32_t> published = intents_->Publish(&rec);
-      if (!published.ok()) {
-        if (published.status().code() == ErrorCode::kBusy && drains++ < 2) {
-          need_drain = true;  // Drop the lock set, drain, retry the op.
-          restart = true;
-          break;
-        }
-        return published.status();  // Nothing was mutated.
-      }
-      const uint32_t slot = published.value();
-      if (dst.ok()) {
-        LfsFileSystem* dst_fs = fs(ShardOf(dst->ino));
-        if (dst->type == FileType::kDirectory) {
-          // Same-directory: the old child's ".." leaves and src was already
-          // a child here, so the count drops by one. Cross-directory: one
-          // child directory swaps for another — no change.
-          RETURN_IF_ERROR(to_fs->ShardReplaceEntry(to_dir, to_name, src.ino, src.type,
-                                                   from_dir == to_dir ? -1 : 0));
-          RETURN_IF_ERROR(dst_fs->ShardReleaseDir(dst->ino));
-        } else {
-          RETURN_IF_ERROR(to_fs->ShardReplaceEntry(to_dir, to_name, src.ino, src.type, 0));
-          RETURN_IF_ERROR(dst_fs->ShardDropLink(dst->ino));
-        }
-      } else {
-        RETURN_IF_ERROR(to_fs->ShardAddEntry(to_dir, to_name, src.ino, src.type,
-                                             src_is_dir && from_dir != to_dir));
-      }
-      RETURN_IF_ERROR(from_fs->ShardRemoveEntry(from_dir, from_name,
-                                                src_is_dir && from_dir != to_dir));
-      if (src_is_dir && from_dir != to_dir) {
-        RETURN_IF_ERROR(fs(ShardOf(src.ino))->ShardSetDotDot(src.ino, to_dir));
-      }
-      std::vector<std::pair<uint32_t, uint64_t>> covers = {
-          {fi, fs(fi)->mutation_seq()},
-          {ti, fs(ti)->mutation_seq()},
-          {ShardOf(src.ino), fs(ShardOf(src.ino))->mutation_seq()}};
-      if (dst.ok()) {
-        covers.emplace_back(ShardOf(dst->ino), fs(ShardOf(dst->ino))->mutation_seq());
-      }
-      intents_->MarkApplied(slot, std::move(covers));
-      return OkStatus();
-    }
-    if (need_drain) {
+    if (drain) {
+      ++drains;
       RETURN_IF_ERROR(DrainIntents());
     }
   }
@@ -707,38 +520,38 @@ Status ShardedLfs::Rename(InodeNum from_dir, std::string_view from_name, InodeNu
 
 Result<uint64_t> ShardedLfs::Read(InodeNum ino, uint64_t offset, std::span<std::byte> out) {
   const uint32_t s = ShardOf(ino);
-  Locked lock(this, s);
+  Locked lock(this, {s});
   return fs(s)->Read(ino, offset, out);
 }
 
 Result<uint64_t> ShardedLfs::Write(InodeNum ino, uint64_t offset,
                                    std::span<const std::byte> data) {
   const uint32_t s = ShardOf(ino);
-  Locked lock(this, s);
+  Locked lock(this, {s});
   return fs(s)->Write(ino, offset, data);
 }
 
 Status ShardedLfs::Truncate(InodeNum ino, uint64_t new_size) {
   const uint32_t s = ShardOf(ino);
-  Locked lock(this, s);
+  Locked lock(this, {s});
   return fs(s)->Truncate(ino, new_size);
 }
 
 Result<FileStat> ShardedLfs::Stat(InodeNum ino) {
   const uint32_t s = ShardOf(ino);
-  Locked lock(this, s);
+  Locked lock(this, {s});
   return fs(s)->Stat(ino);
 }
 
 Result<std::vector<DirEntry>> ShardedLfs::ReadDir(InodeNum dir) {
   const uint32_t s = ShardOf(dir);
-  Locked lock(this, s);
+  Locked lock(this, {s});
   return fs(s)->ReadDir(dir);
 }
 
 Status ShardedLfs::Fsync(InodeNum ino) {
   const uint32_t s = ShardOf(ino);
-  Locked lock(this, s);
+  Locked lock(this, {s});
   return fs(s)->Fsync(ino);
 }
 

@@ -16,17 +16,18 @@
 // on shard 0. New children are placed by hashing (parent, name), spreading
 // even a single hot directory's files across all logs.
 //
-// Locking protocol: one mutex per shard. Single-shard operations (the
-// common case: read, write, fsync, same-shard namespace ops) take exactly
-// their shard's lock and run the native single-log code. Cross-shard
-// namespace operations lock the involved shards in ascending index order
-// (no deadlock), and compose the Shard* seam primitives of
-// lfs_file_system.h. An operation that discovers it needs a lower-indexed
-// shard after already holding a higher one releases, re-locks in order, and
-// revalidates. Renames additionally serialize on a router-level mutex: the
-// cross-shard subtree (cycle) check walks ".." chains with transient
-// per-shard locks, and only renames can reparent directories, so holding
-// rename_mu_ keeps the directory topology stable for the walk.
+// Locking protocol: one mutex per shard. Single-inode operations (read,
+// write, fsync, ...) take exactly their shard's lock and run the single-log
+// code. A namespace operation locks every shard it names in ascending index
+// order (no deadlock) and runs the one body LfsFileSystem runs for that op
+// (lfs_file_system.h), with each inode on its shard. An operation that must
+// read an entry to learn which shards it names (the discovery step) reads
+// it under the directory's lock alone, releases it, locks the full set and
+// reads the entry again; if it changed, the operation starts over. Renames
+// additionally serialize on a router-level mutex: the cross-shard subtree
+// (cycle) check walks ".." chains with transient per-shard locks, and only
+// renames can reparent directories, so holding rename_mu_ keeps the
+// directory topology stable for the walk.
 //
 // Crash semantics across shards: each shard checkpoints and rolls forward
 // independently; a cross-shard intent log (lfs_intent.h) closes the gap
@@ -140,32 +141,60 @@ class ShardedLfs : public FileSystem {
     std::mutex mu;
   };
 
-  // Shard-mutex acquisition with trace attribution. When the acquiring
+  // Shard-mutex acquisition with trace attribution: locks every shard in
+  // the set (duplicates fine) in ascending index order. When the acquiring
   // thread carries an ambient trace context, time blocked on a contended
-  // shard becomes a "shard.lock_wait" span and the critical section a
+  // set becomes one "shard.lock_wait" span and the critical section one
   // "shard.lock_held" span whose id is installed as the ambient parent, so
-  // the shard's own op spans nest inside the lock section. Aggregate
-  // contention counters (logfs.shard.lock.{wait,held}_us) are kept only for
-  // true multi-shard mounts: the degenerate shards=1 mount must leave the
-  // metric namespace — and hence the flight-recorder black box —
-  // byte-identical to the seed. Waits are measured on the SimClock, which
-  // other threads advance while doing the work that blocks us, so a wait's
-  // extent is the simulated work the holder did meanwhile.
+  // the shards' own op spans nest inside the lock section; the set is held
+  // jointly, so its spans name every shard in it. Aggregate contention
+  // counters (logfs.shard.lock.{wait,held}_us) are kept only for true
+  // multi-shard mounts: the degenerate shards=1 mount must leave the metric
+  // namespace — and hence the flight-recorder black box — byte-identical to
+  // the seed. Waits are measured on the SimClock, which other threads
+  // advance while doing the work that blocks us, so a wait's extent is the
+  // simulated work the holder did meanwhile.
   class Locked {
    public:
-    Locked(ShardedLfs* sfs, uint32_t shard);
+    Locked(ShardedLfs* sfs, std::vector<uint32_t> shards);
     ~Locked();
     Locked(const Locked&) = delete;
     Locked& operator=(const Locked&) = delete;
 
+    // The locked shards, ascending.
+    const std::vector<uint32_t>& shards() const { return shards_; }
+
    private:
+    std::string ShardArg() const;
+
     ShardedLfs* sfs_;
-    uint32_t shard_;
-    std::unique_lock<std::mutex> lock_;
+    std::vector<uint32_t> shards_;
+    std::vector<std::unique_lock<std::mutex>> locks_;
     double held_start_ = 0.0;
     obs::TraceContext ctx_;  // caller's ambient context; inactive = untraced
     uint64_t held_span_ = 0;
     std::optional<obs::TraceContextScope> scope_;
+  };
+
+  // One attempt of a namespace op: the body's view of the volume (each
+  // inode on its shard) and the op's intent, which the body's before_edit
+  // publishes when `publish` is set.
+  class Intent {
+   public:
+    Intent(ShardedLfs* sfs, bool publish) : sfs_(sfs), publish_(publish) {}
+    LfsFileSystem::Logs logs();
+    // After the body returned `done`, still under `locks`: whether the op
+    // is over. It is, unless the intent ring was full (the body then
+    // edited nothing) and fewer than two drains were tried (`drains`); the
+    // caller then drains the ring and retries. A successful op's intent is
+    // marked applied at each locked shard's mutation_seq.
+    bool Settled(const Locked& locks, const Status& done, int drains);
+
+   private:
+    ShardedLfs* sfs_;
+    bool publish_;
+    bool ring_full_ = false;
+    std::optional<uint32_t> slot_;
   };
 
   ShardedLfs() = default;
@@ -180,8 +209,13 @@ class ShardedLfs : public FileSystem {
   // fans out across shards. The cost is that a flat tree — every file in
   // one directory — stays on one log; spread work by spreading the tree.
   uint32_t PlaceShard(InodeNum dir, std::string_view name, FileType type) const;
-  // Locks every index in `want` (duplicates fine) in ascending order.
-  std::vector<std::unique_lock<std::mutex>> LockSet(std::vector<uint32_t> want);
+  // The discovery step: `dir`'s entry for `name`, read under the lock of
+  // dir's shard alone. Caller must hold no shard lock.
+  Result<DirEntry> Discover(InodeNum dir, std::string_view name);
+  // Unlink and Rmdir: `body` is LfsFileSystem::UnlinkIn or RmdirIn.
+  using RemoveBody = Status (LfsFileSystem::*)(const LfsFileSystem::Logs&, InodeNum,
+                                               std::string_view);
+  Status RemoveName(InodeNum dir, std::string_view name, RemoveBody body);
   // Walks `candidate`'s ".." chain to the root with transient per-shard
   // locks; true if `ancestor` is on the chain (including candidate ==
   // ancestor). Caller must hold rename_mu_ and no shard locks.
@@ -227,7 +261,7 @@ class ShardedLfs : public FileSystem {
 // (lfs_repair.h), the shards are synced, and the reported result is the
 // post-repair re-check (repairs_applied / repair_actions record the edits)
 // — this is the recovery path for damage no intent names: an intent region
-// lost to media faults, or damage seeded through the shard seams.
+// lost to media faults, or damage seeded through the namespace edits.
 Result<LfsCheckReport> CheckShardedLfs(ShardedLfs* fs, bool verify_data = true,
                                        RepairMode repair = RepairMode::kCheckOnly);
 

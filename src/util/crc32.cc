@@ -258,12 +258,6 @@ uint32_t Crc32Update(uint32_t state, std::span<const std::byte> data) {
   return GetDispatch().fn(state, data);
 }
 
-uint32_t Crc32UpdateHw(uint32_t state, std::span<const std::byte> data) {
-  return GetDispatch().fn(state, data);
-}
-
-bool Crc32HwAvailable() { return GetDispatch().hardware; }
-
 const char* Crc32Backend() { return GetDispatch().hardware ? kHwName : "slice8"; }
 
 uint32_t Crc32Finalize(uint32_t state) { return state ^ 0xFFFFFFFFu; }

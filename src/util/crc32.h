@@ -37,16 +37,9 @@ uint32_t Crc32Finalize(uint32_t state);
 // against.
 uint32_t Crc32UpdateBytewise(uint32_t state, std::span<const std::byte> data);
 
-// The portable slice-by-8 kernel, callable directly (benchmarks compare it
-// against the hardware kernel; the dispatcher falls back to it).
+// The portable slice-by-8 kernel, callable directly (tests cross-check it
+// against the dispatched kernel; the dispatcher falls back to it).
 uint32_t Crc32UpdateSlice8(uint32_t state, std::span<const std::byte> data);
-
-// The hardware kernel via the dispatcher. On hosts without a usable CRC
-// feature this is slice-by-8, so it is always safe to call.
-uint32_t Crc32UpdateHw(uint32_t state, std::span<const std::byte> data);
-
-// True when a hardware kernel was selected at dispatch time.
-bool Crc32HwAvailable();
 
 // Name of the selected kernel: "pclmul", "armv8-crc", or "slice8".
 const char* Crc32Backend();

@@ -39,7 +39,7 @@ TEST(RecordingDiskTest, JournalsWritesInOrderAndForwards) {
   ASSERT_TRUE(disk.WriteSectors(0, a).ok());
   ASSERT_TRUE(disk.WriteSectors(16, b).ok());
   ASSERT_EQ(disk.write_count(), 2u);
-  EXPECT_EQ(disk.sectors_recorded(), 3u);
+  EXPECT_EQ(disk.writes()[0].SectorCount() + disk.writes()[1].SectorCount(), 3u);
   EXPECT_EQ(disk.writes()[0].first, 0u);
   EXPECT_EQ(disk.writes()[0].data, a);
   EXPECT_EQ(disk.writes()[1].first, 16u);

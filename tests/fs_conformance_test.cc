@@ -1,8 +1,9 @@
 // Cross-file-system conformance suite: the same behavioural contract,
-// executed against both FfsFileSystem and LfsFileSystem through the shared
-// FileSystem interface. Anything here is semantics both systems must agree
-// on — the paper's claim that LFS supports "the full UNIX file system
-// semantics" is what this suite pins down.
+// executed against FfsFileSystem, LfsFileSystem and a 4-log ShardedLfs
+// through the shared FileSystem interface. Anything here is semantics every
+// system must agree on — the paper's claim that LFS supports "the full UNIX
+// file system semantics" is what this suite pins down, and the sharded
+// router, whose namespace ops span logs, is held to the same contract.
 #include <gtest/gtest.h>
 
 #include "tests/fs_fixture.h"
@@ -16,7 +17,7 @@ class ConformanceTest : public ::testing::Test {
   Instance inst_;
 };
 
-using Implementations = ::testing::Types<FfsInstance, LfsInstance>;
+using Implementations = ::testing::Types<FfsInstance, LfsInstance, ShardedLfsInstance>;
 
 class ImplementationNames {
  public:
@@ -24,8 +25,10 @@ class ImplementationNames {
   static std::string GetName(int) {
     if constexpr (std::is_same_v<T, FfsInstance>) {
       return "FFS";
-    } else {
+    } else if constexpr (std::is_same_v<T, LfsInstance>) {
       return "LFS";
+    } else {
+      return "ShardedLFS";
     }
   }
 };

@@ -1,6 +1,6 @@
 // Shared test fixture plumbing: builds a simulated disk + clock + CPU and
-// formats/mounts a file system on it. Used by the FFS tests, the LFS tests
-// and the cross-FS conformance/property suites.
+// formats/mounts a file system on it. Used by the FFS tests, the LFS tests,
+// the sharded-router tests and the cross-FS conformance/property suites.
 #ifndef LOGFS_TESTS_FS_FIXTURE_H_
 #define LOGFS_TESTS_FS_FIXTURE_H_
 
@@ -10,6 +10,7 @@
 #include "src/ffs/ffs_file_system.h"
 #include "src/fsbase/path.h"
 #include "src/lfs/lfs_file_system.h"
+#include "src/lfs/sharded_lfs.h"
 #include "src/sim/cpu_model.h"
 #include "src/sim/sim_clock.h"
 
@@ -85,6 +86,53 @@ struct LfsInstance {
   std::unique_ptr<CpuModel> cpu;
   std::unique_ptr<MemoryDisk> disk;
   std::unique_ptr<LfsFileSystem> fs;
+  std::unique_ptr<PathFs> paths;
+};
+
+// A mounted sharded LFS (default 4 logs) on a fresh 64 MB simulated disk.
+struct ShardedLfsInstance {
+  explicit ShardedLfsInstance(uint32_t shards = 4) {
+    clock = std::make_unique<SimClock>();
+    cpu = std::make_unique<CpuModel>(clock.get(), 10.0);
+    disk = std::make_unique<MemoryDisk>(131072, clock.get());
+    Status formatted = ShardedLfs::Format(disk.get(), DefaultParams(), shards);
+    if (!formatted.ok()) {
+      std::abort();
+    }
+    auto mounted = ShardedLfs::Mount(disk.get(), clock.get(), cpu.get());
+    if (!mounted.ok()) {
+      std::abort();
+    }
+    fs = std::move(mounted).value();
+    paths = std::make_unique<PathFs>(fs.get());
+  }
+
+  // Half-size segments, so each log's slice still holds plenty of them.
+  static LfsParams DefaultParams() {
+    LfsParams params;
+    params.max_inodes = 4096;
+    params.segment_size = 1 << 19;
+    params.clean_start_segments = 3;
+    params.clean_stop_segments = 5;
+    params.reserved_segments = 2;
+    return params;
+  }
+
+  // Unmounts (syncs) and remounts from the same disk image.
+  Status Remount(ShardedLfs::Options options = {}) {
+    RETURN_IF_ERROR(fs->Sync());
+    fs.reset();
+    auto mounted = ShardedLfs::Mount(disk.get(), clock.get(), cpu.get(), options);
+    RETURN_IF_ERROR(mounted.status());
+    fs = std::move(mounted).value();
+    paths = std::make_unique<PathFs>(fs.get());
+    return OkStatus();
+  }
+
+  std::unique_ptr<SimClock> clock;
+  std::unique_ptr<CpuModel> cpu;
+  std::unique_ptr<MemoryDisk> disk;
+  std::unique_ptr<ShardedLfs> fs;
   std::unique_ptr<PathFs> paths;
 };
 

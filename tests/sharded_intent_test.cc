@@ -248,21 +248,18 @@ TEST(ShardedIntentTest, RepairModeFixesSeededPreIntentDamage) {
   ASSERT_TRUE(rig.fs->Sync().ok());
 
   // Seed damage no intent names (what an intent region lost to media
-  // faults would leave), via direct seam calls (the documented test/tool
-  // backdoor — the router is quiescent):
+  // faults would leave), via direct namespace edits (the documented
+  // test/tool backdoor — the router is quiescent):
   //   1. a dangling dirent: names an ino that was never allocated;
   //   2. an orphan: an allocated inode no dirent references;
   //   3. a wrong nlink on a healthy file.
   LfsFileSystem* d1_home = rig.fs->shard(rig.fs->ShardOf(d1));
-  ASSERT_TRUE(d1_home
-                  ->ShardAddEntry(d1, "dangles", *keep + 4 * kShards,
-                                  FileType::kRegular, /*child_is_dir=*/false)
-                  .ok());
+  ASSERT_TRUE(d1_home->DirInsert(d1, "dangles", *keep + 4 * kShards, FileType::kRegular).ok());
   uint32_t orphan_shard = (rig.fs->ShardOf(d0) + 1) % kShards;
-  auto orphan = rig.fs->shard(orphan_shard)->ShardAllocInode(FileType::kRegular, d0);
+  auto orphan = rig.fs->shard(orphan_shard)->AllocInode(FileType::kRegular, d0);
   ASSERT_TRUE(orphan.ok());
   LfsFileSystem* keep_home = rig.fs->shard(rig.fs->ShardOf(*keep));
-  ASSERT_TRUE(keep_home->ShardSetNlink(*keep, 5).ok());
+  ASSERT_TRUE(keep_home->SetNlink(*keep, 5).ok());
 
   // Check-only: all three show up, nothing is touched.
   auto before = CheckShardedLfs(rig.fs.get(), /*verify_data=*/true);
@@ -304,7 +301,7 @@ TEST(ShardedIntentTest, RepairPreservesUndecidableOrphansInLostFound) {
   // explaining it: the repairer cannot prove it was mid-create, so it must
   // preserve it under lost+found.<shard>.
   uint32_t orphan_shard = (rig.fs->ShardOf(d0) + 1) % kShards;
-  auto orphan = rig.fs->shard(orphan_shard)->ShardAllocInode(FileType::kRegular, d0);
+  auto orphan = rig.fs->shard(orphan_shard)->AllocInode(FileType::kRegular, d0);
   ASSERT_TRUE(orphan.ok());
 
   auto repaired = CheckShardedLfs(rig.fs.get(), /*verify_data=*/true,

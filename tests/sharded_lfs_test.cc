@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -22,49 +23,6 @@
 namespace logfs {
 namespace {
 
-LfsParams ShardParams() {
-  LfsParams params;
-  params.max_inodes = 4096;
-  params.segment_size = 1 << 19;  // More segments per slice.
-  params.clean_start_segments = 3;
-  params.clean_stop_segments = 5;
-  params.reserved_segments = 2;
-  return params;
-}
-
-// A mounted sharded LFS on a fresh simulated disk (default 64 MB).
-struct ShardedInstance {
-  explicit ShardedInstance(uint32_t shards, uint64_t sectors = 131072,
-                           LfsParams params = ShardParams()) {
-    clock = std::make_unique<SimClock>();
-    cpu = std::make_unique<CpuModel>(clock.get(), 10.0);
-    disk = std::make_unique<MemoryDisk>(sectors, clock.get());
-    Status formatted = ShardedLfs::Format(disk.get(), params, shards);
-    if (!formatted.ok()) {
-      std::abort();
-    }
-    auto mounted = ShardedLfs::Mount(disk.get(), clock.get(), cpu.get());
-    if (!mounted.ok()) {
-      std::abort();
-    }
-    fs = std::move(mounted).value();
-  }
-
-  Status Remount(ShardedLfs::Options options = {}) {
-    RETURN_IF_ERROR(fs->Sync());
-    fs.reset();
-    auto mounted = ShardedLfs::Mount(disk.get(), clock.get(), cpu.get(), options);
-    RETURN_IF_ERROR(mounted.status());
-    fs = std::move(mounted).value();
-    return OkStatus();
-  }
-
-  std::unique_ptr<SimClock> clock;
-  std::unique_ptr<CpuModel> cpu;
-  std::unique_ptr<MemoryDisk> disk;
-  std::unique_ptr<ShardedLfs> fs;
-};
-
 void ExpectClean(ShardedLfs* fs) {
   auto report = CheckShardedLfs(fs);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -72,7 +30,7 @@ void ExpectClean(ShardedLfs* fs) {
 }
 
 TEST(ShardedLfsTest, FormatMountTopology) {
-  ShardedInstance rig(4);
+  ShardedLfsInstance rig(4);
   EXPECT_EQ(rig.fs->shard_count(), 4u);
   EXPECT_EQ(rig.fs->ShardOf(kRootIno), 0u);  // Root lives on shard 0.
   // Residue striping: consecutive inos round-robin the shards.
@@ -84,7 +42,7 @@ TEST(ShardedLfsTest, FormatMountTopology) {
 }
 
 TEST(ShardedLfsTest, DirectoriesSpreadFilesColocate) {
-  ShardedInstance rig(4);
+  ShardedLfsInstance rig(4);
   // Directories are hash-placed: a fan of sibling dirs must not pile onto
   // one log.
   std::set<uint32_t> used;
@@ -130,7 +88,7 @@ uint32_t ExpectedDirShard(InodeNum parent, std::string_view name, uint32_t shard
 }
 
 TEST(ShardedLfsTest, DirectoryPlacementIsPinned) {
-  ShardedInstance rig(4);
+  ShardedLfsInstance rig(4);
   const std::pair<const char*, uint32_t> kPinned[] = {
       {"alpha", 2}, {"bravo", 2}, {"charlie", 0},  {"delta", 0},
       {"echo", 1},  {"foxtrot", 2}, {"golf", 0},   {"hotel", 0},
@@ -155,7 +113,7 @@ TEST(ShardedLfsTest, DirectoryPlacementIsPinned) {
 }
 
 TEST(ShardedLfsTest, CrossShardDataRoundTrip) {
-  ShardedInstance rig(4);
+  ShardedLfsInstance rig(4);
   const auto payload = TestBytes(3 * 4096 + 17, 42);
   // One directory per file so the hash placement lands data on several
   // different logs (files colocate with their parent dir).
@@ -183,7 +141,7 @@ TEST(ShardedLfsTest, CrossShardDataRoundTrip) {
 }
 
 TEST(ShardedLfsTest, CrossShardNamespaceOps) {
-  ShardedInstance rig(4);
+  ShardedLfsInstance rig(4);
   // Directories land on hash-chosen shards; build a small tree.
   auto d1 = rig.fs->Create(kRootIno, "alpha", FileType::kDirectory);
   auto d2 = rig.fs->Create(kRootIno, "charlie", FileType::kDirectory);
@@ -246,7 +204,7 @@ TEST(ShardedLfsTest, CrossShardNamespaceOps) {
 }
 
 TEST(ShardedLfsTest, SymlinksRouteThroughDefaultImpl) {
-  ShardedInstance rig(4);
+  ShardedLfsInstance rig(4);
   auto ln = rig.fs->Symlink(kRootIno, "ln", "target/path");
   ASSERT_TRUE(ln.ok());
   auto back = rig.fs->Readlink(*ln);
@@ -256,7 +214,7 @@ TEST(ShardedLfsTest, SymlinksRouteThroughDefaultImpl) {
 }
 
 TEST(ShardedLfsTest, PersistsAcrossRemount) {
-  ShardedInstance rig(4);
+  ShardedLfsInstance rig(4);
   const auto payload = TestBytes(2 * 4096, 11);
   std::vector<InodeNum> inos;
   for (int i = 0; i < 12; ++i) {
@@ -280,7 +238,7 @@ TEST(ShardedLfsTest, PersistsAcrossRemount) {
 }
 
 TEST(ShardedLfsTest, FsyncSurvivesCrashMountPerShard) {
-  ShardedInstance rig(4);
+  ShardedLfsInstance rig(4);
   const auto payload = TestBytes(4096, 23);
   std::vector<InodeNum> synced;
   for (int i = 0; i < 8; ++i) {
@@ -326,7 +284,7 @@ TEST(ShardedLfsTest, ShardedImageWithoutIntentRegionDoesNotMount) {
   CpuModel cpu(&clock, 10.0);
   MemoryDisk disk(131072, &clock);
   const uint64_t slice = disk.sector_count() / kShards;
-  const LfsParams base = ShardParams();
+  const LfsParams base = ShardedLfsInstance::DefaultParams();
   for (uint32_t i = 0; i < kShards; ++i) {
     LfsParams params = base;
     params.shard_count = kShards;
@@ -470,6 +428,137 @@ TEST(ShardedLfsTest, NativeDirOverDirCrossDirRenameKeepsNlink) {
   auto report = checker.Check();
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
+// --- one body per namespace operation ----------------------------------------
+
+// What one namespace op did: the instructions it charged and, for each inode
+// it names, its nlink afterwards (0 once released) and whether its ctime
+// moved.
+struct OpEffect {
+  uint64_t instructions = 0;
+  std::vector<uint32_t> nlink;
+  std::vector<bool> ctime_moved;
+};
+
+uint32_t NlinkOf(FileSystem* fs, InodeNum ino) {
+  auto st = fs->Stat(ino);
+  return st.ok() ? st->nlink : 0;
+}
+
+// Runs `op` one simulated second after everything before it, so any ctime
+// it writes differs from every earlier one, and records what it did to
+// `inodes`.
+OpEffect Measure(FileSystem* fs, SimClock* clock, CpuModel* cpu,
+                 const std::vector<InodeNum>& inodes, const std::function<Status()>& op) {
+  clock->Advance(1.0);
+  std::vector<double> ctime_before;
+  for (InodeNum ino : inodes) {
+    auto st = fs->Stat(ino);
+    ctime_before.push_back(st.ok() ? st->ctime : -1.0);
+  }
+  const uint64_t start = cpu->total_instructions();
+  Status done = op();
+  EXPECT_TRUE(done.ok()) << done.ToString();
+  OpEffect effect;
+  effect.instructions = cpu->total_instructions() - start;
+  for (size_t i = 0; i < inodes.size(); ++i) {
+    auto st = fs->Stat(inodes[i]);
+    effect.nlink.push_back(st.ok() ? st->nlink : 0);
+    effect.ctime_moved.push_back(st.ok() && st->ctime != ctime_before[i]);
+  }
+  return effect;
+}
+
+// File create, mkdir, Link, Unlink, Rmdir, and Rename over a file that keeps
+// another name, under two new root directories `a_name` and `b_name`. The
+// mkdir takes the first name "sub<k>" that `subdir_ok(a, name)` accepts.
+void RunNamespaceOps(FileSystem* fs, SimClock* clock, CpuModel* cpu, const char* a_name,
+                     const char* b_name,
+                     const std::function<bool(InodeNum, const std::string&)>& subdir_ok,
+                     std::vector<OpEffect>* effects) {
+  auto a = fs->Create(kRootIno, a_name, FileType::kDirectory);
+  auto b = fs->Create(kRootIno, b_name, FileType::kDirectory);
+  ASSERT_TRUE(a.ok() && b.ok());
+
+  InodeNum f = 0;
+  effects->push_back(Measure(fs, clock, cpu, {*a}, [&] {
+    auto made = fs->Create(*a, "f", FileType::kRegular);
+    f = made.ok() ? *made : 0;
+    return made.status();
+  }));
+  effects->back().nlink.push_back(NlinkOf(fs, f));
+
+  std::string sub_name;
+  for (int k = 0; sub_name.empty(); ++k) {
+    const std::string name = "sub" + std::to_string(k);
+    if (subdir_ok(*a, name)) {
+      sub_name = name;
+    }
+  }
+  InodeNum sub = 0;
+  effects->push_back(Measure(fs, clock, cpu, {*a}, [&] {
+    auto made = fs->Create(*a, sub_name, FileType::kDirectory);
+    sub = made.ok() ? *made : 0;
+    return made.status();
+  }));
+  effects->back().nlink.push_back(NlinkOf(fs, sub));
+
+  effects->push_back(Measure(fs, clock, cpu, {*b, f}, [&] { return fs->Link(*b, "l", f); }));
+  effects->push_back(Measure(fs, clock, cpu, {*b, f}, [&] { return fs->Unlink(*b, "l"); }));
+  effects->push_back(
+      Measure(fs, clock, cpu, {*a, sub}, [&] { return fs->Rmdir(*a, sub_name); }));
+
+  auto v = fs->Create(*b, "v", FileType::kRegular);
+  ASSERT_TRUE(v.ok());
+  ASSERT_TRUE(fs->Link(*b, "w", *v).ok());
+  effects->push_back(Measure(fs, clock, cpu, {*a, *b, f, *v},
+                             [&] { return fs->Rename(*a, "f", *b, "v"); }));
+}
+
+// Each namespace op is one body whichever logs its inodes live on: on a
+// single log, within one shard and across shards of a 4-shard volume it
+// charges the same instructions, leaves the same link counts and moves
+// ctime on the same inodes. A rename over a file that keeps another name
+// moves that file's ctime, as an unlink of one of its names does.
+TEST(ShardedLfsTest, NamespaceOpsAreIndependentOfPlacement) {
+  const char* const kOps[] = {"create", "mkdir", "link", "unlink", "rmdir", "rename"};
+  std::vector<OpEffect> one_log;
+  {
+    LfsInstance rig;
+    RunNamespaceOps(rig.fs.get(), rig.clock.get(), rig.cpu.get(), "alpha", "bravo",
+                    [](InodeNum, const std::string&) { return true; }, &one_log);
+  }
+  ASSERT_EQ(one_log.size(), std::size(kOps));
+  EXPECT_FALSE(one_log[5].ctime_moved[2]);  // The moved file itself keeps its ctime.
+  EXPECT_TRUE(one_log[5].ctime_moved[3]);   // The surviving victim's moves.
+  EXPECT_EQ(one_log[5].nlink[3], 1u);
+
+  // "alpha" and "bravo" both home on shard 2, "charlie" on shard 0. Files
+  // live beside their directory, so across shards the mkdir, Link, Unlink,
+  // Rmdir and Rename span two shards and only the file create stays on one.
+  ASSERT_EQ(ExpectedDirShard(kRootIno, "alpha", 4), 2u);
+  ASSERT_EQ(ExpectedDirShard(kRootIno, "bravo", 4), 2u);
+  ASSERT_EQ(ExpectedDirShard(kRootIno, "charlie", 4), 0u);
+  for (const bool across : {false, true}) {
+    SCOPED_TRACE(across ? "across shards" : "within one shard");
+    ShardedLfsInstance rig(4);
+    ShardedLfs* fs = rig.fs.get();
+    std::vector<OpEffect> sharded;
+    RunNamespaceOps(fs, rig.clock.get(), rig.cpu.get(), "alpha", across ? "charlie" : "bravo",
+                    [&](InodeNum a, const std::string& name) {
+                      return (ExpectedDirShard(a, name, 4) == fs->ShardOf(a)) != across;
+                    },
+                    &sharded);
+    ASSERT_EQ(sharded.size(), std::size(kOps));
+    for (size_t i = 0; i < std::size(kOps); ++i) {
+      SCOPED_TRACE(kOps[i]);
+      EXPECT_EQ(sharded[i].instructions, one_log[i].instructions);
+      EXPECT_EQ(sharded[i].nlink, one_log[i].nlink);
+      EXPECT_EQ(sharded[i].ctime_moved, one_log[i].ctime_moved);
+    }
+    ExpectClean(fs);
+  }
 }
 
 }  // namespace

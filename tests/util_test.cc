@@ -161,9 +161,9 @@ TEST(Crc32Test, HardwareKernelKnownAnswers) {
   // The dispatched kernel (PCLMULQDQ folding on x86-64, the ARMv8 CRC32
   // extension on aarch64, slice-by-8 where neither exists) must hit the
   // same standard check values as the reference. Exercised regardless of
-  // host support: Crc32UpdateHw always resolves to something.
+  // host support: Crc32Update always resolves to something.
   auto hw_crc = [](std::span<const std::byte> data) {
-    return Crc32Finalize(Crc32UpdateHw(Crc32Init(), data));
+    return Crc32Finalize(Crc32Update(Crc32Init(), data));
   };
   const char* s = "123456789";
   EXPECT_EQ(hw_crc(std::as_bytes(std::span<const char>(s, 9))), 0xCBF43926u);
@@ -194,7 +194,7 @@ TEST(Crc32Test, AllKernelsAgreeUnderRandomStreaming) {
     }
     const uint32_t reference = Crc32UpdateBytewise(Crc32Init(), data);
     EXPECT_EQ(Crc32UpdateSlice8(Crc32Init(), data), reference);
-    EXPECT_EQ(Crc32UpdateHw(Crc32Init(), data), reference);
+    EXPECT_EQ(Crc32Update(Crc32Init(), data), reference);
 
     uint32_t mixed = Crc32Init();
     int kernel = 0;
@@ -204,7 +204,7 @@ TEST(Crc32Test, AllKernelsAgreeUnderRandomStreaming) {
       switch (kernel++ % 3) {
         case 0: mixed = Crc32UpdateBytewise(mixed, piece); break;
         case 1: mixed = Crc32UpdateSlice8(mixed, piece); break;
-        default: mixed = Crc32UpdateHw(mixed, piece); break;
+        default: mixed = Crc32Update(mixed, piece); break;
       }
       pos += chunk;
     }

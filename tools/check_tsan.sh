@@ -21,14 +21,17 @@
 # crash and fault labels include the cross-shard intent matrix
 # (sharded_crash_test) and the intent fault/repair suite
 # (sharded_intent_test); the cache label adds the buffer cache's
-# differential suite (iterators stored inside cached blocks). Two unlabelled
-# suites run after the labels: sharded_lfs_test (the shard router) and
-# lfs_cleaner_test (the cleaner and its space-liveness churn).
+# differential suite (iterators stored inside cached blocks). Three
+# unlabelled suites run after the labels: sharded_lfs_test (the shard
+# router), fs_conformance_test (the FileSystem contract, which drives the
+# router's intent paths on a 4-log volume) and lfs_cleaner_test (the cleaner
+# and its space-liveness churn).
 # UBSAN_OPTIONS=halt_on_error=1 makes every undefined-behaviour report fail
 # its test; without it UBSan prints the report and the test passes.
 # On a 4-core x86_64 VM, with both trees already built, the thread pass
 # takes about 9 minutes (7 of them in serve_test) and the address/undefined
-# pass about 10.5: 6 for the labels, 4.5 for lfs_cleaner_test.
+# pass about 10.5: 6 for the labels, 4.5 for lfs_cleaner_test, and seconds
+# for sharded_lfs_test and fs_conformance_test (about 1 and 5).
 #
 # Usage: tools/check_tsan.sh [--asan] [build-dir]   (default: build-tsan)
 set -e
@@ -59,7 +62,9 @@ if [ "$RUN_ASAN" = "1" ]; then
   cmake --build build-asan -j
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   (cd build-asan && ctest --output-on-failure -L "crash|fault|serve|concurrent|obs|cache")
-  (cd build-asan && ctest --output-on-failure -R '^(sharded_lfs_test|lfs_cleaner_test)$')
+  (cd build-asan && ctest --output-on-failure \
+    -R '^(sharded_lfs_test|fs_conformance_test|lfs_cleaner_test)$')
   echo "LOGFS_SANITIZE=address,undefined: crash|fault|serve|concurrent|obs|cache sweep," \
-    "sharded_lfs_test and lfs_cleaner_test clean, undefined behaviour fatal"
+    "sharded_lfs_test, fs_conformance_test and lfs_cleaner_test clean," \
+    "undefined behaviour fatal"
 fi

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "src/disk/fault_disk.h"
-#include "src/disk/memory_disk.h"
 
 namespace logfs {
 
@@ -21,15 +20,7 @@ std::string CrashPlan::Describe() const {
 
 CrashImageGenerator::CrashImageGenerator(std::vector<std::byte> base_image,
                                          const std::vector<WriteRecord>* writes)
-    : base_image_(std::move(base_image)), writes_(writes) {
-  prefix_sectors_.reserve(writes_->size() + 1);
-  uint64_t total = 0;
-  prefix_sectors_.push_back(0);
-  for (const WriteRecord& record : *writes_) {
-    total += record.SectorCount();
-    prefix_sectors_.push_back(total);
-  }
-}
+    : base_image_(std::move(base_image)), writes_(writes), landed_(base_image_) {}
 
 std::vector<CrashPlan> CrashImageGenerator::Enumerate(
     const CrashEnumerationBudget& budget,
@@ -94,44 +85,61 @@ std::vector<CrashPlan> CrashImageGenerator::Enumerate(
   return plans;
 }
 
-Result<std::vector<std::byte>> CrashImageGenerator::Materialize(const CrashPlan& plan) const {
-  if (plan.prefix > writes_->size()) {
+Result<OverlayDisk> CrashImageGenerator::Image(const CrashPlan& plan) {
+  const size_t n = writes_->size();
+  if (plan.prefix > n) {
     return InvalidArgumentError("crash plan prefix beyond journal");
   }
-  MemoryDisk scratch(sector_count(), /*clock=*/nullptr);
-  std::memcpy(scratch.MutableRawImage().data(), base_image_.data(), base_image_.size());
-
-  if (plan.dropped == CrashPlan::kNoDrop) {
-    // Replay through the fault injector: the torn tail is produced by the
-    // same CrashAfterSectors logic the in-situ crash tests use.
-    FaultInjectingDisk fault(&scratch);
-    fault.CrashAfterSectors(prefix_sectors_[plan.prefix] + plan.torn_sectors, /*torn=*/true);
-    const size_t last = std::min(plan.prefix + 1, writes_->size());
-    for (size_t i = 0; i < last; ++i) {
-      const WriteRecord& record = (*writes_)[i];
-      Status written = fault.WriteSectors(record.first, record.data);
-      if (!written.ok()) {
-        if (written.code() == ErrorCode::kCrashed) {
-          break;
-        }
-        return written;
-      }
-    }
-  } else {
-    if (plan.dropped >= plan.prefix || plan.torn_sectors != 0) {
-      return InvalidArgumentError("reorder plan must drop a landed write, untorn");
-    }
-    for (size_t i = 0; i < plan.prefix; ++i) {
-      if (i == plan.dropped) {
-        continue;
-      }
-      const WriteRecord& record = (*writes_)[i];
-      RETURN_IF_ERROR(scratch.WriteSectors(record.first, record.data));
-    }
+  if (plan.dropped != CrashPlan::kNoDrop &&
+      (plan.dropped >= plan.prefix || plan.torn_sectors != 0)) {
+    return InvalidArgumentError("reorder plan must drop a landed write, untorn");
+  }
+  if (plan.prefix < landed_prefix_) {
+    landed_ = base_image_;
+    landed_prefix_ = 0;
+  }
+  for (; landed_prefix_ < plan.prefix; ++landed_prefix_) {
+    const WriteRecord& record = (*writes_)[landed_prefix_];
+    std::memcpy(landed_.data() + record.first * kSectorSize, record.data.data(),
+                record.data.size());
   }
 
-  std::span<const std::byte> raw = scratch.RawImage();
-  return std::vector<std::byte>(raw.begin(), raw.end());
+  OverlayDisk image(landed_);
+  if (plan.dropped != CrashPlan::kNoDrop) {
+    const WriteRecord& dropped = (*writes_)[plan.dropped];
+    RETURN_IF_ERROR(image.WriteSectors(dropped.first,
+                                       ReplayExtent(dropped.first, dropped.SectorCount(),
+                                                    plan.prefix, plan.dropped)));
+  } else if (plan.torn_sectors > 0 && plan.prefix < n) {
+    // The in-flight write tears through the fault injector: the same
+    // CrashAfterSectors logic the in-situ crash tests use.
+    FaultInjectingDisk fault(&image);
+    fault.CrashAfterSectors(plan.torn_sectors, /*torn=*/true);
+    const WriteRecord& record = (*writes_)[plan.prefix];
+    Status written = fault.WriteSectors(record.first, record.data);
+    if (!written.ok() && written.code() != ErrorCode::kCrashed) {
+      return written;
+    }
+  }
+  return image;
+}
+
+std::vector<std::byte> CrashImageGenerator::ReplayExtent(uint64_t first, uint64_t count,
+                                                         size_t prefix, size_t skip) const {
+  const uint64_t end = first + count;
+  std::vector<std::byte> out(base_image_.begin() + static_cast<ptrdiff_t>(first * kSectorSize),
+                             base_image_.begin() + static_cast<ptrdiff_t>(end * kSectorSize));
+  for (size_t i = 0; i < prefix; ++i) {
+    const WriteRecord& record = (*writes_)[i];
+    const uint64_t lo = std::max(first, record.first);
+    const uint64_t hi = std::min(end, record.first + record.SectorCount());
+    if (i != skip && lo < hi) {
+      std::memcpy(out.data() + (lo - first) * kSectorSize,
+                  record.data.data() + (lo - record.first) * kSectorSize,
+                  (hi - lo) * kSectorSize);
+    }
+  }
+  return out;
 }
 
 }  // namespace logfs

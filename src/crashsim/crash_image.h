@@ -8,7 +8,12 @@
 //   * reorder variants  — writes [0, p) landed except one dropped request
 //                         from the open flush epoch (an unordered device
 //                         cache lost a request that later ones overtook).
-// Torn variants are materialized by replaying the journal through
+// An image is a base plus a journal prefix, as recovery itself sees a disk
+// (a checkpoint plus the log written after it). The generator keeps one
+// landed image, walks the plans in prefix order and applies each journal
+// write to it once; each plan is then a copy-on-write OverlayDisk over that
+// image whose private sectors hold the plan's difference from the prefix.
+// Torn variants tear the in-flight write through
 // FaultInjectingDisk::CrashAfterSectors, so the image generator and the
 // fault injector can never disagree about tear semantics.
 #ifndef LOGFS_SRC_CRASHSIM_CRASH_IMAGE_H_
@@ -19,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "src/disk/overlay_disk.h"
 #include "src/disk/recording_disk.h"
 #include "src/util/result.h"
 
@@ -70,16 +76,25 @@ class CrashImageGenerator {
   std::vector<CrashPlan> Enumerate(const CrashEnumerationBudget& budget,
                                    const std::vector<size_t>& barrier_positions = {}) const;
 
-  // Materializes the post-crash image for a plan.
-  Result<std::vector<std::byte>> Materialize(const CrashPlan& plan) const;
-
-  uint64_t sector_count() const { return base_image_.size() / kSectorSize; }
-  size_t journal_size() const { return writes_->size(); }
+  // The post-crash image for `plan`: an overlay on the shared image where
+  // writes [0, plan.prefix) landed, holding as private sectors the torn
+  // sectors of write `prefix`, or the extent of the dropped write rebuilt
+  // without it. Walk plans in non-decreasing prefix order (Enumerate's
+  // order) and each journal write is applied once per sweep; an earlier
+  // prefix starts over from the base image. The overlay reads the shared
+  // image, so it is valid until the next call; fork (copy) it per mount.
+  Result<OverlayDisk> Image(const CrashPlan& plan);
 
  private:
+  // Sectors [first, first + count) once writes [0, prefix) except `skip`
+  // landed on the base image.
+  std::vector<std::byte> ReplayExtent(uint64_t first, uint64_t count, size_t prefix,
+                                      size_t skip) const;
+
   std::vector<std::byte> base_image_;
   const std::vector<WriteRecord>* writes_;
-  std::vector<uint64_t> prefix_sectors_;  // prefix_sectors_[p] = sectors in writes [0, p).
+  std::vector<std::byte> landed_;  // The base plus writes [0, landed_prefix_).
+  size_t landed_prefix_ = 0;
 };
 
 }  // namespace logfs

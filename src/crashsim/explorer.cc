@@ -159,9 +159,9 @@ Result<ExploreReport> ExploreCrashStates(const std::vector<TraceOp>& workload,
   ExploreReport report;
   report.journal_writes = rec.write_count();
   report.plans = plans.size();
-  Oracle oracle(&model, rig.sectors);
+  Oracle oracle(&model);
   for (const CrashPlan& plan : plans) {
-    ASSIGN_OR_RETURN(std::vector<std::byte> image, generator.Materialize(plan));
+    ASSIGN_OR_RETURN(OverlayDisk image, generator.Image(plan));
     for (bool roll_forward : modes) {
       CrashStateResult result;
       result.plan = plan;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/disk/memory_disk.h"
 #include "src/fsbase/path.h"
 #include "src/lfs/lfs_blackbox.h"
 #include "src/lfs/lfs_check.h"
@@ -156,11 +155,12 @@ size_t Oracle::DurableFloor(const std::string& path, size_t crash_prefix,
   return floor;
 }
 
-OracleVerdict Oracle::CheckImage(std::span<const std::byte> image, size_t crash_prefix,
+OracleVerdict Oracle::CheckImage(const OverlayDisk& image, size_t crash_prefix,
                                  bool roll_forward,
                                  const LfsFileSystem::Options& base_options,
                                  bool verify_data) const {
   OracleVerdict verdict;
+  OverlayDisk disk = image;
 
   // The flight recorder's crash contract: every enumerated crash image must
   // yield a CRC-valid black-box telemetry ring from at least one checkpoint
@@ -169,19 +169,16 @@ OracleVerdict Oracle::CheckImage(std::span<const std::byte> image, size_t crash_
   // the forensic regression. Builds with LOGFS_METRICS=OFF never embed a
   // ring, so there is nothing to assert.
   if constexpr (obs::kMetricsEnabled) {
-    auto blackbox = RecoverBlackBoxFromImage(image);
+    auto blackbox = RecoverBlackBox(&disk);
     if (!blackbox.ok()) {
       verdict.violations.push_back("black box unrecoverable: " +
                                    blackbox.status().ToString());
     }
   }
 
-  MemoryDisk scratch(sector_count_, /*clock=*/nullptr);
-  std::memcpy(scratch.MutableRawImage().data(), image.data(), image.size());
-
   LfsFileSystem::Options options = base_options;
   options.roll_forward = roll_forward;
-  auto mounted = LfsFileSystem::Mount(&scratch, /*clock=*/nullptr, /*cpu=*/nullptr, options);
+  auto mounted = LfsFileSystem::Mount(&disk, /*clock=*/nullptr, /*cpu=*/nullptr, options);
   if (!mounted.ok()) {
     verdict.violations.push_back("mount failed: " + mounted.status().ToString());
     return verdict;

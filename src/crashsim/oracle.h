@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "src/disk/overlay_disk.h"
 #include "src/lfs/lfs_file_system.h"
 #include "src/util/result.h"
 
@@ -103,15 +104,14 @@ struct OracleVerdict {
 
 class Oracle {
  public:
-  Oracle(const WorkloadModel* model, uint64_t sector_count)
-      : model_(model), sector_count_(sector_count) {}
+  explicit Oracle(const WorkloadModel* model) : model_(model) {}
 
-  // Mounts `image` (copied to a scratch disk) with roll_forward as given,
-  // runs LfsChecker, and validates the durability contract for a crash that
-  // cut the journal after `crash_prefix` complete writes.
-  OracleVerdict CheckImage(std::span<const std::byte> image, size_t crash_prefix,
-                           bool roll_forward, const LfsFileSystem::Options& base_options,
-                           bool verify_data) const;
+  // Mounts a fork of `image` (recovery's writes stay in the fork) with
+  // roll_forward as given, runs LfsChecker, and validates the durability
+  // contract for a crash that cut the journal after `crash_prefix` complete
+  // writes.
+  OracleVerdict CheckImage(const OverlayDisk& image, size_t crash_prefix, bool roll_forward,
+                           const LfsFileSystem::Options& base_options, bool verify_data) const;
 
  private:
   // Index of the last op (≤ all marks) whose guarantees were durable at
@@ -120,7 +120,6 @@ class Oracle {
                       bool roll_forward) const;
 
   const WorkloadModel* model_;
-  uint64_t sector_count_;
 };
 
 }  // namespace logfs

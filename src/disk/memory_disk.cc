@@ -1,6 +1,9 @@
 #include "src/disk/memory_disk.h"
 
+#include <sys/mman.h>
+
 #include <cstring>
+#include <new>
 #include <sstream>
 
 namespace logfs {
@@ -14,11 +17,34 @@ std::string DiskStats::ToString() const {
   return os.str();
 }
 
+namespace {
+
+// Zero-filled bytes that become resident only when written.
+std::byte* MapZeroPages(size_t bytes) {
+  if (bytes == 0) {
+    return nullptr;
+  }
+  void* pages = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (pages == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  return static_cast<std::byte*>(pages);
+}
+
+}  // namespace
+
 MemoryDisk::MemoryDisk(uint64_t sector_count, SimClock* clock, DiskModelParams params)
     : sector_count_(sector_count),
       clock_(clock),
       model_(params, sector_count),
-      data_(sector_count * kSectorSize) {}
+      data_(MapZeroPages(sector_count * kSectorSize)) {}
+
+MemoryDisk::~MemoryDisk() {
+  if (data_ != nullptr) {
+    munmap(data_, sector_count_ * kSectorSize);
+  }
+}
 
 Status MemoryDisk::CheckExtent(uint64_t first, size_t bytes) const {
   if (bytes == 0 || bytes % kSectorSize != 0) {
@@ -61,7 +87,7 @@ void MemoryDisk::Account(uint64_t first, uint64_t count, bool is_write, bool syn
 
 Status MemoryDisk::ReadSectors(uint64_t first, std::span<std::byte> out, IoOptions options) {
   RETURN_IF_ERROR(CheckExtent(first, out.size()));
-  std::memcpy(out.data(), data_.data() + first * kSectorSize, out.size());
+  std::memcpy(out.data(), data_ + first * kSectorSize, out.size());
   Account(first, out.size() / kSectorSize, /*is_write=*/false, options.synchronous);
   return OkStatus();
 }
@@ -69,7 +95,7 @@ Status MemoryDisk::ReadSectors(uint64_t first, std::span<std::byte> out, IoOptio
 Status MemoryDisk::WriteSectors(uint64_t first, std::span<const std::byte> data,
                                 IoOptions options) {
   RETURN_IF_ERROR(CheckExtent(first, data.size()));
-  std::memcpy(data_.data() + first * kSectorSize, data.data(), data.size());
+  std::memcpy(data_ + first * kSectorSize, data.data(), data.size());
   Account(first, data.size() / kSectorSize, /*is_write=*/true, options.synchronous);
   return OkStatus();
 }
@@ -78,7 +104,7 @@ Status MemoryDisk::ReadSectorsV(uint64_t first, std::span<const std::span<std::b
                                 IoOptions options) {
   const size_t total = IoVecBytes(bufs);
   RETURN_IF_ERROR(CheckExtent(first, total));
-  const std::byte* src = data_.data() + first * kSectorSize;
+  const std::byte* src = data_ + first * kSectorSize;
   for (const auto& buf : bufs) {
     if (!buf.empty()) {
       std::memcpy(buf.data(), src, buf.size());
@@ -93,7 +119,7 @@ Status MemoryDisk::WriteSectorsV(uint64_t first, std::span<const std::span<const
                                  IoOptions options) {
   const size_t total = IoVecBytes(bufs);
   RETURN_IF_ERROR(CheckExtent(first, total));
-  std::byte* dst = data_.data() + first * kSectorSize;
+  std::byte* dst = data_ + first * kSectorSize;
   for (const auto& buf : bufs) {
     if (!buf.empty()) {
       std::memcpy(dst, buf.data(), buf.size());

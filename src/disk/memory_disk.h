@@ -5,6 +5,13 @@
 // head position so sequential continuation is free of positioning cost,
 // exactly the property LFS exploits.
 //
+// The image is an anonymous private mapping: the kernel hands out zero pages
+// on demand, so a disk is resident only where it was written, and it is
+// still one contiguous span for RawImage(). A zero-filled vector would touch
+// every page up front; calloc would too once glibc has freed a chunk of the
+// same size, raised its mmap threshold, and started serving that size from
+// the heap with a memset.
+//
 // Thread safety: the accounting state (head position, stats, clock charge)
 // is guarded by an internal mutex so shards of a sharded mount can issue
 // I/O from many threads. The sector image itself is copied *outside* the
@@ -16,7 +23,6 @@
 #define LOGFS_SRC_DISK_MEMORY_DISK_H_
 
 #include <mutex>
-#include <vector>
 
 #include "src/disk/block_device.h"
 #include "src/sim/disk_model.h"
@@ -29,6 +35,9 @@ class MemoryDisk : public BlockDevice {
   // `clock` must outlive the disk and may be null (timing disabled, for
   // pure functional tests).
   MemoryDisk(uint64_t sector_count, SimClock* clock, DiskModelParams params = {});
+  ~MemoryDisk() override;
+  MemoryDisk(const MemoryDisk&) = delete;
+  MemoryDisk& operator=(const MemoryDisk&) = delete;
 
   Status ReadSectors(uint64_t first, std::span<std::byte> out, IoOptions options = {}) override;
   Status WriteSectors(uint64_t first, std::span<const std::byte> data,
@@ -49,8 +58,8 @@ class MemoryDisk : public BlockDevice {
   const DiskModel& model() const { return model_; }
 
   // Raw image access for checkers and "dd"-style inspection in tests.
-  std::span<const std::byte> RawImage() const { return data_; }
-  std::span<std::byte> MutableRawImage() { return data_; }
+  std::span<const std::byte> RawImage() const { return {data_, sector_count_ * kSectorSize}; }
+  std::span<std::byte> MutableRawImage() { return {data_, sector_count_ * kSectorSize}; }
 
  private:
   Status CheckExtent(uint64_t first, size_t bytes) const;
@@ -59,7 +68,7 @@ class MemoryDisk : public BlockDevice {
   uint64_t sector_count_;
   SimClock* clock_;
   DiskModel model_;
-  std::vector<std::byte> data_;
+  std::byte* data_;  // sector_count_ * kSectorSize mapped bytes; null when empty.
   std::mutex account_mu_;  // Guards head_, stats_, and the clock charge.
   uint64_t head_ = 0;      // Sector after the last transferred sector.
   DiskStats stats_;

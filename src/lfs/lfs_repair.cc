@@ -4,6 +4,8 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "src/fsbase/dirent.h"
 
@@ -276,45 +278,48 @@ class Repairer {
   // victim) is reaped; a rename's moved inode is reattached at its
   // destination name, else its source name; anything else (intent region
   // lost, seeded damage) is reattached under the per-shard lost+found.
+  //
+  // The orphans are listed on every shard before the first edit, so an
+  // inode this pass allocates (a new lost+found.<i>) is never taken for one.
   Result<uint64_t> HandleOrphans(const Walk& walk) {
     const uint64_t before = report_.total_edits();
+    std::vector<std::pair<uint32_t, InodeNum>> orphans;  // (shard, ino)
     for (uint32_t i = 0; i < shards_.size(); ++i) {
       const InodeMap& imap = shards_[i]->imap();
       for (uint32_t slot = 0; slot < imap.max_inodes(); ++slot) {
-        if (!imap.GetSlot(slot).allocated) {
-          continue;
-        }
         const InodeNum ino = imap.InoAtSlot(slot);
-        if (walk.visited.contains(ino)) {
-          continue;
+        if (imap.GetSlot(slot).allocated && !walk.visited.contains(ino)) {
+          orphans.emplace_back(i, ino);
         }
-        if (reap_if_orphan_.contains(ino)) {
-          RETURN_IF_ERROR(Reap(ino, "named by a pending intent"));
-          continue;
-        }
-        Result<FileStat> stat = shards_[i]->Stat(ino);
-        if (!stat.ok()) {
-          RETURN_IF_ERROR(Reap(ino, "unstattable"));
-          continue;
-        }
-        auto moved = rename_child_.find(ino);
-        if (moved != rename_child_.end()) {
-          const IntentRecord& in = *moved->second;
-          if (TryAttach(in.to_dir, in.to_name, ino, stat->type, walk) ||
-              TryAttach(in.from_dir, in.from_name, ino, stat->type, walk)) {
-            continue;
-          }
-        }
-        ASSIGN_OR_RETURN(InodeNum lf, LostFound(i, walk));
-        std::string name = "ino" + std::to_string(ino);
-        for (int k = 1; EntryTarget(lf, name) != 0; ++k) {
-          name = "ino" + std::to_string(ino) + "." + std::to_string(k);
-        }
-        RETURN_IF_ERROR(Edit(lf)->DirInsert(lf, name, ino, stat->type));
-        ++report_.orphans_reattached;
-        Note("reattached orphan ino " + std::to_string(ino) + " as lost+found." +
-             std::to_string(i) + "/" + name);
       }
+    }
+    for (const auto& [i, ino] : orphans) {
+      if (reap_if_orphan_.contains(ino)) {
+        RETURN_IF_ERROR(Reap(ino, "named by a pending intent"));
+        continue;
+      }
+      Result<FileStat> stat = shards_[i]->Stat(ino);
+      if (!stat.ok()) {
+        RETURN_IF_ERROR(Reap(ino, "unstattable"));
+        continue;
+      }
+      auto moved = rename_child_.find(ino);
+      if (moved != rename_child_.end()) {
+        const IntentRecord& in = *moved->second;
+        if (TryAttach(in.to_dir, in.to_name, ino, stat->type, walk) ||
+            TryAttach(in.from_dir, in.from_name, ino, stat->type, walk)) {
+          continue;
+        }
+      }
+      ASSIGN_OR_RETURN(InodeNum lf, LostFound(i, walk));
+      std::string name = "ino" + std::to_string(ino);
+      for (int k = 1; EntryTarget(lf, name) != 0; ++k) {
+        name = "ino" + std::to_string(ino) + "." + std::to_string(k);
+      }
+      RETURN_IF_ERROR(Edit(lf)->DirInsert(lf, name, ino, stat->type));
+      ++report_.orphans_reattached;
+      Note("reattached orphan ino " + std::to_string(ino) + " as lost+found." +
+           std::to_string(i) + "/" + name);
     }
     return report_.total_edits() - before;
   }

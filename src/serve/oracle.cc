@@ -84,9 +84,9 @@ Result<ServeCrashReport> ExploreServeCrashStates(const ServeCrashSweepParams& pa
     }
   }
 
-  Oracle oracle(&model, cp.sectors);
+  Oracle oracle(&model);
   for (const CrashPlan& plan : plans) {
-    ASSIGN_OR_RETURN(std::vector<std::byte> image, generator.Materialize(plan));
+    ASSIGN_OR_RETURN(OverlayDisk image, generator.Image(plan));
     OracleVerdict verdict = oracle.CheckImage(image, plan.prefix, /*roll_forward=*/true,
                                               cp.mount_options, params.verify_data);
     ++report.states_checked;

@@ -15,7 +15,9 @@
 #include "src/fsbase/path.h"
 #include "src/lfs/lfs_blackbox.h"
 #include "src/obs/metrics.h"
+#include "src/workload/testbed.h"
 #include "src/workload/trace.h"
+#include "tests/crash_reference.h"
 #include "tests/fs_fixture.h"
 
 namespace logfs {
@@ -76,6 +78,13 @@ TEST(RecordingDiskTest, SynchronousWriteIsItsOwnEpoch) {
 
 // --- CrashImageGenerator ---------------------------------------------------
 
+// Every byte of a device, read through its own interface.
+std::vector<std::byte> ReadAll(BlockDevice& disk) {
+  std::vector<std::byte> out(disk.sector_count() * kSectorSize);
+  EXPECT_TRUE(disk.ReadSectors(0, out).ok());
+  return out;
+}
+
 struct GeneratorRig {
   GeneratorRig() : inner(64, nullptr), rec(&inner) {
     std::span<const std::byte> raw = inner.RawImage();
@@ -109,7 +118,7 @@ TEST(CrashImageGeneratorTest, EnumeratesPrefixAndTornVariants) {
   EXPECT_EQ(torn, 2u);
 }
 
-TEST(CrashImageGeneratorTest, MaterializePrefixAndTorn) {
+TEST(CrashImageGeneratorTest, ImagePrefixAndTorn) {
   GeneratorRig rig;
   auto a = Sectors(2, 1);
   auto b = Sectors(2, 9);
@@ -118,20 +127,28 @@ TEST(CrashImageGeneratorTest, MaterializePrefixAndTorn) {
   CrashImageGenerator gen(rig.base, &rig.rec.writes());
 
   // Prefix 1: only write 0 landed.
-  auto image = gen.Materialize(CrashPlan{1, 0});
-  ASSERT_TRUE(image.ok());
-  EXPECT_TRUE(std::equal(a.begin(), a.end(), image->begin()));
-  EXPECT_TRUE(std::all_of(image->begin() + 4 * kSectorSize,
-                          image->begin() + 6 * kSectorSize,
+  auto overlay = gen.Image(CrashPlan{1, 0});
+  ASSERT_TRUE(overlay.ok());
+  EXPECT_EQ(overlay->private_sectors(), 0u);  // A prefix is the landed image itself.
+  std::vector<std::byte> image = ReadAll(*overlay);
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), image.begin()));
+  EXPECT_TRUE(std::all_of(image.begin() + 4 * kSectorSize, image.begin() + 6 * kSectorSize,
                           [](std::byte x) { return x == std::byte{0}; }));
 
   // Prefix 1 torn 1: write 0 landed plus the first sector of write 1.
-  image = gen.Materialize(CrashPlan{1, 1});
-  ASSERT_TRUE(image.ok());
-  EXPECT_TRUE(std::equal(b.begin(), b.begin() + kSectorSize,
-                         image->begin() + 4 * kSectorSize));
-  EXPECT_TRUE(std::all_of(image->begin() + 5 * kSectorSize,
-                          image->begin() + 6 * kSectorSize,
+  overlay = gen.Image(CrashPlan{1, 1});
+  ASSERT_TRUE(overlay.ok());
+  EXPECT_EQ(overlay->private_sectors(), 1u);
+  image = ReadAll(*overlay);
+  EXPECT_TRUE(std::equal(b.begin(), b.begin() + kSectorSize, image.begin() + 4 * kSectorSize));
+  EXPECT_TRUE(std::all_of(image.begin() + 5 * kSectorSize, image.begin() + 6 * kSectorSize,
+                          [](std::byte x) { return x == std::byte{0}; }));
+
+  // An earlier prefix after a later one starts over from the base image.
+  overlay = gen.Image(CrashPlan{0, 0});
+  ASSERT_TRUE(overlay.ok());
+  image = ReadAll(*overlay);
+  EXPECT_TRUE(std::all_of(image.begin(), image.end(),
                           [](std::byte x) { return x == std::byte{0}; }));
 }
 
@@ -170,12 +187,55 @@ TEST(CrashImageGeneratorTest, ReorderDropsStayInsideEpochAndBarriers) {
   }
 
   // Dropped images simply omit the write.
-  auto image = gen.Materialize(CrashPlan{4, 0, 2});
-  ASSERT_TRUE(image.ok());
-  EXPECT_TRUE(std::all_of(image->begin() + 2 * kSectorSize,
-                          image->begin() + 3 * kSectorSize,
+  auto overlay = gen.Image(CrashPlan{4, 0, 2});
+  ASSERT_TRUE(overlay.ok());
+  std::vector<std::byte> image = ReadAll(*overlay);
+  EXPECT_TRUE(std::all_of(image.begin() + 2 * kSectorSize, image.begin() + 3 * kSectorSize,
                           [](std::byte x) { return x == std::byte{0}; }));
-  EXPECT_EQ((*image)[3 * kSectorSize], static_cast<std::byte>(4));
+  EXPECT_EQ(image[3 * kSectorSize], static_cast<std::byte>(4));
+}
+
+// A dropped write shows its pre-image, except where a later landed write
+// covers the same sectors.
+TEST(CrashImageGeneratorTest, DroppedWriteRestoresItsPreImageUnderLaterWrites) {
+  GeneratorRig rig;
+  ASSERT_TRUE(rig.rec.WriteSectors(0, Sectors(4, 1)).ok());  // Write 0: the pre-image.
+  ASSERT_TRUE(rig.rec.Flush().ok());
+  ASSERT_TRUE(rig.rec.WriteSectors(0, Sectors(4, 50)).ok());  // Write 1: dropped.
+  ASSERT_TRUE(rig.rec.WriteSectors(2, Sectors(1, 90)).ok());  // Write 2: covers sector 2.
+  CrashImageGenerator gen(rig.base, &rig.rec.writes());
+
+  auto overlay = gen.Image(CrashPlan{3, 0, 1});
+  ASSERT_TRUE(overlay.ok());
+  std::vector<std::byte> image = ReadAll(*overlay);
+  std::vector<std::byte> expected = Sectors(4, 1);
+  auto later = Sectors(1, 90);
+  std::copy(later.begin(), later.end(), expected.begin() + 2 * kSectorSize);
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), image.begin()));
+}
+
+// Every plan of a real LFS journal, torn and reordered included, reads back
+// exactly as a full replay: the crash explorer's mixed workload on its
+// 24 MB rig, recorded under a clock so write-back and idle ticks run too.
+TEST(CrashImageGeneratorTest, EveryPlanOfAnExplorerJournalMatchesFullReplay) {
+  const ExploreRigParams rig;
+  Testbed bed;
+  bed.clock = std::make_unique<SimClock>();
+  bed.disk = std::make_unique<MemoryDisk>(rig.sectors, bed.clock.get());
+  ASSERT_TRUE(LfsFileSystem::Format(bed.disk.get(), rig.lfs).ok());
+  std::span<const std::byte> raw = bed.disk->RawImage();
+  const std::vector<std::byte> base(raw.begin(), raw.end());
+  RecordingDisk rec(bed.disk.get());
+  auto mounted = LfsFileSystem::Mount(&rec, bed.clock.get(), /*cpu=*/nullptr);
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  bed.fs = std::move(mounted).value();
+  bed.paths = std::make_unique<PathFs>(bed.fs.get());
+  ASSERT_TRUE(ReplayTrace(bed, GenerateCrashTrace(40, /*seed=*/1234)).ok());
+  bed.paths.reset();
+  bed.fs.reset();
+
+  const size_t plans = ExpectImagesMatchReplay(base, rec.writes());
+  EXPECT_GT(plans, rec.write_count());
 }
 
 // --- Explorer sweeps -------------------------------------------------------
@@ -186,7 +246,7 @@ TEST(CrashImageGeneratorTest, ReorderDropsStayInsideEpochAndBarriers) {
 TEST(CrashExplorerTest, MixedWorkloadSurvivesEnumeratedCrashes) {
   std::vector<TraceOp> workload = GenerateCrashTrace(40, /*seed=*/1234);
   ExploreBudget budget;
-  budget.max_boundaries = 120;
+  budget.max_boundaries = 0;  // Every boundary.
   auto report = ExploreCrashStates(workload, budget);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GE(report->states_checked, 200u);
@@ -206,7 +266,7 @@ TEST(CrashExplorerTest, MixedWorkloadSurvivesEnumeratedCrashes) {
 TEST(CrashExplorerTest, ReorderedEpochsSurvive) {
   std::vector<TraceOp> workload = GenerateCrashTrace(12, /*seed=*/77);
   ExploreBudget budget;
-  budget.max_boundaries = 40;
+  budget.max_boundaries = 0;  // Every boundary.
   budget.torn_variants = {};
   budget.reorder_within_epoch = true;
   auto report = ExploreCrashStates(workload, budget);
@@ -268,16 +328,16 @@ TEST(CrashExplorerTest, BlackBoxRecoversFromEveryCrashImage) {
 
   CrashImageGenerator gen(base, &rec.writes());
   CrashEnumerationBudget budget;
-  budget.max_boundaries = 100;
+  budget.max_boundaries = 0;  // Every boundary.
   budget.torn_variants = {1, 4, 8, 12};
   std::vector<CrashPlan> plans = gen.Enumerate(budget);
   ASSERT_GT(plans.size(), 30u);  // A real sweep, not a couple of hand-picked points.
 
   size_t with_samples = 0;
   for (const CrashPlan& plan : plans) {
-    auto image = gen.Materialize(plan);
+    auto image = gen.Image(plan);
     ASSERT_TRUE(image.ok()) << plan.Describe();
-    auto blackbox = RecoverBlackBoxFromImage(*image);
+    auto blackbox = RecoverBlackBox(&*image);
     ASSERT_TRUE(blackbox.ok())
         << plan.Describe() << ": " << blackbox.status().ToString();
     with_samples += blackbox->ring.samples.empty() ? 0 : 1;
@@ -295,7 +355,7 @@ TEST(CrashExplorerTest, BlackBoxRecoversFromEveryCrashImage) {
 TEST(CrashExplorerTest, DetectsDeliberatelyBrokenRollForward) {
   std::vector<TraceOp> workload = GenerateCrashTrace(30, /*seed=*/4321);
   ExploreBudget budget;
-  budget.max_boundaries = 150;
+  budget.max_boundaries = 0;  // Every boundary.
   budget.torn_variants = {8};  // Exactly one 4 KB block: the summary alone.
   budget.check_checkpoint_only = false;  // Only roll-forward uses summaries.
   ExploreRigParams rig;

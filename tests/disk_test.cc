@@ -1,16 +1,24 @@
-// Unit tests for the simulated block-device stack: MemoryDisk timing and
-// stats, FaultInjectingDisk crash semantics, RecordingDisk records.
+// Unit tests for the simulated block-device stack: MemoryDisk timing,
+// stats and residency, OverlayDisk copy-on-write, FaultInjectingDisk crash
+// semantics, RecordingDisk records.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstring>
+#include <fstream>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "src/disk/fault_disk.h"
 #include "src/disk/memory_disk.h"
+#include "src/disk/overlay_disk.h"
 #include "src/disk/recording_disk.h"
 #include "src/disk/striped_disk.h"
 #include "src/fsbase/path.h"
+#include "src/lfs/lfs_check.h"
 #include "src/lfs/lfs_file_system.h"
 #include "src/sim/disk_model.h"
 #include "src/sim/sim_clock.h"
@@ -69,6 +77,59 @@ TEST(MemoryDiskTest, UnwrittenSectorsReadZero) {
   for (std::byte b : out) {
     EXPECT_EQ(b, std::byte{0});
   }
+}
+
+// Resident bytes of this process, from /proc/self/statm.
+uint64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t pages = 0;
+  uint64_t resident = 0;
+  statm >> pages >> resident;
+  return resident * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+// Writes one megabyte at `mb` megabytes into `disk`, then reads the whole
+// disk back a megabyte at a time: that megabyte holds the pattern, every
+// other one reads zero. The buffers are allocated once, so the resident
+// set measures the disks, not freed buffers an allocator keeps around.
+void WriteOneMegabyteAndReadBack(MemoryDisk& disk, uint64_t mb) {
+  constexpr size_t kMb = 1 << 20;
+  constexpr uint64_t kSectorsPerMb = kMb / kSectorSize;
+  static const std::vector<std::byte> pattern = Pattern(kMb, 3);
+  static const std::vector<std::byte> zeros(kMb);
+  static std::vector<std::byte> out(kMb);
+  ASSERT_TRUE(disk.WriteSectors(mb * kSectorsPerMb, pattern).ok());
+  for (uint64_t i = 0; i < disk.sector_count() / kSectorsPerMb; ++i) {
+    ASSERT_TRUE(disk.ReadSectors(i * kSectorsPerMb, out).ok());
+    const std::vector<std::byte>& expected = i == mb ? pattern : zeros;
+    ASSERT_EQ(std::memcmp(out.data(), expected.data(), kMb), 0) << "megabyte " << i;
+  }
+}
+
+// A disk is resident only where it was written: 1 MB written to a 1 GB disk
+// costs about 1 MB, and the rest still reads zero.
+TEST(MemoryDiskTest, HoldsOnlyWhatWasWritten) {
+  const uint64_t before = ResidentBytes();
+  MemoryDisk disk((1ull << 30) / kSectorSize, /*clock=*/nullptr);
+  WriteOneMegabyteAndReadBack(disk, 700);
+  EXPECT_LT(ResidentBytes(), before + (64ull << 20));
+}
+
+// Disks of one size, re-created while earlier ones stay alive, each hold
+// only what was written. Once glibc frees a chunk that size it raises its
+// mmap threshold, so a calloc'd image would reuse the freed heap chunk and
+// memset it: the ten live disks would then cost most of 240 MB.
+TEST(MemoryDiskTest, RecreatedDisksStaySparse) {
+  constexpr uint64_t kSectors = (24ull << 20) / kSectorSize;
+  const uint64_t before = ResidentBytes();
+  std::vector<std::unique_ptr<MemoryDisk>> kept;
+  for (uint64_t i = 0; i < 10; ++i) {
+    kept.push_back(std::make_unique<MemoryDisk>(kSectors, /*clock=*/nullptr));
+    WriteOneMegabyteAndReadBack(*kept.back(), i);
+    MemoryDisk destroyed(kSectors, /*clock=*/nullptr);
+    WriteOneMegabyteAndReadBack(destroyed, 23 - i);
+  }
+  EXPECT_LT(ResidentBytes(), before + (64ull << 20));
 }
 
 TEST(MemoryDiskTest, RejectsBadExtents) {
@@ -135,6 +196,72 @@ TEST(MemoryDiskTest, LargeSequentialBeatsSmallRandomByOrderOfMagnitude) {
   }
   const double random_time = clock.Now() - t1;
   EXPECT_GT(random_time, 8 * seq_time);
+}
+
+// --- OverlayDisk ---------------------------------------------------------
+
+TEST(OverlayDiskTest, ReadsFallThroughAndWritesStayPrivate) {
+  const std::vector<std::byte> base = Pattern(16 * kSectorSize, 1);
+  OverlayDisk overlay(base);
+  EXPECT_EQ(overlay.sector_count(), 16u);
+  std::vector<std::byte> out(16 * kSectorSize);
+  ASSERT_TRUE(overlay.ReadSectors(0, out).ok());
+  EXPECT_EQ(out, base);
+
+  const std::vector<std::byte> written = Pattern(2 * kSectorSize, 77);
+  ASSERT_TRUE(overlay.WriteSectors(5, written).ok());
+  EXPECT_EQ(overlay.private_sectors(), 2u);
+  ASSERT_TRUE(overlay.ReadSectors(0, out).ok());
+  std::vector<std::byte> expected = base;
+  std::copy(written.begin(), written.end(), expected.begin() + 5 * kSectorSize);
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(base, Pattern(16 * kSectorSize, 1));  // The base never changes.
+
+  // A fork starts with the private sectors and diverges on its own.
+  OverlayDisk fork = overlay;
+  ASSERT_TRUE(fork.WriteSectors(5, Pattern(kSectorSize, 200)).ok());
+  ASSERT_TRUE(overlay.ReadSectors(0, out).ok());
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(overlay.private_sectors(), 2u);
+
+  EXPECT_EQ(overlay.ReadSectors(15, std::span<std::byte>(out).first(2 * kSectorSize)).code(),
+            ErrorCode::kOutOfRange);
+  EXPECT_EQ(overlay.WriteSectors(0, std::span<const std::byte>(written).first(100)).code(),
+            ErrorCode::kInvalidArgument);
+}
+
+// A mount, a write and a full check on the overlay leave the image under it
+// byte-for-byte unchanged; the new file lives only in that overlay.
+TEST(OverlayDiskTest, MountAndCheckLeaveTheBaseUnchanged) {
+  MemoryDisk disk(49152, /*clock=*/nullptr);
+  LfsParams params;
+  params.max_inodes = 2048;
+  ASSERT_TRUE(LfsFileSystem::Format(&disk, params).ok());
+  {
+    auto fs = LfsFileSystem::Mount(&disk, /*clock=*/nullptr, /*cpu=*/nullptr);
+    ASSERT_TRUE(fs.ok());
+    ASSERT_TRUE(PathFs(fs->get()).WriteFile("/kept", Pattern(20000, 3)).ok());
+  }
+  const std::vector<std::byte> before(disk.RawImage().begin(), disk.RawImage().end());
+
+  OverlayDisk overlay(disk.RawImage());
+  {
+    auto fs = LfsFileSystem::Mount(&overlay, /*clock=*/nullptr, /*cpu=*/nullptr);
+    ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+    PathFs paths(fs->get());
+    ASSERT_TRUE(paths.WriteFile("/overlay-only", Pattern(9000, 5)).ok());
+    auto report = LfsChecker(fs->get()).Check(/*verify_data=*/true);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->ok()) << report->Summary();
+  }
+  EXPECT_GT(overlay.private_sectors(), 0u);
+  EXPECT_EQ(std::memcmp(disk.RawImage().data(), before.data(), before.size()), 0);
+
+  auto fs = LfsFileSystem::Mount(&disk, /*clock=*/nullptr, /*cpu=*/nullptr);
+  ASSERT_TRUE(fs.ok());
+  PathFs paths(fs->get());
+  EXPECT_TRUE(paths.Stat("/kept").ok());
+  EXPECT_EQ(paths.Stat("/overlay-only").status().code(), ErrorCode::kNotFound);
 }
 
 TEST(FaultDiskTest, CrashAfterNWrites) {

@@ -185,7 +185,7 @@ TEST(ServeCrashTest, CrashImageSweepFindsNoStaleReads) {
   params.load.commit_probability = 0.2;
   params.load.mean_think_seconds = 0.005;
   params.load.file_size = 32 * 1024;
-  params.budget.max_boundaries = 24;
+  params.budget.max_boundaries = 0;  // Every boundary.
   params.budget.torn_variants = {1, 8};
 
   auto report = ExploreServeCrashStates(params);

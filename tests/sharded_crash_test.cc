@@ -32,9 +32,11 @@
 
 #include "src/crashsim/crash_image.h"
 #include "src/disk/memory_disk.h"
+#include "src/disk/overlay_disk.h"
 #include "src/disk/recording_disk.h"
 #include "src/lfs/lfs_format.h"
 #include "src/lfs/sharded_lfs.h"
+#include "tests/crash_reference.h"
 #include "tests/fs_fixture.h"
 
 namespace logfs {
@@ -145,20 +147,19 @@ TEST(ShardedCrashTest, EveryCrashImageRecoversPerShard) {
 
   CrashImageGenerator gen(run.base_image, &run.writes);
   CrashEnumerationBudget budget;
-  budget.max_boundaries = 16;
+  budget.max_boundaries = 0;  // Every boundary.
   budget.torn_variants = {1, 8};
   std::vector<CrashPlan> plans = gen.Enumerate(budget);
   ASSERT_FALSE(plans.empty());
 
   size_t durable_checked = 0;
   for (const CrashPlan& plan : plans) {
-    auto image = gen.Materialize(plan);
+    auto image = gen.Image(plan);
     ASSERT_TRUE(image.ok()) << plan.Describe();
     for (bool roll_forward : {true, false}) {
       SimClock clock;
       CpuModel cpu(&clock, 10.0);
-      MemoryDisk disk(kSectors, &clock);
-      std::copy(image->begin(), image->end(), disk.MutableRawImage().begin());
+      OverlayDisk disk = *image;  // Each mount recovers into its own fork.
       ShardedLfs::Options options;
       options.roll_forward = roll_forward;
       auto mounted = ShardedLfs::Mount(&disk, &clock, &cpu, options);
@@ -208,14 +209,12 @@ TEST(ShardedCrashTest, CompleteJournalRecoversClean) {
   CrashImageGenerator gen(run.base_image, &run.writes);
   CrashPlan complete;
   complete.prefix = run.writes.size();
-  auto image = gen.Materialize(complete);
+  auto image = gen.Image(complete);
   ASSERT_TRUE(image.ok());
 
   SimClock clock;
   CpuModel cpu(&clock, 10.0);
-  MemoryDisk disk(kSectors, &clock);
-  std::copy(image->begin(), image->end(), disk.MutableRawImage().begin());
-  auto mounted = ShardedLfs::Mount(&disk, &clock, &cpu);
+  auto mounted = ShardedLfs::Mount(&*image, &clock, &cpu);
   ASSERT_TRUE(mounted.ok());
   EXPECT_FALSE(mounted->get()->reconcile_report().has_value())
       << "fully synced journal left pending intents";
@@ -324,7 +323,7 @@ TEST(ShardedCrashTest, CrossShardOpsAtomicAtEveryCrashPoint) {
 
   CrashImageGenerator gen(run.base_image, &run.writes);
   CrashEnumerationBudget budget;
-  budget.max_boundaries = 24;
+  budget.max_boundaries = 0;  // Every boundary.
   budget.torn_variants = {1, 8};
   budget.reorder_within_epoch = true;
   // Pin a boundary just before AND just after every intent write: "before"
@@ -346,13 +345,12 @@ TEST(ShardedCrashTest, CrossShardOpsAtomicAtEveryCrashPoint) {
 
   size_t reconciled_mounts = 0;
   for (const CrashPlan& plan : plans) {
-    auto image = gen.Materialize(plan);
+    auto image = gen.Image(plan);
     ASSERT_TRUE(image.ok()) << plan.Describe();
     for (bool roll_forward : {true, false}) {
       SimClock clock;
       CpuModel cpu(&clock, 10.0);
-      MemoryDisk disk(kSectors, &clock);
-      std::copy(image->begin(), image->end(), disk.MutableRawImage().begin());
+      OverlayDisk disk = *image;  // Each mount recovers into its own fork.
       ShardedLfs::Options options;
       options.roll_forward = roll_forward;
       auto mounted = ShardedLfs::Mount(&disk, &clock, &cpu, options);
@@ -376,6 +374,15 @@ TEST(ShardedCrashTest, CrossShardOpsAtomicAtEveryCrashPoint) {
   // The sweep must actually have exercised reconciliation, not just found
   // already-clean images.
   EXPECT_GT(reconciled_mounts, 0u);
+}
+
+// Both sweeps' journals, every plan: each copy-on-write image reads back
+// exactly as a full replay of its plan.
+TEST(ShardedCrashTest, EveryPlanMatchesFullReplay) {
+  for (const RecordedRun& run : {RecordWorkload(), RecordCrossShardWorkload()}) {
+    const size_t plans = ExpectImagesMatchReplay(run.base_image, run.writes);
+    EXPECT_GT(plans, run.writes.size());
+  }
 }
 
 }  // namespace

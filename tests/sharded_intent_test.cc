@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "src/disk/memory_disk.h"
 #include "src/lfs/lfs_format.h"
 #include "src/lfs/lfs_intent.h"
+#include "src/lfs/lfs_repair.h"
 #include "src/lfs/sharded_lfs.h"
 #include "tests/fs_fixture.h"
 
@@ -320,6 +323,87 @@ TEST(ShardedIntentTest, RepairPreservesUndecidableOrphansInLostFound) {
     found = found || e.ino == *orphan;
   }
   EXPECT_TRUE(found) << "orphan ino " << *orphan << " not reattached under " << lf;
+}
+
+// True if `note` names `ino` as an inode ("ino 9"), a directory ("dir 9")
+// or a lost+found entry ("ino9").
+bool NoteNamesIno(const std::string& note, InodeNum ino) {
+  const std::string number = std::to_string(ino);
+  for (const char* prefix : {"ino ", "dir ", "ino"}) {
+    const std::string token = prefix + number;
+    for (size_t at = note.find(token); at != std::string::npos;
+         at = note.find(token, at + 1)) {
+      const size_t end = at + token.size();
+      if (end == note.size() || !std::isdigit(static_cast<unsigned char>(note[end]))) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// Seeded orphans on every shard of a 4-log volume: one repair pass lists
+// them before its first edit, so the lost+found.<i> it creates is never
+// taken for an orphan and linked under itself (which left a directory
+// cycle until a later pass dropped the duplicate link).
+TEST(ShardedIntentTest, RepairNeverAdoptsTheLostFoundItCreates) {
+  ShardedRig rig;
+  const InodeNum d0 = rig.DirOnOtherShard(99, "adopt");
+  ASSERT_TRUE(rig.fs->Sync().ok());
+  std::vector<LfsFileSystem*> shards;
+  uint64_t seeded = 0;
+  for (uint32_t i = 0; i < kShards; ++i) {
+    shards.push_back(rig.fs->shard(i));
+    for (int k = 0; k < 2; ++k) {
+      ASSERT_TRUE(rig.fs->shard(i)->AllocInode(FileType::kRegular, d0).ok());
+      ++seeded;
+    }
+  }
+
+  auto report = RepairShardedNamespace(shards, {});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->orphans_reattached, seeded);
+
+  std::set<InodeNum> created;
+  for (const std::string& note : report->actions) {
+    const size_t at = note.find("(ino ");
+    if (note.starts_with("created ") && at != std::string::npos) {
+      created.insert(std::stoull(note.substr(at + 5)));
+    }
+  }
+  EXPECT_EQ(created.size(), kShards);
+  for (const std::string& note : report->actions) {
+    for (InodeNum ino : created) {
+      EXPECT_TRUE(note.starts_with("created ") || !NoteNamesIno(note, ino))
+          << "note names ino " << ino << ", created in the same pass: " << note;
+    }
+  }
+
+  // No directory cycle: every directory is reached from the root once.
+  std::set<InodeNum> seen = {kRootIno};
+  std::vector<InodeNum> stack = {kRootIno};
+  while (!stack.empty()) {
+    const InodeNum dir = stack.back();
+    stack.pop_back();
+    auto entries = rig.fs->ReadDir(dir);
+    ASSERT_TRUE(entries.ok());
+    for (const DirEntry& e : *entries) {
+      if (e.name == "." || e.name == ".." || e.type != FileType::kDirectory) {
+        continue;
+      }
+      EXPECT_TRUE(seen.insert(e.ino).second)
+          << "directory ino " << e.ino << " reached twice (via dir " << dir << ")";
+      stack.push_back(e.ino);
+    }
+  }
+  auto check = CheckShardedLfs(rig.fs.get());
+  ASSERT_TRUE(check.ok());
+  EXPECT_TRUE(check->ok()) << check->Summary();
+
+  // The pass converged: running it again changes nothing.
+  auto again = RepairShardedNamespace(shards, {});
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->total_edits(), 0u);
 }
 
 }  // namespace

@@ -180,6 +180,9 @@ Result<uint32_t> IntentLog::Publish(IntentRecord* rec) {
       continue;
     }
     ++next_op_id_;
+    for (Slot& s : slots_) {
+      s.retire_unordered = false;  // The synchronous write landed after them.
+    }
     slots_[slot].state = SlotState::kPublished;
     slots_[slot].rec = *rec;
     slots_[slot].covers.clear();
@@ -227,8 +230,9 @@ Status IntentLog::RetireCovered(std::span<const uint64_t> synced_seqs) {
     if (!durable) {
       continue;
     }
-    // Best-effort, non-synchronous: a lost retire only means recovery
-    // re-probes a fully durable op and retires it then.
+    // Best-effort, non-synchronous: a lost retire means recovery settles a
+    // fully durable op again and retires it then. Until a barrier orders
+    // this write, NamesUnretired still counts the slot.
     Status written = WriteSlot(slot, s.rec, IntentState::kRetired, /*synchronous=*/false);
     if (!written.ok()) {
       if (written.code() == ErrorCode::kCrashed) {
@@ -239,6 +243,7 @@ Status IntentLog::RetireCovered(std::span<const uint64_t> synced_seqs) {
       continue;
     }
     s.state = SlotState::kFree;
+    s.retire_unordered = true;
     CountIntent("logfs.intent.retired");
   }
   return OkStatus();
@@ -258,8 +263,21 @@ Status IntentLog::RetireSlot(uint32_t slot, const IntentRecord& rec) {
     return written;
   }
   slots_[slot].state = SlotState::kFree;
+  slots_[slot].rec = rec;
+  slots_[slot].retire_unordered = true;
   CountIntent("logfs.intent.retired");
   return OkStatus();
+}
+
+bool IntentLog::NamesUnretired(InodeNum ino) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const Slot& s : slots_) {
+    const bool may_read_pending = s.state != SlotState::kFree || s.retire_unordered;
+    if (may_read_pending && ino != 0 && (s.rec.child == ino || s.rec.victim == ino)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 uint32_t IntentLog::PendingCount() {

@@ -28,10 +28,16 @@
 // Retirement: an intent is retired (slot overwritten with a RETIRED record)
 // only once every involved shard's durable horizon (synced_seq) covers the
 // mutation_seq that shard had when the operation completed. The horizon
-// only advances at checkpoints — synchronous writes, hence barriers — so a
-// reorder-crash can never surface a retired intent whose halves are not
-// durable. Until then the intent stays PENDING on disk; recovery probes the
-// actual shard state, so reconciling an already-durable op is a no-op.
+// advances at checkpoints, whose synchronous writes are barriers, and, under
+// roll-forward, at every Fsync, whose partial-segment writes are not. So a
+// retire after an Fsync relies on the crash model treating a completed
+// Fsync as a barrier (the sharded crash sweeps pass those positions as
+// barrier_positions); then a reorder-crash can never surface a retired
+// intent whose halves are not durable. Until it is retired the intent stays
+// PENDING on disk, and recovery probes the actual shard state. Settling an
+// already-durable op is a no-op only while no later op has changed the
+// names it probes; ROADMAP.md lists the cases where a stale roll-back
+// re-inserts a name a later op removed.
 //
 // Media faults: all region I/O goes through a ResilientDisk owned by the
 // caller. A persistent media error on a slot marks it bad in memory and the
@@ -142,13 +148,21 @@ class IntentLog {
 
   // Retires every applied slot whose covering sequences are all durable
   // per `synced_seqs` (indexed by shard). Retire writes are best-effort
-  // and asynchronous-class: losing one only means recovery re-probes a
-  // fully durable op.
+  // and asynchronous-class: losing one means recovery settles a fully
+  // durable op again, which is a no-op unless a later op changed its names.
   Status RetireCovered(std::span<const uint64_t> synced_seqs);
 
   // Overwrites one slot with a RETIRED record regardless of coverage.
   // Mount-time reconciliation calls this after repairing + syncing.
   Status RetireSlot(uint32_t slot, const IntentRecord& rec);
+
+  // Whether a slot that may still read PENDING after a crash names `ino` as
+  // its child or victim: a live intent, a slot whose retire write failed,
+  // or a retired one whose RETIRED overwrite no barrier has ordered yet
+  // (the next synchronous publish orders it). Recovery settles such an
+  // intent against the names later ops left, so the router publishes for
+  // a same-shard rename this returns true for.
+  bool NamesUnretired(InodeNum ino);
 
   // Occupied (pending-on-disk, not yet retired) slots.
   uint32_t PendingCount();
@@ -160,6 +174,7 @@ class IntentLog {
     SlotState state = SlotState::kFree;
     IntentRecord rec;
     std::vector<std::pair<uint32_t, uint64_t>> covers;
+    bool retire_unordered = false;  // Free, but its RETIRED write may not land.
   };
 
   uint64_t SlotSector(uint32_t slot) const {

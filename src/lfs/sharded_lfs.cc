@@ -381,10 +381,17 @@ bool SameEntry(const Result<DirEntry>& a, const Result<DirEntry>& b) {
 //
 // Each op runs the body LfsFileSystem runs (lfs_file_system_ops.cc) on the
 // shard of its directory, under the locks of every shard it names. The
-// body's before_edit publishes the op's intent: Create, Unlink, Rmdir and
-// Link publish one only when they span shards, and Rename publishes one on
-// every sharded volume. A full intent ring stops the body before its first
-// edit; the router drains the ring and retries, at most twice.
+// body's before_edit publishes the op's intent, and every op publishes one
+// when it spans shards: its halves then land on different logs, which
+// recover independently. An op on one shard is one body on one log, which
+// the single-log crash contract already makes atomic, so it publishes
+// nothing, with one exception. A rename also publishes when an unretired
+// intent names the inode it moves or replaces. Recovery settles that older
+// intent against the names it finds, so without a record of the rename it
+// would roll back to a name the rename removed (for example, the source of
+// a cross-shard round trip comes back beside the rename's new name). A
+// full intent ring stops the body before its first edit; the router drains
+// the ring and retries, at most twice.
 
 Result<InodeNum> ShardedLfs::Create(InodeNum dir, std::string_view name, FileType type) {
   const uint32_t ds = ShardOf(dir);
@@ -499,7 +506,12 @@ Status ShardedLfs::Rename(InodeNum from_dir, std::string_view from_name, InodeNu
         want.push_back(ShardOf(dst->ino));  // Re-lock with the victim's shard.
         continue;
       }
-      Intent intent(this, /*publish=*/true);
+      // The rule is in the section comment above. The query cannot race a
+      // publish that names these inodes: that op holds their shard locks.
+      const bool publish =
+          locks.shards().size() > 1 || (src.ok() && intents_->NamesUnretired(src->ino)) ||
+          (dst.ok() && intents_->NamesUnretired(dst->ino));
+      Intent intent(this, publish);
       LfsFileSystem::Logs logs = intent.logs();
       logs.in_subtree = [cyclic](InodeNum, InodeNum) -> Result<bool> { return cyclic; };
       Status done = fs(fi)->RenameIn(logs, from_dir, from_name, to_dir, to_name);

@@ -13,8 +13,11 @@
 // Inode-number space: global numbers are striped by residue — shard i of N
 // owns every ino with (ino - 1) % N == i, so ShardOf() is pure arithmetic
 // and no shared allocation state exists. The root directory (ino 1) lives
-// on shard 0. New children are placed by hashing (parent, name), spreading
-// even a single hot directory's files across all logs.
+// on shard 0. A new directory is placed by hashing (parent, name), which
+// spreads the tree across the logs; every other file lives on the log of
+// the directory it was created in (PlaceShard). So a create is
+// single-shard, and so is renaming such a file in place or to another
+// directory on the same log.
 //
 // Locking protocol: one mutex per shard. Single-inode operations (read,
 // write, fsync, ...) take exactly their shard's lock and run the single-log

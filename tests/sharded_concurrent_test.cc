@@ -6,6 +6,7 @@
 // layer surface here as TSan reports.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <thread>
 
@@ -112,6 +113,11 @@ TEST(ShardedConcurrentTest, SingleShardStillThreadSafe) {
 // "repair") a mid-flight operation: every mid-race check reports a clean
 // namespace, because intents make cross-shard ops atomic under the locks
 // the checker takes.
+//
+// Each round the movers make a fixed number of round trips: half before
+// the round's check starts, half racing it. A check waits out at most the
+// movers' second halves, where movers looping until told to stop could
+// starve it of the rename lock for minutes under TSan.
 TEST(ShardedConcurrentTest, RenamesRacingOnlineRepairerStayClean) {
   Rig rig(4);
   ASSERT_TRUE(rig.fs->intent_log_enabled());
@@ -129,6 +135,8 @@ TEST(ShardedConcurrentTest, RenamesRacingOnlineRepairerStayClean) {
     if (rig.fs->ShardOf(d1) != rig.fs->ShardOf(d0)) break;
   }
   constexpr int kMovers = 3;
+  constexpr int kRounds = 12;
+  constexpr int kTripsPerRound = 8;
   for (int t = 0; t < kMovers; ++t) {
     auto f = rig.fs->Create(d0, "m" + std::to_string(t), FileType::kRegular);
     ASSERT_TRUE(f.ok());
@@ -136,15 +144,27 @@ TEST(ShardedConcurrentTest, RenamesRacingOnlineRepairerStayClean) {
   ASSERT_TRUE(rig.fs->Sync().ok());
 
   std::atomic<bool> stop{false};
+  std::atomic<int> halfway{0};         // Movers past the first half of a round, summed.
+  std::atomic<int> check_started{-1};  // The last round whose check has started.
+  std::array<std::atomic<int>, kMovers> trips{};
   std::vector<std::thread> threads;
   // Movers: cross-shard rename ping-pong (every iteration publishes and
   // applies an intent under both shard locks).
   for (int t = 0; t < kMovers; ++t) {
     threads.emplace_back([&, t] {
       const std::string name = "m" + std::to_string(t);
-      while (!stop.load(std::memory_order_relaxed)) {
-        ASSERT_TRUE(rig.fs->Rename(d0, name, d1, name).ok());
-        ASSERT_TRUE(rig.fs->Rename(d1, name, d0, name).ok());
+      for (int round = 0; round < kRounds; ++round) {
+        for (int trip = 0; trip < kTripsPerRound; ++trip) {
+          if (trip == kTripsPerRound / 2) {
+            ++halfway;
+            while (check_started.load() < round) {
+              std::this_thread::yield();
+            }
+          }
+          EXPECT_TRUE(rig.fs->Rename(d0, name, d1, name).ok());
+          EXPECT_TRUE(rig.fs->Rename(d1, name, d0, name).ok());
+          ++trips[t];
+        }
       }
     });
   }
@@ -155,9 +175,19 @@ TEST(ShardedConcurrentTest, RenamesRacingOnlineRepairerStayClean) {
       ASSERT_TRUE(rig.fs->Sync().ok());
     }
   });
-  // The online repairer, repeatedly, against the live mount.
+  // The online repairer, once a round, against the live mount.
   int clean_checks = 0;
-  for (int round = 0; round < 12; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
+    while (halfway.load() < kMovers * (round + 1)) {
+      std::this_thread::yield();
+    }
+    // Every mover waits halfway through this round, so once released the
+    // check below starts while their renames are in flight.
+    for (int t = 0; t < kMovers; ++t) {
+      EXPECT_EQ(trips[t].load(), round * kTripsPerRound + kTripsPerRound / 2)
+          << "mover " << t << " round " << round;
+    }
+    check_started.store(round);
     auto check = CheckShardedLfs(rig.fs.get(), /*verify_data=*/false,
                                  RepairMode::kRepair);
     ASSERT_TRUE(check.ok());
@@ -167,11 +197,12 @@ TEST(ShardedConcurrentTest, RenamesRacingOnlineRepairerStayClean) {
         << (check->repair_actions.empty() ? "" : check->repair_actions.front());
     clean_checks += check->ok() ? 1 : 0;
   }
-  stop.store(true);
-  for (auto& th : threads) {
-    th.join();
+  for (int t = 0; t < kMovers; ++t) {
+    threads[t].join();
   }
-  EXPECT_EQ(clean_checks, 12);
+  stop.store(true);
+  threads.back().join();
+  EXPECT_EQ(clean_checks, kRounds);
 
   ASSERT_TRUE(rig.fs->Sync().ok());
   auto final_check = CheckShardedLfs(rig.fs.get());

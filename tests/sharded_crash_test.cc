@@ -22,10 +22,14 @@
 // The CrossShardOpsAtomic matrix additionally pins crash boundaries at
 // every intent-region write (publish and retire), so torn and mid-intent
 // states — the exact window the log exists to cover — are always in the
-// enumeration, never sampled over by the boundary stride.
+// enumeration, never sampled over by the boundary stride. The
+// SameShardRenames sweep does the same for renames that stay on one log,
+// most of which publish no intent, and also checks that a covered rename's
+// source name is gone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -61,10 +65,26 @@ struct DurableFile {
   size_t journal_len = 0;  // Journal size when the Fsync returned.
 };
 
+// A same-shard rename's source name. Once a completed Fsync (under
+// roll-forward) or Sync (either mode) covers the rename, it must not name
+// `ino` again.
+struct MovedName {
+  static constexpr size_t kNever = std::numeric_limits<size_t>::max();
+  InodeNum dir = 0;
+  std::string name;
+  InodeNum ino = 0;
+  size_t fsynced_at = kNever;  // Journal size when a covering Fsync returned.
+  size_t synced_at = kNever;   // Journal size when a covering Sync returned.
+};
+
 struct RecordedRun {
   std::vector<std::byte> base_image;       // Disk content right after format.
   std::vector<WriteRecord> writes;         // The interleaved journal.
   std::vector<DurableFile> durable;
+  std::vector<MovedName> moved;
+  // Journal sizes at which an Fsync or Sync returned: durability barriers
+  // that order the writes on either side.
+  std::vector<size_t> barriers;
 };
 
 // Formats a sharded volume, then replays a deterministic single-threaded
@@ -374,6 +394,179 @@ TEST(ShardedCrashTest, CrossShardOpsAtomicAtEveryCrashPoint) {
   // The sweep must actually have exercised reconciliation, not just found
   // already-clean images.
   EXPECT_GT(reconciled_mounts, 0u);
+}
+
+// Records renames that stay on one shard, each group followed by an Fsync:
+//   1. a file renamed in place;
+//   2. a file moved to another directory on its shard, then renamed there;
+//   3. a directory moved between two directories of one shard;
+//   4. a file renamed over a victim in its directory;
+//   5. a cross-shard round trip, then one rename in place.
+// A Sync after group 3 retires what was published so far. Only directory
+// creates and removals that land off their parent's shard publish intents
+// (the set-up's, and group 3's search for a subdirectory on the shard), and
+// group 5: the round trip's two, and the in-place rename's, because those
+// pending intents name its inode.
+RecordedRun RecordSameShardRenames() {
+  SimClock clock;
+  CpuModel cpu(&clock, 10.0);
+  MemoryDisk inner(kSectors, &clock);
+  EXPECT_TRUE(ShardedLfs::Format(&inner, RigParams(), kShards).ok());
+  RecordedRun run;
+  {
+    std::span<const std::byte> raw = inner.RawImage();
+    run.base_image.assign(raw.begin(), raw.end());
+  }
+
+  RecordingDisk rec(&inner);
+  auto mounted = ShardedLfs::Mount(&rec, &clock, &cpu);
+  EXPECT_TRUE(mounted.ok());
+  ShardedLfs* fs = mounted->get();
+
+  // A directory under `parent` named prefix<i> for the first i whose shard
+  // satisfies `wanted`; the misses are removed again.
+  auto dir_where = [fs](InodeNum parent, const std::string& prefix, auto wanted) {
+    for (int i = 0;; ++i) {
+      const std::string name = prefix + std::to_string(i);
+      auto ino = fs->Create(parent, name, FileType::kDirectory);
+      EXPECT_TRUE(ino.ok());
+      if (wanted(fs->ShardOf(*ino))) {
+        return std::make_pair(*ino, name);
+      }
+      EXPECT_TRUE(fs->Rmdir(parent, name).ok());
+    }
+  };
+  auto file = [fs](InodeNum dir, const std::string& name, int seed) {
+    auto ino = fs->Create(dir, name, FileType::kRegular);
+    EXPECT_TRUE(ino.ok());
+    EXPECT_TRUE(fs->Write(*ino, 0, TestBytes(4096, seed)).ok());
+    return *ino;
+  };
+  auto rename = [fs, &run](InodeNum from, const std::string& from_name, InodeNum to,
+                           const std::string& to_name, InodeNum ino, bool same_shard) {
+    EXPECT_TRUE(fs->Rename(from, from_name, to, to_name).ok());
+    if (same_shard) {
+      run.moved.push_back(MovedName{from, from_name, ino});
+    }
+  };
+  auto fsync = [fs, &run, &rec](std::initializer_list<InodeNum> inos) {
+    for (InodeNum ino : inos) {
+      EXPECT_TRUE(fs->Fsync(ino).ok());
+      run.barriers.push_back(rec.write_count());
+    }
+    for (MovedName& m : run.moved) {
+      m.fsynced_at = std::min(m.fsynced_at, rec.write_count());
+    }
+  };
+  auto sync = [fs, &run, &rec] {
+    EXPECT_TRUE(fs->Sync().ok());
+    run.barriers.push_back(rec.write_count());
+    for (MovedName& m : run.moved) {
+      m.synced_at = std::min(m.synced_at, rec.write_count());
+    }
+  };
+
+  const InodeNum b = dir_where(kRootIno, "b", [](uint32_t) { return true; }).first;
+  const uint32_t s = fs->ShardOf(b);
+  const InodeNum c = dir_where(kRootIno, "c", [s](uint32_t t) { return t == s; }).first;
+  const InodeNum d = dir_where(kRootIno, "d", [s](uint32_t t) { return t != s; }).first;
+  sync();
+
+  const InodeNum x1 = file(b, "f1", 1);
+  rename(b, "f1", b, "g1", x1, true);
+  fsync({x1});
+
+  const InodeNum x2 = file(b, "f2", 2);
+  rename(b, "f2", c, "f2", x2, true);
+  rename(c, "f2", c, "g2", x2, true);
+  fsync({x2});
+
+  const auto [sub, sub_name] = dir_where(b, "sub", [s](uint32_t t) { return t == s; });
+  rename(b, sub_name, c, "moved", sub, true);
+  fsync({sub});
+  sync();
+
+  const InodeNum x4 = file(b, "f4", 4);
+  file(b, "v4", 5);
+  rename(b, "f4", b, "v4", x4, true);
+  fsync({x4});
+
+  const InodeNum x5 = file(b, "f5", 6);
+  rename(b, "f5", d, "f5", x5, false);
+  rename(d, "f5", b, "f5", x5, false);
+  rename(b, "f5", b, "g5", x5, true);
+  fsync({x5, d});
+
+  for (const MovedName& m : run.moved) {
+    EXPECT_EQ(fs->ShardOf(m.dir), s);
+    EXPECT_EQ(fs->ShardOf(m.ino), s);
+  }
+  run.writes = rec.writes();
+  return run;
+}
+
+// Every crash image of the same-shard workload, with boundaries forced at
+// every intent write, torn and reordered variants, and the completed
+// Fsync/Sync calls as barriers (LFS never calls Flush(), so epochs alone do
+// not order writes across an fsync). Each image mounts clean in both
+// recovery modes, and no source name of a covered same-shard rename names
+// the moved inode.
+TEST(ShardedCrashTest, SameShardRenamesAtomicAtEveryCrashPoint) {
+  RecordedRun run = RecordSameShardRenames();
+  ASSERT_EQ(run.moved.size(), 6u);
+
+  std::vector<std::byte> first(run.base_image.begin(), run.base_image.begin() + 4096);
+  auto sb = DecodeLfsSuperblock(first);
+  ASSERT_TRUE(sb.ok());
+  CrashImageGenerator gen(run.base_image, &run.writes);
+  CrashEnumerationBudget budget;
+  budget.max_boundaries = 0;  // Every boundary.
+  budget.torn_variants = {1, 8};
+  budget.reorder_within_epoch = true;
+  for (size_t i = 0; i < run.writes.size(); ++i) {
+    if (run.writes[i].first >= sb->intent_start_sector) {
+      budget.forced_boundaries.push_back(i);
+      budget.forced_boundaries.push_back(i + 1);
+    }
+  }
+  std::vector<CrashPlan> plans = gen.Enumerate(budget, run.barriers);
+  ASSERT_GT(plans.size(), run.writes.size());
+
+  size_t covered_checks = 0;
+  for (const CrashPlan& plan : plans) {
+    auto image = gen.Image(plan);
+    ASSERT_TRUE(image.ok()) << plan.Describe();
+    for (bool roll_forward : {true, false}) {
+      const std::string where =
+          plan.Describe() + (roll_forward ? " [roll-forward]" : " [checkpoint-only]");
+      SimClock clock;
+      CpuModel cpu(&clock, 10.0);
+      OverlayDisk disk = *image;
+      ShardedLfs::Options options;
+      options.roll_forward = roll_forward;
+      auto mounted = ShardedLfs::Mount(&disk, &clock, &cpu, options);
+      ASSERT_TRUE(mounted.ok()) << where << ": " << mounted.status().ToString();
+      ShardedLfs* fs = mounted->get();
+      auto report = CheckShardedLfs(fs, /*verify_data=*/true);
+      ASSERT_TRUE(report.ok()) << where;
+      for (const std::string& problem : report->problems) {
+        ADD_FAILURE() << where << ": " << problem;
+      }
+      for (const MovedName& m : run.moved) {
+        const bool covered =
+            (roll_forward && m.fsynced_at <= plan.prefix) || m.synced_at <= plan.prefix;
+        if (!covered) {
+          continue;
+        }
+        ++covered_checks;
+        auto left = fs->Lookup(m.dir, m.name);
+        EXPECT_FALSE(left.ok() && *left == m.ino)
+            << where << ": source '" << m.name << "' in dir " << m.dir
+            << " still names moved ino " << m.ino;
+      }
+    }
+  }
+  EXPECT_GT(covered_checks, 0u);
 }
 
 // Both sweeps' journals, every plan: each copy-on-write image reads back

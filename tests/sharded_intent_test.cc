@@ -8,6 +8,9 @@
 //   * fault injection on the intent region — a persistent media error
 //     fails the op cleanly with NO shard mutated, and a transient error
 //     is absorbed by the ResilientDisk retry layer (the op succeeds);
+//   * which renames publish — device writes counted at the intent region,
+//     and two fsynced crash images that recover exactly only under the
+//     publish rule;
 //   * the online repairer — CheckShardedLfs(..., RepairMode::kRepair)
 //     fixes damage no intent names (dangling dirents, orphans, wrong
 //     nlinks, seeded through the shard seams) in place and reports a clean
@@ -22,6 +25,8 @@
 
 #include "src/disk/fault_disk.h"
 #include "src/disk/memory_disk.h"
+#include "src/disk/overlay_disk.h"
+#include "src/disk/recording_disk.h"
 #include "src/lfs/lfs_format.h"
 #include "src/lfs/lfs_intent.h"
 #include "src/lfs/lfs_repair.h"
@@ -44,38 +49,74 @@ LfsParams RigParams() {
   return params;
 }
 
-// A sharded mount over a fault-injecting disk (no faults armed by default).
+// A sharded mount over a fault-injecting disk (no faults armed by default)
+// whose writes are journaled, so a test can count what reached the intent
+// region.
 struct ShardedRig {
   ShardedRig() {
     clock = std::make_unique<SimClock>();
     cpu = std::make_unique<CpuModel>(clock.get(), 10.0);
     inner = std::make_unique<MemoryDisk>(kSectors, clock.get());
-    fault = std::make_unique<FaultInjectingDisk>(inner.get());
+    rec = std::make_unique<RecordingDisk>(inner.get());
+    fault = std::make_unique<FaultInjectingDisk>(rec.get());
     EXPECT_TRUE(ShardedLfs::Format(inner.get(), RigParams(), kShards).ok());
     auto mounted = ShardedLfs::Mount(fault.get(), clock.get(), cpu.get());
     EXPECT_TRUE(mounted.ok());
     fs = std::move(mounted).value();
   }
 
-  // A directory under root whose home shard differs from `not_shard`.
-  // Directory placement hashes (parent, name), so a handful of candidates
-  // always yields one.
-  InodeNum DirOnOtherShard(uint32_t not_shard, const std::string& prefix) {
+  // A directory under root whose home shard satisfies `wanted`. Directory
+  // placement hashes (parent, name), so a handful of candidates always
+  // yields one.
+  template <typename Pred>
+  InodeNum DirWhere(const std::string& prefix, Pred wanted) {
     for (int i = 0;; ++i) {
       const std::string name = prefix + std::to_string(i);
       auto ino = fs->Create(kRootIno, name, FileType::kDirectory);
       EXPECT_TRUE(ino.ok());
-      if (fs->ShardOf(*ino) != not_shard) {
+      if (wanted(fs->ShardOf(*ino))) {
         return *ino;
       }
       EXPECT_TRUE(fs->Rmdir(kRootIno, name).ok());
     }
   }
+  InodeNum DirOnOtherShard(uint32_t not_shard, const std::string& prefix) {
+    return DirWhere(prefix, [not_shard](uint32_t s) { return s != not_shard; });
+  }
+  InodeNum DirOnShard(uint32_t shard, const std::string& prefix) {
+    return DirWhere(prefix, [shard](uint32_t s) { return s == shard; });
+  }
+
+  // Device writes to the intent region so far: publishes and retires.
+  size_t IntentWrites() const {
+    const uint64_t start = fs->shard(0)->superblock().intent_start_sector;
+    return static_cast<size_t>(
+        std::count_if(rec->writes().begin(), rec->writes().end(),
+                      [start](const WriteRecord& w) { return w.first >= start; }));
+  }
 
   std::unique_ptr<SimClock> clock;
   std::unique_ptr<CpuModel> cpu;
   std::unique_ptr<MemoryDisk> inner;
+  std::unique_ptr<RecordingDisk> rec;
   std::unique_ptr<FaultInjectingDisk> fault;
+  std::unique_ptr<ShardedLfs> fs;
+};
+
+// A crash at this instant: the rig's disk as its writes left it, mounted on
+// a copy-on-write overlay so the live mount's disk is left alone.
+struct CrashImage {
+  explicit CrashImage(const MemoryDisk& disk) : overlay(disk.RawImage()), cpu(&clock, 10.0) {
+    auto mounted = ShardedLfs::Mount(&overlay, &clock, &cpu);
+    EXPECT_TRUE(mounted.ok()) << mounted.status().ToString();
+    if (mounted.ok()) {
+      fs = std::move(mounted).value();
+    }
+  }
+
+  OverlayDisk overlay;
+  SimClock clock;
+  CpuModel cpu;
   std::unique_ptr<ShardedLfs> fs;
 };
 
@@ -234,6 +275,122 @@ TEST(ShardedIntentTest, TransientErrorOnIntentWriteIsRetriedThrough) {
   EXPECT_EQ(rig.fault->transient_write_errors_injected(), 1u);
 
   ASSERT_TRUE(rig.fs->Sync().ok());
+  auto report = CheckShardedLfs(rig.fs.get());
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
+// --- which renames publish ---------------------------------------------------
+//
+// A rename whose locked shards are one log is one body on one log, atomic
+// by the single-log crash contract, so it publishes no intent; unless a
+// slot that may still read PENDING names its child or victim, whose
+// settlement at mount would otherwise undo it.
+
+// B/x -> C/x -> C/y with B, C and x on one shard, fsynced, then a crash
+// before any Tick or Sync retires anything. With an intent per rename the
+// first one's stale roll-back re-inserted B/x beside C/y (nlink 1 -> 2).
+TEST(ShardedIntentTest, SameShardRenameChainRecoversExactly) {
+  ShardedRig rig;
+  const InodeNum b = rig.DirOnOtherShard(99, "chain-b");
+  const InodeNum c = rig.DirOnShard(rig.fs->ShardOf(b), "chain-c");
+  auto x = rig.fs->Create(b, "x", FileType::kRegular);
+  ASSERT_TRUE(x.ok());
+  ASSERT_EQ(rig.fs->ShardOf(*x), rig.fs->ShardOf(b));
+  ASSERT_TRUE(rig.fs->Sync().ok());
+
+  ASSERT_TRUE(rig.fs->Rename(b, "x", c, "x").ok());
+  ASSERT_TRUE(rig.fs->Rename(c, "x", c, "y").ok());
+  ASSERT_TRUE(rig.fs->Fsync(*x).ok());
+
+  CrashImage image(*rig.inner);
+  ASSERT_NE(image.fs, nullptr);
+  EXPECT_FALSE(image.fs->reconcile_report().has_value())
+      << image.fs->reconcile_report()->intents_settled << " intents settled at mount";
+  EXPECT_EQ(image.fs->Lookup(b, "x").status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(image.fs->Lookup(c, "x").status().code(), ErrorCode::kNotFound);
+  auto y = image.fs->Lookup(c, "y");
+  ASSERT_TRUE(y.ok());
+  EXPECT_EQ(*y, *x);
+  auto stat = image.fs->Stat(*x);
+  ASSERT_TRUE(stat.ok());
+  EXPECT_EQ(stat->nlink, 1u);
+  auto report = CheckShardedLfs(image.fs.get());
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
+// A/x -> B/x -> A/x across shards, then A/x -> A/y on A's shard, all
+// fsynced. The first intent's stale roll-back re-inserts A/x; only the
+// same-shard rename's own intent (published because pending intents name
+// x) drops it again.
+TEST(ShardedIntentTest, RenameOfAnInodePendingIntentsNamePublishes) {
+  ShardedRig rig;
+  const InodeNum a = rig.DirOnOtherShard(99, "trip-a");
+  const InodeNum b = rig.DirOnOtherShard(rig.fs->ShardOf(a), "trip-b");
+  auto x = rig.fs->Create(a, "x", FileType::kRegular);
+  ASSERT_TRUE(x.ok());
+  ASSERT_TRUE(rig.fs->Sync().ok());
+
+  ASSERT_TRUE(rig.fs->Rename(a, "x", b, "x").ok());
+  ASSERT_TRUE(rig.fs->Rename(b, "x", a, "x").ok());
+  ASSERT_TRUE(rig.fs->Rename(a, "x", a, "y").ok());
+  ASSERT_TRUE(rig.fs->Fsync(*x).ok());
+  ASSERT_TRUE(rig.fs->Fsync(b).ok());
+
+  CrashImage image(*rig.inner);
+  ASSERT_NE(image.fs, nullptr);
+  EXPECT_EQ(image.fs->Lookup(a, "x").status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(image.fs->Lookup(b, "x").status().code(), ErrorCode::kNotFound);
+  auto y = image.fs->Lookup(a, "y");
+  ASSERT_TRUE(y.ok());
+  EXPECT_EQ(*y, *x);
+  auto stat = image.fs->Stat(*x);
+  ASSERT_TRUE(stat.ok());
+  EXPECT_EQ(stat->nlink, 1u);
+  auto report = CheckShardedLfs(image.fs.get());
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
+// Device writes to the intent region, per rename: none on one shard, one
+// across shards, one where the guard holds, and the guard lets go once a
+// synchronous publish has ordered the RETIRED overwrites.
+TEST(ShardedIntentTest, IntentWritesOnlyWhereRecoveryNeedsThem) {
+  ShardedRig rig;
+  const InodeNum a = rig.DirOnOtherShard(99, "count-a");
+  const InodeNum b = rig.DirOnOtherShard(rig.fs->ShardOf(a), "count-b");
+  for (const char* name : {"x", "z", "w"}) {
+    ASSERT_TRUE(rig.fs->Create(a, name, FileType::kRegular).ok());
+  }
+  ASSERT_TRUE(rig.fs->Sync().ok());
+
+  // The writes one call makes to the intent region.
+  auto intent_writes = [&rig](auto op) {
+    const size_t before = rig.IntentWrites();
+    EXPECT_TRUE(op().ok());
+    return rig.IntentWrites() - before;
+  };
+  auto rename = [&rig](InodeNum from, const char* from_name, InodeNum to,
+                       const char* to_name) {
+    return [=, &rig] { return rig.fs->Rename(from, from_name, to, to_name); };
+  };
+  EXPECT_EQ(intent_writes(rename(a, "x", a, "x2")), 0u) << "same shard, synced volume";
+  EXPECT_EQ(intent_writes(rename(a, "z", b, "z")), 1u) << "cross-shard";
+  EXPECT_EQ(intent_writes(rename(b, "z", a, "z")), 1u) << "cross-shard, back";
+  EXPECT_EQ(intent_writes(rename(a, "z", a, "z2")), 1u) << "same shard, pending intents";
+
+  // Sync retires all three, but no barrier orders those RETIRED writes
+  // yet, so z's next rename still publishes (and x's, never named, not).
+  ASSERT_TRUE(rig.fs->Sync().ok());
+  EXPECT_EQ(rig.fs->intent_log()->PendingCount(), 0u);
+  EXPECT_EQ(intent_writes(rename(a, "z2", a, "z3")), 1u) << "retired, unordered";
+  EXPECT_EQ(intent_writes(rename(a, "x2", a, "x3")), 0u);
+  ASSERT_TRUE(rig.fs->Sync().ok());
+  // A cross-shard publish is synchronous: every earlier retire is behind it.
+  EXPECT_EQ(intent_writes(rename(a, "w", b, "w")), 1u);
+  EXPECT_EQ(intent_writes(rename(a, "z3", a, "z4")), 0u) << "retired, ordered";
+
   auto report = CheckShardedLfs(rig.fs.get());
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok()) << report->Summary();

@@ -29,9 +29,11 @@
 # UBSAN_OPTIONS=halt_on_error=1 makes every undefined-behaviour report fail
 # its test; without it UBSan prints the report and the test passes.
 # On a 4-core x86_64 VM, with both trees already built, the thread pass
-# takes about 6 minutes (5 of them in serve_test) and the address/undefined
-# pass about 9: 4.5 for the labels, 4.2 for lfs_cleaner_test, and about a
-# second each for sharded_lfs_test and fs_conformance_test.
+# takes about 6 minutes (5 of them in serve_test, 4 seconds in
+# sharded_concurrent_test, whose racing-repairer rounds are bounded) and the
+# address/undefined pass about 8: 4 for the labels, 3.7 for
+# lfs_cleaner_test, and about a second each for sharded_lfs_test and
+# fs_conformance_test.
 #
 # Usage: tools/check_tsan.sh [--asan] [build-dir]   (default: build-tsan)
 set -e

@@ -1,9 +1,9 @@
 #include "src/ffs/ffs_check.h"
 
-#include <deque>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
+
+#include "src/fsbase/namespace_walk.h"
 
 namespace logfs {
 namespace {
@@ -89,103 +89,42 @@ Result<FfsCheckReport> FfsChecker::Check(bool verify_data) {
     return OkStatus();
   };
 
-  // --- directory tree walk ---
-  std::unordered_map<InodeNum, uint32_t> name_refs;
-  std::unordered_map<InodeNum, uint32_t> child_dirs;
-  std::unordered_map<InodeNum, InodeNum> parent_of;
-  std::unordered_set<InodeNum> visited;
-  std::deque<InodeNum> queue;
-  queue.push_back(kRootIno);
-  visited.insert(kRootIno);
-  parent_of[kRootIno] = kRootIno;
-  while (!queue.empty()) {
-    const InodeNum dir = queue.front();
-    queue.pop_front();
-    ++report.directories;
-    Result<std::vector<DirEntry>> entries = fs_->ReadDir(dir);
-    if (!entries.ok()) {
-      complain("dir " + std::to_string(dir) + " unreadable");
-      continue;
-    }
-    bool saw_dot = false;
-    bool saw_dotdot = false;
-    for (const DirEntry& entry : entries.value()) {
-      const uint32_t group = fs_->GroupOfInode(entry.ino);
-      const uint32_t index = (entry.ino - 1) % sb.inodes_per_group;
-      if (entry.ino == kInvalidIno || group >= sb.num_groups ||
-          !TestBit(fs_->groups_[group].inode_bitmap, index)) {
-        complain("dir " + std::to_string(dir) + " entry '" + entry.name +
-                 "' references unallocated ino " + std::to_string(entry.ino));
-        continue;
-      }
-      if (entry.name == ".") {
-        saw_dot = true;
-        if (entry.ino != dir) {
-          complain("dir " + std::to_string(dir) + " has wrong '.'");
-        }
-        continue;
-      }
-      if (entry.name == "..") {
-        saw_dotdot = true;
-        if (entry.ino != parent_of[dir]) {
-          complain("dir " + std::to_string(dir) + " has wrong '..'");
-        }
-        continue;
-      }
-      ++name_refs[entry.ino];
-      Result<FileStat> stat = fs_->Stat(entry.ino);
-      if (!stat.ok()) {
-        complain("stat of ino " + std::to_string(entry.ino) + " failed");
-        continue;
-      }
-      if (stat->type == FileType::kDirectory) {
-        ++child_dirs[dir];
-        if (!visited.insert(entry.ino).second) {
-          complain("directory ino " + std::to_string(entry.ino) + " linked twice");
-          continue;
-        }
-        parent_of[entry.ino] = dir;
-        queue.push_back(entry.ino);
-      } else if (visited.insert(entry.ino).second) {
-        ++report.files;
-        report.total_bytes += stat->size;
-        if (verify_data && stat->size > 0) {
-          std::vector<std::byte> content(stat->size);
-          Result<uint64_t> n = fs_->Read(entry.ino, 0, content);
-          if (!n.ok() || *n != stat->size) {
-            complain("file ino " + std::to_string(entry.ino) + " content unreadable");
-          }
-        }
-      }
-    }
-    if (!saw_dot || !saw_dotdot) {
-      complain("dir " + std::to_string(dir) + " missing . or ..");
-    }
-  }
-
-  // --- per-inode: reachability, nlink, block walk ---
+  // --- the namespace walk, then per reachable inode: content, block walk ---
+  std::vector<InodeNum> allocated;
   for (uint32_t g = 0; g < sb.num_groups; ++g) {
     for (uint32_t i = 0; i < sb.inodes_per_group; ++i) {
-      if (!TestBit(fs_->groups_[g].inode_bitmap, i)) {
-        continue;
+      if (TestBit(fs_->groups_[g].inode_bitmap, i)) {
+        allocated.push_back(static_cast<InodeNum>(g * sb.inodes_per_group + i + 1));
       }
-      const InodeNum ino = static_cast<InodeNum>(g * sb.inodes_per_group + i + 1);
-      if (!visited.contains(ino)) {
-        complain("allocated ino " + std::to_string(ino) + " unreachable from root");
-        continue;
-      }
-      Result<Inode> inode = fs_->GetInode(ino);
-      if (!inode.ok()) {
-        complain("ino " + std::to_string(ino) + " undecodable");
-        continue;
-      }
-      const uint32_t expected = inode->IsDirectory() ? 2 + child_dirs[ino] : name_refs[ino];
-      if (inode->nlink != expected) {
-        complain("ino " + std::to_string(ino) + " nlink " + std::to_string(inode->nlink) +
-                 " != expected " + std::to_string(expected));
-      }
-      RETURN_IF_ERROR(walk_inode_blocks(ino, *inode));
     }
+  }
+  FileSystem* const parts[] = {fs_};
+  const NamespaceWalk walk = WalkNamespace(parts, allocated);
+  report.files = walk.files;
+  report.directories = walk.directories;
+  for (std::string& problem : walk.Problems()) {
+    complain(std::move(problem));
+  }
+  for (InodeNum ino : allocated) {
+    if (!walk.reachable.contains(ino)) {
+      continue;
+    }
+    Result<Inode> inode = fs_->GetInode(ino);
+    if (!inode.ok()) {
+      complain("ino " + std::to_string(ino) + " undecodable");
+      continue;
+    }
+    if (!inode->IsDirectory()) {
+      report.total_bytes += inode->size;
+      if (verify_data && inode->size > 0) {
+        std::vector<std::byte> content(inode->size);
+        Result<uint64_t> n = fs_->Read(ino, 0, content);
+        if (!n.ok() || *n != inode->size) {
+          complain("file ino " + std::to_string(ino) + " content unreadable");
+        }
+      }
+    }
+    RETURN_IF_ERROR(walk_inode_blocks(ino, *inode));
   }
   report.blocks_in_use = used_blocks.size();
 

@@ -1,9 +1,10 @@
 // FfsChecker: fsck-style consistency verification for the FFS baseline.
 //
 // After quiescing the file system, verifies that:
-//   * the directory tree is rooted, acyclic and fully connected, with
-//     correct "." / ".." entries and exact nlink counts;
-//   * every allocated inode is reachable and every dirent target allocated;
+//   * the namespace keeps the rules of the shared walk
+//     (src/fsbase/namespace_walk.h): a rooted tree with correct "." / ".."
+//     entries, every dirent naming an allocated inode of its type, every
+//     allocated inode reachable, and exact nlink counts;
 //   * every block pointer lies in a valid data area and no two live
 //     pointers reference the same block (no double allocation);
 //   * the block and inode bitmaps agree exactly with the reachable set

@@ -15,6 +15,11 @@ using InodeNum = uint32_t;
 inline constexpr InodeNum kInvalidIno = 0;
 inline constexpr InodeNum kRootIno = 1;
 
+// The part of an n-part volume that holds `ino`: part i holds every inode
+// number in one residue class, so the root is in part 0. A sharded LFS's
+// shards are its parts (src/lfs/sharded_lfs.h).
+inline uint32_t PartOf(InodeNum ino, uint32_t parts) { return (ino - 1) % parts; }
+
 // Disk address of a block, expressed as the sector number of its first
 // sector. kNoAddr marks an unallocated (hole) block pointer.
 using DiskAddr = uint64_t;

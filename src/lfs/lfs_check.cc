@@ -1,10 +1,8 @@
 #include "src/lfs/lfs_check.h"
 
-#include <deque>
 #include <map>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/util/crc32.h"
 
@@ -43,11 +41,37 @@ void LfsCheckReport::Complain(std::string problem) {
 }
 
 Result<LfsCheckReport> LfsChecker::Check(bool verify_data) {
-  LfsCheckReport report;
-  RETURN_IF_ERROR(CheckLog(verify_data, "", &report));
   LfsFileSystem* const logs[] = {fs_};
-  CheckNamespace(logs, [](InodeNum) { return size_t{0}; }, &report);
+  return CheckLogs(logs, verify_data);
+}
+
+Result<LfsCheckReport> CheckLogs(std::span<LfsFileSystem* const> logs, bool verify_data) {
+  LfsCheckReport report;
+  for (size_t i = 0; i < logs.size(); ++i) {
+    const std::string label = logs.size() > 1 ? "shard " + std::to_string(i) + ": " : "";
+    RETURN_IF_ERROR(LfsChecker(logs[i]).CheckLog(verify_data, label, &report));
+  }
+  const NamespaceWalk walk = WalkLogs(logs);
+  report.files = walk.files;
+  report.directories = walk.directories;
+  for (std::string& problem : walk.Problems()) {
+    report.Complain(std::move(problem));
+  }
   return report;
+}
+
+NamespaceWalk WalkLogs(std::span<LfsFileSystem* const> logs) {
+  std::vector<InodeNum> allocated;
+  for (const LfsFileSystem* log : logs) {
+    const InodeMap& imap = log->imap();
+    for (uint32_t slot = 0; slot < imap.max_inodes(); ++slot) {
+      if (imap.GetSlot(slot).allocated) {
+        allocated.push_back(imap.InoAtSlot(slot));
+      }
+    }
+  }
+  const std::vector<FileSystem*> parts(logs.begin(), logs.end());
+  return WalkNamespace(parts, allocated);
 }
 
 Status LfsChecker::CheckLog(bool verify_data, const std::string& label,
@@ -200,109 +224,6 @@ Status LfsChecker::CheckLog(bool verify_data, const std::string& label,
     }
   }
   return OkStatus();
-}
-
-void CheckNamespace(std::span<LfsFileSystem* const> logs,
-                    const std::function<size_t(InodeNum)>& home, LfsCheckReport* report) {
-  auto complain = [report](std::string message) { report->Complain(std::move(message)); };
-  auto log_of = [&](InodeNum ino) { return logs[home(ino)]; };
-  // Where an inode lives, for messages; a single log needs no saying.
-  auto where = [&](InodeNum ino) {
-    return logs.size() > 1 ? " on shard " + std::to_string(home(ino)) : std::string();
-  };
-  std::unordered_map<InodeNum, uint32_t> name_refs;   // Non-dot references.
-  std::unordered_map<InodeNum, uint32_t> child_dirs;  // Subdirectory count.
-  std::unordered_map<InodeNum, InodeNum> parent_of;
-  std::unordered_set<InodeNum> visited;
-  std::deque<InodeNum> queue;
-  queue.push_back(kRootIno);
-  visited.insert(kRootIno);
-  parent_of[kRootIno] = kRootIno;
-  while (!queue.empty()) {
-    const InodeNum dir = queue.front();
-    queue.pop_front();
-    ++report->directories;
-    Result<std::vector<DirEntry>> entries = log_of(dir)->ReadDir(dir);
-    if (!entries.ok()) {
-      complain("dir " + std::to_string(dir) + " unreadable: " + entries.status().ToString());
-      continue;
-    }
-    bool saw_dot = false;
-    bool saw_dotdot = false;
-    for (const DirEntry& entry : entries.value()) {
-      const InodeMap& imap = log_of(entry.ino)->imap();
-      if (!imap.IsValid(entry.ino) || !imap.Get(entry.ino).allocated) {
-        complain("dir " + std::to_string(dir) + " entry '" + entry.name +
-                 "' dangles: ino " + std::to_string(entry.ino) + " not allocated" +
-                 where(entry.ino));
-        continue;
-      }
-      if (entry.name == ".") {
-        saw_dot = true;
-        if (entry.ino != dir) {
-          complain("dir " + std::to_string(dir) + " has wrong '.'");
-        }
-        continue;
-      }
-      if (entry.name == "..") {
-        saw_dotdot = true;
-        if (entry.ino != parent_of[dir]) {
-          complain("dir " + std::to_string(dir) + " has wrong '..'");
-        }
-        continue;
-      }
-      ++name_refs[entry.ino];
-      Result<FileStat> stat = log_of(entry.ino)->Stat(entry.ino);
-      if (!stat.ok()) {
-        complain("stat of ino " + std::to_string(entry.ino) + " failed");
-        continue;
-      }
-      if (stat->type != entry.type) {
-        complain("dir " + std::to_string(dir) + " entry '" + entry.name +
-                 "' type disagrees with the inode");
-      }
-      if (stat->type == FileType::kDirectory) {
-        ++child_dirs[dir];
-        if (!visited.insert(entry.ino).second) {
-          complain("directory ino " + std::to_string(entry.ino) + " linked twice");
-          continue;
-        }
-        parent_of[entry.ino] = dir;
-        queue.push_back(entry.ino);
-      } else {
-        ++report->files;
-        visited.insert(entry.ino);
-      }
-    }
-    if (!saw_dot || !saw_dotdot) {
-      complain("dir " + std::to_string(dir) + " missing . or ..");
-    }
-  }
-  // nlink exactness and orphan detection across every log's inode map.
-  for (LfsFileSystem* log : logs) {
-    const InodeMap& imap = log->imap();
-    for (uint32_t slot = 0; slot < imap.max_inodes(); ++slot) {
-      if (!imap.GetSlot(slot).allocated) {
-        continue;
-      }
-      const InodeNum ino = imap.InoAtSlot(slot);
-      if (!visited.contains(ino)) {
-        complain("allocated ino " + std::to_string(ino) + where(ino) + " unreachable from root");
-        continue;
-      }
-      Result<FileStat> stat = log->Stat(ino);
-      if (!stat.ok()) {
-        continue;  // Already complained during the walk.
-      }
-      // A directory: ".", its parent's entry, and each child's "..".
-      const uint32_t expected =
-          stat->type == FileType::kDirectory ? 2 + child_dirs[ino] : name_refs[ino];
-      if (stat->nlink != expected) {
-        complain("ino " + std::to_string(ino) + " nlink " + std::to_string(stat->nlink) +
-                 " != expected " + std::to_string(expected));
-      }
-    }
-  }
 }
 
 }  // namespace logfs

@@ -18,23 +18,23 @@
 // The last three come from one walk of the live-block set
 // (LfsFileSystem::WalkLiveBlocks).
 //
-// The namespace check (CheckNamespace) sees one or more logs and verifies
-// that the directory tree is rooted and acyclic, "." and ".." are correct,
-// each dirent's type matches its inode, and nlink counts are exact, with no
-// dangling references and no unreachable allocated inodes. A single-log
-// volume runs it over its own log (LfsChecker::Check); a sharded volume,
-// whose dirents cross shards, runs the per-log checks on every shard and
-// then this check across all of them (CheckShardedLfs).
+// The namespace half is the walk FFS's checker and the cross-shard repairer
+// also take their verdicts from (src/fsbase/namespace_walk.h), run across
+// every log at once (WalkLogs): a rooted tree, correct "." and "..", each
+// dirent naming an allocated inode of its type, no unreachable allocated
+// inode, and exact nlink counts. CheckLogs runs both halves over one or more
+// logs; a single-log volume is one log (LfsChecker::Check), a sharded volume
+// its shards (CheckShardedLfs in src/lfs/sharded_lfs.h).
 #ifndef LOGFS_SRC_LFS_LFS_CHECK_H_
 #define LOGFS_SRC_LFS_LFS_CHECK_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/fsbase/namespace_walk.h"
 #include "src/lfs/lfs_file_system.h"
 #include "src/util/result.h"
 
@@ -76,25 +76,28 @@ class LfsChecker {
  public:
   explicit LfsChecker(LfsFileSystem* fs) : fs_(fs) {}
 
-  // Full check of a single-log volume: CheckLog, then CheckNamespace over
-  // this log. `verify_data` additionally reads every file's bytes.
+  // Full check of a single-log volume: CheckLogs over this log.
+  // `verify_data` additionally reads every file's bytes.
   Result<LfsCheckReport> Check(bool verify_data = true);
 
+ private:
+  friend Result<LfsCheckReport> CheckLogs(std::span<LfsFileSystem* const>, bool);
+
   // The per-log checks alone, added to `report` with each problem prefixed
-  // by `label`. Counts no files or directories: that is the namespace
-  // check's.
+  // by `label`. Counts no files or directories: that is the walk's.
   Status CheckLog(bool verify_data, const std::string& label, LfsCheckReport* report);
 
- private:
   LfsFileSystem* fs_;
 };
 
-// The namespace check over `logs`, where `logs[home(ino)]` holds inode
-// `ino` and the root lives in logs[home(kRootIno)]. Adds the files and
-// directories it reaches and its problems to `report`. Reads directories
-// and stats inodes, never file content.
-void CheckNamespace(std::span<LfsFileSystem* const> logs,
-                    const std::function<size_t(InodeNum)>& home, LfsCheckReport* report);
+// Both halves over `logs`, where logs[PartOf(ino, logs.size())] holds inode
+// `ino`: the per-log checks on each log (problems prefixed "shard i: " when
+// there is more than one), then the namespace walk across all of them.
+Result<LfsCheckReport> CheckLogs(std::span<LfsFileSystem* const> logs, bool verify_data);
+
+// The namespace walk over `logs`, given every log's allocated inodes. Reads
+// directories and stats inodes, never file content.
+NamespaceWalk WalkLogs(std::span<LfsFileSystem* const> logs);
 
 }  // namespace logfs
 

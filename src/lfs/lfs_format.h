@@ -57,7 +57,7 @@ struct LfsParams {
   // Sharded multi-log membership (src/lfs/sharded_lfs.h). 0 = unsharded
   // single log (the seed format, byte-identical on disk). When >= 2, this
   // volume slice is log `shard_index` of `shard_count`; its inode map owns
-  // the global numbers with (ino - 1) % shard_count == shard_index, and
+  // the global numbers with PartOf(ino, shard_count) == shard_index, and
   // `max_inodes` counts that shard's LOCAL inode slots. Only shard 0 hosts
   // the root directory.
   uint32_t shard_count = 0;

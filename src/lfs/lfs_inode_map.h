@@ -14,7 +14,7 @@
 //
 // Sharding: a sharded volume (src/lfs/sharded_lfs.h) stripes the global
 // inode-number space across shards by residue — shard i of N owns inode
-// numbers with (ino - 1) % N == i. Each shard's map holds only its own
+// numbers with PartOf(ino, N) == i (src/fsbase/fs_types.h). Each shard's map holds only its own
 // residue class: `stride` = N, `offset` = i, and `max_inodes` counts LOCAL
 // slots. Slot s holds global inode number offset + s*stride + 1, so the
 // on-disk block layout is exactly the unsharded one over the local slots
@@ -60,7 +60,7 @@ class InodeMap {
 
   // True iff this map owns `ino`: right residue class, slot in range.
   bool IsValid(InodeNum ino) const {
-    return ino >= kRootIno && (ino - 1) % stride_ == offset_ && SlotOf(ino) < max_inodes_;
+    return ino >= kRootIno && PartOf(ino, stride_) == offset_ && SlotOf(ino) < max_inodes_;
   }
   // Global ino stored in local slot `slot` (< max_inodes()). Iterate the
   // map with slots, never by incrementing inos — a strided map owns only

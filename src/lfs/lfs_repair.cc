@@ -1,13 +1,11 @@
 #include "src/lfs/lfs_repair.h"
 
-#include <deque>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
-#include <vector>
 
-#include "src/fsbase/dirent.h"
+#include "src/lfs/lfs_check.h"
 
 namespace logfs {
 namespace {
@@ -30,16 +28,17 @@ class Repairer {
       RETURN_IF_ERROR(SettleIntent(in));
       ++report_.intents_settled;
     }
-    for (int pass = 0; pass < kMaxPasses; ++pass) {
-      Walk walk;
-      ASSIGN_OR_RETURN(uint64_t walk_edits, WalkAndFix(&walk));
-      ASSIGN_OR_RETURN(uint64_t orphan_edits, HandleOrphans(walk));
-      if (walk_edits == 0 && orphan_edits == 0) {
-        break;
-      }
+    // Each pass acts on a walk taken before its first edit, so an inode the
+    // pass allocates (a new lost+found.<i>) is never taken for an orphan.
+    NamespaceWalk walk = Walk();
+    for (int pass = 0; pass < kMaxPasses && !(walk.fixes.empty() && walk.orphans.empty());
+         ++pass) {
+      RETURN_IF_ERROR(FixEntries(walk));
+      RETURN_IF_ERROR(HandleOrphans(walk));
+      walk = Walk();
     }
-    Walk walk;
-    RETURN_IF_ERROR(WalkAndFix(&walk).status());
+    // Once the passes run out, fix the entries still, never the orphans.
+    RETURN_IF_ERROR(FixEntries(walk));
     RETURN_IF_ERROR(RecountNlinks(walk));
     for (LfsFileSystem* shard : shards_) {
       if (edited_.contains(shard)) {
@@ -50,17 +49,7 @@ class Repairer {
   }
 
  private:
-  struct Walk {
-    std::unordered_set<InodeNum> visited;
-    std::unordered_map<InodeNum, uint32_t> name_refs;
-    std::unordered_map<InodeNum, uint32_t> child_dirs;
-    std::unordered_map<InodeNum, InodeNum> parent_of;
-  };
-
-  uint32_t ShardOf(InodeNum ino) const {
-    return static_cast<uint32_t>((ino - 1) % shards_.size());
-  }
-  LfsFileSystem* Home(InodeNum ino) const { return shards_[ShardOf(ino)]; }
+  LfsFileSystem* Home(InodeNum ino) const { return shards_[PartOf(ino, shards_.size())]; }
   // The log `ino` lives on, which an edit is about to change.
   LfsFileSystem* Edit(InodeNum ino) {
     edited_.insert(Home(ino));
@@ -193,82 +182,35 @@ class Repairer {
 
   // --- Iterated global walk ---
   //
-  // One BFS from the root that fixes what it can prove wrong locally:
-  // dangling entries dropped, duplicate directory links detached
-  // (first-in-BFS-order parent wins), '.'/'..' repointed or re-inserted,
-  // entry/inode type disagreements repointed. Returns the number of edits;
-  // `walk` receives the reachability tallies of the walked (post-fix) tree.
-  Result<uint64_t> WalkAndFix(Walk* walk) {
-    const uint64_t before = report_.total_edits();
-    std::deque<InodeNum> queue;
-    queue.push_back(kRootIno);
-    walk->visited.insert(kRootIno);
-    walk->parent_of[kRootIno] = kRootIno;
-    while (!queue.empty()) {
-      const InodeNum dir = queue.front();
-      queue.pop_front();
-      Result<std::vector<DirEntry>> entries_r = Home(dir)->ReadDir(dir);
-      if (!entries_r.ok()) {
-        Note("dir " + std::to_string(dir) + " unreadable, skipped: " +
-             entries_r.status().ToString());
-        continue;
-      }
-      std::vector<DirEntry>& entries = entries_r.value();
-      const InodeNum parent = walk->parent_of[dir];
-      bool saw_dot = false;
-      bool saw_dotdot = false;
-      for (const DirEntry& entry : entries) {
-        if (entry.name == ".") {
-          saw_dot = true;
-          if (entry.ino != dir) {
-            RETURN_IF_ERROR(Repoint(dir, ".", dir, FileType::kDirectory, "wrong '.'"));
-          }
-          continue;
-        }
-        if (entry.name == "..") {
-          saw_dotdot = true;
-          if (entry.ino != parent) {
-            RETURN_IF_ERROR(
-                Repoint(dir, "..", parent, FileType::kDirectory, "wrong '..'"));
-          }
-          continue;
-        }
-        if (!Allocated(entry.ino)) {
-          RETURN_IF_ERROR(Drop(dir, entry.name, "dangling"));
-          continue;
-        }
-        Result<FileStat> stat = Home(entry.ino)->Stat(entry.ino);
-        if (!stat.ok()) {
-          RETURN_IF_ERROR(Drop(dir, entry.name, "unstattable"));
-          continue;
-        }
-        if (stat->type == FileType::kDirectory &&
-            walk->visited.contains(entry.ino)) {
-          RETURN_IF_ERROR(Drop(dir, entry.name, "duplicate directory link"));
-          continue;
-        }
-        if (stat->type != entry.type) {
-          RETURN_IF_ERROR(
-              Repoint(dir, entry.name, entry.ino, stat->type, "type mismatch"));
-        }
-        ++walk->name_refs[entry.ino];
-        if (stat->type == FileType::kDirectory) {
-          ++walk->child_dirs[dir];
-          walk->visited.insert(entry.ino);
-          walk->parent_of[entry.ino] = dir;
-          queue.push_back(entry.ino);
-        } else {
-          walk->visited.insert(entry.ino);
-        }
-      }
-      if (!saw_dot) {
-        RETURN_IF_ERROR(Insert(dir, ".", dir, FileType::kDirectory, "missing '.'"));
-      }
-      if (!saw_dotdot) {
-        RETURN_IF_ERROR(Insert(dir, "..", parent, FileType::kDirectory, "missing '..'"));
+  // The shared namespace walk (src/fsbase/namespace_walk.h) names each
+  // entry it can prove wrong locally, with its edit: dangling and
+  // unstattable entries dropped, duplicate directory links detached (the
+  // first in walk order wins), '.'/'..' repointed or re-inserted, entry/inode
+  // type disagreements repointed.
+  NamespaceWalk Walk() {
+    NamespaceWalk walk = WalkLogs(shards_);
+    for (const auto& [dir, status] : walk.unreadable) {
+      Note("dir " + std::to_string(dir) + " unreadable, skipped: " + status.ToString());
+    }
+    return walk;
+  }
+
+  Status FixEntries(const NamespaceWalk& walk) {
+    for (const NamespaceWalk::EntryFix& fix : walk.fixes) {
+      using enum NamespaceWalk::EntryFix::Edit;
+      switch (fix.edit) {
+        case kDrop:
+          RETURN_IF_ERROR(Drop(fix.dir, fix.name, fix.why));
+          break;
+        case kRepoint:
+          RETURN_IF_ERROR(Repoint(fix.dir, fix.name, fix.target, fix.type, fix.why));
+          break;
+        case kInsert:
+          RETURN_IF_ERROR(Insert(fix.dir, fix.name, fix.target, fix.type, fix.why));
+          break;
       }
     }
-    return report_.total_edits() - before;
+    return OkStatus();
   }
 
   // --- Orphan policy ---
@@ -278,27 +220,13 @@ class Repairer {
   // victim) is reaped; a rename's moved inode is reattached at its
   // destination name, else its source name; anything else (intent region
   // lost, seeded damage) is reattached under the per-shard lost+found.
-  //
-  // The orphans are listed on every shard before the first edit, so an
-  // inode this pass allocates (a new lost+found.<i>) is never taken for one.
-  Result<uint64_t> HandleOrphans(const Walk& walk) {
-    const uint64_t before = report_.total_edits();
-    std::vector<std::pair<uint32_t, InodeNum>> orphans;  // (shard, ino)
-    for (uint32_t i = 0; i < shards_.size(); ++i) {
-      const InodeMap& imap = shards_[i]->imap();
-      for (uint32_t slot = 0; slot < imap.max_inodes(); ++slot) {
-        const InodeNum ino = imap.InoAtSlot(slot);
-        if (imap.GetSlot(slot).allocated && !walk.visited.contains(ino)) {
-          orphans.emplace_back(i, ino);
-        }
-      }
-    }
-    for (const auto& [i, ino] : orphans) {
+  Status HandleOrphans(const NamespaceWalk& walk) {
+    for (InodeNum ino : walk.orphans) {
       if (reap_if_orphan_.contains(ino)) {
         RETURN_IF_ERROR(Reap(ino, "named by a pending intent"));
         continue;
       }
-      Result<FileStat> stat = shards_[i]->Stat(ino);
+      Result<FileStat> stat = Home(ino)->Stat(ino);
       if (!stat.ok()) {
         RETURN_IF_ERROR(Reap(ino, "unstattable"));
         continue;
@@ -311,7 +239,8 @@ class Repairer {
           continue;
         }
       }
-      ASSIGN_OR_RETURN(InodeNum lf, LostFound(i, walk));
+      const uint32_t shard = PartOf(ino, shards_.size());
+      ASSIGN_OR_RETURN(InodeNum lf, LostFound(shard));
       std::string name = "ino" + std::to_string(ino);
       for (int k = 1; EntryTarget(lf, name) != 0; ++k) {
         name = "ino" + std::to_string(ino) + "." + std::to_string(k);
@@ -319,16 +248,16 @@ class Repairer {
       RETURN_IF_ERROR(Edit(lf)->DirInsert(lf, name, ino, stat->type));
       ++report_.orphans_reattached;
       Note("reattached orphan ino " + std::to_string(ino) + " as lost+found." +
-           std::to_string(i) + "/" + name);
+           std::to_string(shard) + "/" + name);
     }
-    return report_.total_edits() - before;
+    return OkStatus();
   }
 
   // Reattaches `ino` at (dir, name) if dir is a reachable directory and the
   // name is free. Returns false (untouched) otherwise.
   bool TryAttach(InodeNum dir, std::string_view name, InodeNum ino, FileType type,
-                 const Walk& walk) {
-    if (dir == 0 || name.empty() || !Allocated(dir) || !walk.visited.contains(dir) ||
+                 const NamespaceWalk& walk) {
+    if (dir == 0 || name.empty() || !Allocated(dir) || !walk.reachable.contains(dir) ||
         !IsDirectory(dir) || EntryTarget(dir, name) != 0) {
       return false;
     }
@@ -343,7 +272,7 @@ class Repairer {
 
   // Root entry "lost+found.<shard>": found-or-created, homed on `shard` so
   // the orphan dirent insert stays shard-local.
-  Result<InodeNum> LostFound(uint32_t shard, const Walk& walk) {
+  Result<InodeNum> LostFound(uint32_t shard) {
     const std::string name = "lost+found." + std::to_string(shard);
     const InodeNum existing = EntryTarget(kRootIno, name);
     if (existing != 0) {
@@ -352,41 +281,21 @@ class Repairer {
       }
       RETURN_IF_ERROR(Drop(kRootIno, name, "unusable lost+found"));
     }
-    (void)walk;
     edited_.insert(shards_[shard]);
     ASSIGN_OR_RETURN(InodeNum ino, shards_[shard]->AllocInode(FileType::kDirectory, kRootIno));
     RETURN_IF_ERROR(Edit(kRootIno)->DirInsert(kRootIno, name, ino, FileType::kDirectory));
+    ++report_.dirents_added;
     Note("created " + name + " (ino " + std::to_string(ino) + ")");
     return ino;
   }
 
   // --- Final exact nlink recount over the converged namespace ---
-  Status RecountNlinks(const Walk& walk) {
-    auto tally = [](const std::unordered_map<InodeNum, uint32_t>& m, InodeNum ino) {
-      auto it = m.find(ino);
-      return it == m.end() ? 0u : it->second;
-    };
-    for (uint32_t i = 0; i < shards_.size(); ++i) {
-      const InodeMap& imap = shards_[i]->imap();
-      for (uint32_t slot = 0; slot < imap.max_inodes(); ++slot) {
-        if (!imap.GetSlot(slot).allocated) {
-          continue;
-        }
-        const InodeNum ino = imap.InoAtSlot(slot);
-        if (!walk.visited.contains(ino)) {
-          continue;  // kMaxPasses exhausted with damage left: do not guess.
-        }
-        ASSIGN_OR_RETURN(FileStat stat, shards_[i]->Stat(ino));
-        const uint32_t expected = stat.type == FileType::kDirectory
-                                      ? 2 + tally(walk.child_dirs, ino)
-                                      : tally(walk.name_refs, ino);
-        if (stat.nlink != expected) {
-          RETURN_IF_ERROR(Edit(ino)->SetNlink(ino, expected));
-          ++report_.nlinks_fixed;
-          Note("recounted ino " + std::to_string(ino) + " nlink " +
-               std::to_string(stat.nlink) + " -> " + std::to_string(expected));
-        }
-      }
+  Status RecountNlinks(const NamespaceWalk& walk) {
+    for (const NamespaceWalk::WrongNlink& wrong : walk.wrong_nlinks) {
+      RETURN_IF_ERROR(Edit(wrong.ino)->SetNlink(wrong.ino, wrong.expected));
+      ++report_.nlinks_fixed;
+      Note("recounted ino " + std::to_string(wrong.ino) + " nlink " +
+           std::to_string(wrong.nlink) + " -> " + std::to_string(wrong.expected));
     }
     return OkStatus();
   }

@@ -168,7 +168,7 @@ Status ShardedLfs::Format(BlockDevice* device, const LfsParams& params,
     p.shard_index = i;
     p.intent_start_sector = intent_start;
     p.intent_sectors = static_cast<uint32_t>(kIntentRegionSectors);
-    // Shard i owns the global inos with (ino - 1) % N == i; max_inodes
+    // Shard i owns the global inos with PartOf(ino, N) == i; max_inodes
     // becomes the LOCAL slot count of that residue class.
     p.max_inodes =
         params.max_inodes > i ? (params.max_inodes - i - 1) / shard_count + 1 : 0;
@@ -252,32 +252,7 @@ Status ShardedLfs::ReconcileIntents() {
   for (const LoadedIntent& li : pending_slots) {
     pending.push_back(li.record);
   }
-  std::vector<LfsFileSystem*> raw;
-  raw.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    raw.push_back(shard->fs.get());
-  }
-  // Everything the repair and its durability sync write is repair-class
-  // traffic: the work exists only because halves of an op disagreed.
-  for (LfsFileSystem* fs : raw) {
-    fs->set_repair_context(true);
-  }
-  Result<RepairReport> repaired = RepairShardedNamespace(raw, pending);
-  Status synced = OkStatus();
-  if (repaired.ok()) {
-    for (auto& shard : shards_) {
-      synced = shard->fs->Sync();
-      if (!synced.ok()) {
-        break;
-      }
-    }
-  }
-  for (LfsFileSystem* fs : raw) {
-    fs->set_repair_context(false);
-  }
-  RETURN_IF_ERROR(repaired.status());
-  RETURN_IF_ERROR(synced);
-  RepairReport rep = std::move(*repaired);
+  ASSIGN_OR_RETURN(RepairReport rep, RepairDurably(pending));
   for (const LoadedIntent& li : pending_slots) {
     Status retired = intents_->RetireSlot(li.slot, li.record);
     if (!retired.ok() && retired.code() == ErrorCode::kCrashed) {
@@ -293,6 +268,28 @@ Status ShardedLfs::ReconcileIntents() {
   }
   reconcile_report_ = std::move(rep);
   return OkStatus();
+}
+
+// Everything the repair and its durability sync write is repair-class
+// traffic: the work exists only because the namespace disagreed with itself.
+Result<RepairReport> ShardedLfs::RepairDurably(std::span<const IntentRecord> pending) {
+  std::vector<LfsFileSystem*> logs;
+  for (auto& shard : shards_) {
+    logs.push_back(shard->fs.get());
+  }
+  for (LfsFileSystem* log : logs) {
+    log->set_repair_context(true);
+  }
+  Result<RepairReport> repaired = RepairShardedNamespace(logs, pending);
+  Status synced = OkStatus();
+  for (size_t i = 0; repaired.ok() && synced.ok() && i < logs.size(); ++i) {
+    synced = logs[i]->Sync();
+  }
+  for (LfsFileSystem* log : logs) {
+    log->set_repair_context(false);
+  }
+  RETURN_IF_ERROR(synced);
+  return repaired;
 }
 
 Status ShardedLfs::RetireDurableIntents() {
@@ -676,76 +673,29 @@ void ShardedLfs::PublishShardMetrics() {
 }
 
 // --- global checker ------------------------------------------------------------
-namespace {
-
-// The check body: the per-log checks on every shard, then the namespace
-// check across all of them, all through DIRECT shard access (sfs->shard(i)
-// — never the router's locking front-end, since CheckShardedLfs already
-// holds every shard lock). Works for any shard count >= 1.
-Result<LfsCheckReport> RunShardedCheck(ShardedLfs* sfs, bool verify_data) {
-  LfsCheckReport report;
-  std::vector<LfsFileSystem*> logs;
-  for (uint32_t i = 0; i < sfs->shard_count(); ++i) {
-    logs.push_back(sfs->shard(i));
-    RETURN_IF_ERROR(LfsChecker(sfs->shard(i))
-                        .CheckLog(verify_data, "shard " + std::to_string(i) + ": ", &report));
-  }
-  CheckNamespace(logs, [&](InodeNum ino) { return size_t{sfs->ShardOf(ino)}; }, &report);
-  return report;
-}
-
-}  // namespace
 
 Result<LfsCheckReport> CheckShardedLfs(ShardedLfs* sfs, bool verify_data,
                                        RepairMode repair) {
-  if (sfs->shard_count() == 1 && repair == RepairMode::kCheckOnly) {
-    // Degenerate configuration: the unsliced single-log checker, exactly as
-    // before sharding existed.
-    return LfsChecker(sfs->shard(0)).Check(verify_data);
-  }
   // Self-serialize against live traffic: the rename lock keeps the
   // directory topology stable and the shard locks quiesce every log, so
-  // the check (and the repairer) may run online.
+  // the check (and the repairer) may run online. The check then reaches the
+  // shards directly, never through the router's locking front-end.
   std::lock_guard<std::mutex> rename_guard(sfs->rename_mu_);
   std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(sfs->shards_.size());
+  std::vector<LfsFileSystem*> logs;
   for (auto& shard : sfs->shards_) {
     locks.emplace_back(shard->mu);
+    logs.push_back(shard->fs.get());
   }
-  ASSIGN_OR_RETURN(LfsCheckReport report, RunShardedCheck(sfs, verify_data));
+  ASSIGN_OR_RETURN(LfsCheckReport report, CheckLogs(logs, verify_data));
   if (repair == RepairMode::kCheckOnly || report.ok()) {
     return report;
   }
   // Online repair: fix the namespace in place (no intent work list — this
   // path exists precisely for images without a usable intent log), make
   // the repair durable, and report the re-checked state.
-  std::vector<LfsFileSystem*> raw;
-  raw.reserve(sfs->shards_.size());
-  for (auto& shard : sfs->shards_) {
-    raw.push_back(shard->fs.get());
-  }
-  // Repair-class attribution for the in-place fixes and their durability
-  // sync (same bracketing as mount-time reconciliation).
-  for (LfsFileSystem* fs : raw) {
-    fs->set_repair_context(true);
-  }
-  Result<RepairReport> repaired = RepairShardedNamespace(raw, {});
-  Status synced = OkStatus();
-  if (repaired.ok()) {
-    for (auto& shard : sfs->shards_) {
-      synced = shard->fs->Sync();
-      if (!synced.ok()) {
-        break;
-      }
-    }
-  }
-  for (LfsFileSystem* fs : raw) {
-    fs->set_repair_context(false);
-  }
-  RETURN_IF_ERROR(repaired.status());
-  RETURN_IF_ERROR(synced);
-  RepairReport rep = std::move(*repaired);
-  ASSIGN_OR_RETURN(LfsCheckReport after, RunShardedCheck(sfs, verify_data));
+  ASSIGN_OR_RETURN(RepairReport rep, sfs->RepairDurably({}));
+  ASSIGN_OR_RETURN(LfsCheckReport after, CheckLogs(logs, verify_data));
   after.repairs_applied = rep.total_edits();
   after.repair_actions = std::move(rep.actions);
   return after;

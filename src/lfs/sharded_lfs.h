@@ -11,13 +11,13 @@
 // path.
 //
 // Inode-number space: global numbers are striped by residue — shard i of N
-// owns every ino with (ino - 1) % N == i, so ShardOf() is pure arithmetic
-// and no shared allocation state exists. The root directory (ino 1) lives
-// on shard 0. A new directory is placed by hashing (parent, name), which
-// spreads the tree across the logs; every other file lives on the log of
-// the directory it was created in (PlaceShard). So a create is
-// single-shard, and so is renaming such a file in place or to another
-// directory on the same log.
+// owns every ino with PartOf(ino, N) == i (src/fsbase/fs_types.h), so
+// ShardOf() is pure arithmetic and no shared allocation state exists. The
+// root directory (ino 1) lives on shard 0. A new directory is placed by
+// hashing (parent, name), which spreads the tree across the logs; every
+// other file lives on the log of the directory it was created in
+// (PlaceShard). So a create is single-shard, and so is renaming such a file
+// in place or to another directory on the same log.
 //
 // Locking protocol: one mutex per shard. Single-inode operations (read,
 // write, fsync, ...) take exactly their shard's lock and run the single-log
@@ -53,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -107,9 +108,7 @@ class ShardedLfs : public FileSystem {
   // --- administration / introspection ---
   uint32_t shard_count() const { return static_cast<uint32_t>(shards_.size()); }
   // Which shard owns `ino`. Pure arithmetic — callable without locks.
-  uint32_t ShardOf(InodeNum ino) const {
-    return static_cast<uint32_t>((ino - 1) % shards_.size());
-  }
+  uint32_t ShardOf(InodeNum ino) const { return PartOf(ino, shard_count()); }
   // Direct access for tests/tools. The caller is responsible for quiescence
   // (no concurrent router operations) while poking a shard directly.
   LfsFileSystem* shard(uint32_t i) { return shards_[i]->fs.get(); }
@@ -234,6 +233,11 @@ class ShardedLfs : public FileSystem {
   Status RetireDurableIntents();
   // Full drain for a kBusy publish: sync every shard, then retire.
   Status DrainIntents();
+  // The repair bracket of mount-time reconciliation and of
+  // CheckShardedLfs(kRepair): the repairer over every shard with `pending`
+  // as its work list, then a Sync of every shard, all of it written as
+  // repair-class traffic. Caller holds every shard lock, or is Mount.
+  Result<RepairReport> RepairDurably(std::span<const IntentRecord> pending);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   SimClock* clock_ = nullptr;  // Stamps lock wait/held spans; set at Mount.
@@ -250,21 +254,23 @@ class ShardedLfs : public FileSystem {
   friend Result<LfsCheckReport> CheckShardedLfs(ShardedLfs*, bool, RepairMode);
 };
 
-// Global consistency check for a sharded mount: runs the per-log checks on
-// every shard (LfsChecker::CheckLog — imap resolution, usage exactness,
-// address uniqueness, media CRCs, content readability) and then the one
-// namespace check (CheckNamespace — rooted acyclic tree, dot entries,
-// dirent types, nlink, orphans) across all shards. Problems from shard i's
-// per-log checks are prefixed "shard i:".
+// Global consistency check for a sharded mount: CheckLogs (lfs_check.h)
+// over its shards — the per-log checks on every shard (imap resolution,
+// usage exactness, address uniqueness, media CRCs, content readability),
+// then the one namespace walk (src/fsbase/namespace_walk.h — rooted tree,
+// dot entries, dirent types, nlink, orphans) across all of them. With more
+// than one shard, problems from shard i's per-log checks are prefixed
+// "shard i:".
 //
-// The check self-serializes against concurrent router operations: it holds
-// the rename lock and every shard lock for the duration, so it may run
-// online against live traffic. With RepairMode::kRepair, namespace damage
-// found by the first pass is fixed in place by the online repairer
-// (lfs_repair.h), the shards are synced, and the reported result is the
-// post-repair re-check (repairs_applied / repair_actions record the edits)
-// — this is the recovery path for damage no intent names: an intent region
-// lost to media faults, or damage seeded through the namespace edits.
+// The check self-serializes against concurrent router operations: at every
+// shard count it holds the rename lock and every shard lock for the
+// duration, so it may run online against live traffic. With
+// RepairMode::kRepair, namespace damage found by the first pass is fixed in
+// place by the online repairer (lfs_repair.h), the shards are synced, and
+// the reported result is the post-repair re-check (repairs_applied /
+// repair_actions record the edits) — this is the recovery path for damage
+// no intent names: an intent region lost to media faults, or damage seeded
+// through the namespace edits.
 Result<LfsCheckReport> CheckShardedLfs(ShardedLfs* fs, bool verify_data = true,
                                        RepairMode repair = RepairMode::kCheckOnly);
 

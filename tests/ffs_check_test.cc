@@ -1,8 +1,12 @@
 // Tests for FfsChecker: clean on healthy images, detects leaked blocks,
-// double references, and bitmap drift.
+// double references, bitmap drift, and namespace damage (through the walk
+// it shares with the LFS checker and repairer).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/ffs/ffs_check.h"
+#include "src/fsbase/inode.h"
 #include "tests/fs_fixture.h"
 
 namespace logfs {
@@ -91,6 +95,37 @@ TEST(FfsCheckTest, DetectsLeakedBlock) {
     leak_found |= problem.find("leak") != std::string::npos;
   }
   EXPECT_TRUE(leak_found) << report->Summary();
+}
+
+TEST(FfsCheckTest, DetectsWrongNlink) {
+  FfsInstance inst;
+  ASSERT_TRUE(inst.paths->WriteFile("/f", TestBytes(1000, 1)).ok());
+  auto ino = inst.paths->Resolve("/f");
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(inst.fs->Sync().ok());
+  // Patch the inode's nlink on the raw image: its slot sits in its group's
+  // inode table, which follows the group's header block.
+  const FfsSuperblock& sb = inst.fs->superblock();
+  const uint32_t group = (*ino - 1) / sb.inodes_per_group;
+  const uint32_t index = (*ino - 1) % sb.inodes_per_group;
+  const uint32_t per_block = sb.block_size / kInodeDiskSize;
+  const uint64_t table_block = 1 + uint64_t{group} * sb.blocks_per_group + 1 + index / per_block;
+  std::span<std::byte> slot = inst.disk->MutableRawImage().subspan(
+      table_block * sb.block_size + (index % per_block) * kInodeDiskSize, kInodeDiskSize);
+  auto inode = DecodeInode(slot);
+  ASSERT_TRUE(inode.ok());
+  ASSERT_EQ(inode->nlink, 1u);
+  inode->nlink = 3;
+  ASSERT_TRUE(EncodeInode(*inode, slot).ok());
+
+  auto remounted = FfsFileSystem::Mount(inst.disk.get(), inst.clock.get(), inst.cpu.get());
+  ASSERT_TRUE(remounted.ok());
+  auto report = FfsChecker(remounted->get()).Check();
+  ASSERT_TRUE(report.ok());
+  const std::string expected = "ino " + std::to_string(*ino) + " nlink 3 != expected 1";
+  EXPECT_NE(std::find(report->problems.begin(), report->problems.end(), expected),
+            report->problems.end())
+      << report->Summary();
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "src/lfs/lfs_check.h"
 #include "src/lfs/lfs_segment.h"
 #include "tests/fs_fixture.h"
+#include "tests/namespace_damage.h"
 
 namespace logfs {
 namespace {
@@ -162,6 +163,49 @@ TEST(LfsCheckTest, WorksWithDefaultSizedInodeMap) {
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok()) << report->Summary();
 }
+
+class SingleLogDamageTest : public ::testing::TestWithParam<DamageCase> {};
+
+// The damage table's seeds on a single log (check only; sharded_intent_test
+// repairs them on four): each flaw is reported, and where no orphan forces
+// a lost+found, the nlinks the check calls wrong are the ones the table's
+// repair notes recount, to the same values.
+TEST_P(SingleLogDamageTest, CheckReportsTheSeededFlaw) {
+  const DamageCase& damage = GetParam();
+  LfsInstance inst;
+  LfsFileSystem* fs = inst.fs.get();
+  auto a = fs->Create(kRootIno, "a", FileType::kDirectory);
+  auto b = fs->Create(kRootIno, "b", FileType::kDirectory);
+  ASSERT_TRUE(a.ok() && b.ok());
+  auto f = fs->Create(*a, "f", FileType::kRegular);
+  auto s = fs->Create(*a, "s", FileType::kDirectory);
+  ASSERT_TRUE(f.ok() && s.ok());
+  DamageVolume v;
+  v.a = *a;
+  v.b = *b;
+  v.f = *f;
+  v.s = *s;
+  v.log_of = [fs](InodeNum) { return fs; };
+  v.other_log = fs;
+  v.unallocated = v.f + 64;
+  ASSERT_TRUE(fs->Sync().ok());
+  auto x = damage.seed(v);
+  ASSERT_TRUE(x.ok()) << x.status().ToString();
+
+  auto report = LfsChecker(fs).Check();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->ok()) << report->Summary();
+  if (!damage.orphan) {
+    std::vector<std::string> notes;
+    for (const std::string& note : damage.notes) {
+      notes.push_back(Fill(note, {{"a", v.a}, {"b", v.b}, {"f", v.f}, {"s", v.s}, {"x", *x}}));
+    }
+    EXPECT_EQ(NlinkProblems(report->problems), RecountNotes(notes)) << report->Summary();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Table, SingleLogDamageTest, ::testing::ValuesIn(DamageCases()),
+                         DamageCaseName);
 
 }  // namespace
 }  // namespace logfs

@@ -14,11 +14,14 @@
 //   * the online repairer — CheckShardedLfs(..., RepairMode::kRepair)
 //     fixes damage no intent names (dangling dirents, orphans, wrong
 //     nlinks, seeded through the shard seams) in place and reports a clean
-//     post-repair state.
+//     post-repair state;
+//   * the damage table (namespace_damage.h): for each seeded flaw the
+//     check reports what the repair then does, note for note.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -32,6 +35,7 @@
 #include "src/lfs/lfs_repair.h"
 #include "src/lfs/sharded_lfs.h"
 #include "tests/fs_fixture.h"
+#include "tests/namespace_damage.h"
 
 namespace logfs {
 namespace {
@@ -434,7 +438,8 @@ TEST(ShardedIntentTest, RepairModeFixesSeededPreIntentDamage) {
   ASSERT_TRUE(repaired.ok());
   EXPECT_TRUE(repaired->ok()) << repaired->Summary();
   EXPECT_GT(repaired->repairs_applied, 0u);
-  EXPECT_FALSE(repaired->repair_actions.empty());
+  // One note per edit, the lost+found.<i> it creates included.
+  EXPECT_EQ(repaired->repairs_applied, repaired->repair_actions.size());
 
   // The repair is durable and honestly reported: a plain re-check agrees,
   // and the healthy file still has its bytes.
@@ -562,6 +567,105 @@ TEST(ShardedIntentTest, RepairNeverAdoptsTheLostFoundItCreates) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->total_edits(), 0u);
 }
+
+// --- the damage table ---------------------------------------------------------
+
+// The seeded volume as the router sees it: every directory's entries and
+// every named inode's nlink.
+std::string NamespaceSnapshot(ShardedLfs* fs, const DamageVolume& v) {
+  std::string out;
+  for (InodeNum dir : {kRootIno, v.a, v.b, v.s}) {
+    auto entries = fs->ReadDir(dir);
+    out += "dir " + std::to_string(dir) + ":";
+    for (const DirEntry& e : entries.ok() ? *entries : std::vector<DirEntry>{}) {
+      out += " " + e.name + "=" + std::to_string(e.ino) + "/" +
+             std::to_string(static_cast<int>(e.type));
+    }
+    out += "\n";
+  }
+  for (InodeNum ino : {kRootIno, v.a, v.b, v.f, v.s}) {
+    auto stat = fs->Stat(ino);
+    out += std::to_string(ino) + " nlink " + (stat.ok() ? std::to_string(stat->nlink) : "?") +
+           "\n";
+  }
+  return out;
+}
+
+class NamespaceDamageTest : public ::testing::TestWithParam<DamageCase> {};
+
+// Each flaw on a 4-log volume: check-only reports it and edits nothing;
+// kRepair fixes it with exactly the table's notes and reports CLEAN; a
+// second repair finds nothing; and where no orphan forces a lost+found,
+// every nlink the check calls wrong is one the repair recounts, to the
+// value the check expected.
+TEST_P(NamespaceDamageTest, CheckReportsWhatRepairDoes) {
+  const DamageCase& damage = GetParam();
+  ShardedRig rig;
+  DamageVolume v;
+  v.a = rig.DirOnOtherShard(99, "a");
+  v.b = rig.DirOnOtherShard(rig.fs->ShardOf(v.a), "b");
+  auto f = rig.fs->Create(v.a, "f", FileType::kRegular);
+  auto s = rig.fs->Create(v.a, "s", FileType::kDirectory);
+  ASSERT_TRUE(f.ok() && s.ok());
+  v.f = *f;
+  v.s = *s;
+  ShardedLfs* fs = rig.fs.get();
+  v.log_of = [fs](InodeNum ino) { return fs->shard(fs->ShardOf(ino)); };
+  v.other_log = fs->shard((fs->ShardOf(v.a) + 1) % kShards);
+  v.unallocated = v.f + 64 * kShards;
+  ASSERT_TRUE(fs->Sync().ok());
+  auto x = damage.seed(v);
+  ASSERT_TRUE(x.ok()) << x.status().ToString();
+
+  const std::string seeded = NamespaceSnapshot(fs, v);
+  std::vector<uint64_t> seqs;
+  for (uint32_t i = 0; i < kShards; ++i) {
+    seqs.push_back(fs->shard(i)->mutation_seq());
+  }
+  auto before = CheckShardedLfs(fs, /*verify_data=*/true);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_FALSE(before->ok()) << before->Summary();
+  EXPECT_EQ(before->repairs_applied, 0u);
+  EXPECT_EQ(NamespaceSnapshot(fs, v), seeded);
+  for (uint32_t i = 0; i < kShards; ++i) {
+    EXPECT_EQ(fs->shard(i)->mutation_seq(), seqs[i]) << "shard " << i;
+  }
+
+  auto repaired = CheckShardedLfs(fs, /*verify_data=*/true, RepairMode::kRepair);
+  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+  EXPECT_TRUE(repaired->ok()) << repaired->Summary();
+  EXPECT_EQ(repaired->repairs_applied, repaired->repair_actions.size());
+  std::map<std::string, uint64_t> values = {
+      {"a", v.a}, {"b", v.b}, {"f", v.f}, {"s", v.s}, {"x", *x}, {"part", fs->ShardOf(*x)}};
+  if (damage.orphan) {
+    auto lf = fs->Lookup(kRootIno, "lost+found." + std::to_string(fs->ShardOf(*x)));
+    ASSERT_TRUE(lf.ok());
+    values["lf"] = *lf;
+  }
+  std::multiset<std::string> want;
+  for (const std::string& note : damage.notes) {
+    want.insert(Fill(note, values));
+  }
+  const std::multiset<std::string> got(repaired->repair_actions.begin(),
+                                       repaired->repair_actions.end());
+  EXPECT_EQ(got, want);
+
+  std::vector<LfsFileSystem*> shards;
+  for (uint32_t i = 0; i < kShards; ++i) {
+    shards.push_back(fs->shard(i));
+  }
+  auto again = RepairShardedNamespace(shards, {});
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->total_edits(), 0u);
+
+  if (!damage.orphan) {
+    EXPECT_EQ(NlinkProblems(before->problems), RecountNotes(repaired->repair_actions))
+        << before->Summary();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Table, NamespaceDamageTest, ::testing::ValuesIn(DamageCases()),
+                         DamageCaseName);
 
 }  // namespace
 }  // namespace logfs

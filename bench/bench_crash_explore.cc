@@ -18,7 +18,7 @@ namespace {
 // its row; false on an infrastructure failure or a violation.
 bool ExploreRow(int ops, size_t boundaries, TablePrinter* table) {
   std::vector<TraceOp> workload = GenerateCrashTrace(ops, /*seed=*/7);
-  ExploreBudget budget;
+  CrashEnumerationBudget budget;
   budget.max_boundaries = boundaries;
   const auto start = std::chrono::steady_clock::now();
   auto report = ExploreCrashStates(workload, budget);

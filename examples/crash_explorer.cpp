@@ -61,7 +61,7 @@ void PrintViolations(const ExploreReport& report, size_t limit) {
 
 int Explore(int ops, uint64_t seed, size_t boundaries, bool reorder, bool self_test) {
   std::vector<TraceOp> workload = GenerateCrashTrace(ops, seed);
-  ExploreBudget budget;
+  CrashEnumerationBudget budget;
   budget.max_boundaries = boundaries;
   budget.reorder_within_epoch = reorder;
   ExploreRigParams rig;
@@ -69,9 +69,9 @@ int Explore(int ops, uint64_t seed, size_t boundaries, bool reorder, bool self_t
     // Deliberately weaken recovery: roll-forward swallows segment summaries
     // without validating their CRC, so a torn partial segment whose summary
     // block landed — but whose content did not — gets replayed as garbage.
+    // Checkpoint-only mounts read no summaries and stay correct.
     rig.mount_options.unsafe_skip_rollforward_crc = true;
     budget.torn_variants = {8};
-    budget.check_checkpoint_only = false;
     std::cout << "self-test: summary-CRC validation disabled during roll-forward\n";
   }
 
@@ -88,12 +88,21 @@ int Explore(int ops, uint64_t seed, size_t boundaries, bool reorder, bool self_t
     PrintViolations(*report, 10);
   }
   if (self_test) {
-    // The broken build MUST fail: a clean sweep here means the explorer
-    // cannot see the very bug class it exists for.
-    std::cout << (report->failed_states > 0
-                      ? "self-test passed: the Oracle caught the broken recovery\n"
-                      : "self-test FAILED: broken recovery went unnoticed\n");
-    return report->failed_states > 0 ? 0 : 1;
+    // The broken build MUST fail under roll-forward: a clean sweep there
+    // means the explorer cannot see the very bug class it exists for. It
+    // must not fail under checkpoint-only recovery, which reads no
+    // summaries: a failure there is a real recovery bug.
+    size_t failed[2] = {0, 0};  // Indexed by roll_forward.
+    for (const CrashStateResult& result : report->results) {
+      failed[result.roll_forward] += !result.verdict.ok();
+    }
+    if (failed[false] > 0) {
+      std::cout << "self-test FAILED: checkpoint-only recovery failed too\n";
+      return 1;
+    }
+    std::cout << (failed[true] > 0 ? "self-test passed: the Oracle caught the broken recovery\n"
+                                   : "self-test FAILED: broken recovery went unnoticed\n");
+    return failed[true] > 0 ? 0 : 1;
   }
   return report->ok() ? 0 : 1;
 }

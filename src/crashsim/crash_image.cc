@@ -23,8 +23,8 @@ CrashImageGenerator::CrashImageGenerator(std::vector<std::byte> base_image,
     : base_image_(std::move(base_image)), writes_(writes), landed_(base_image_) {}
 
 std::vector<CrashPlan> CrashImageGenerator::Enumerate(
-    const CrashEnumerationBudget& budget,
-    const std::vector<size_t>& barrier_positions) const {
+    const CrashEnumerationBudget& budget, const std::vector<size_t>& barrier_positions,
+    const std::vector<size_t>& forced_boundaries) const {
   const size_t n = writes_->size();
   const size_t boundaries = n + 1;  // p = 0 .. n (n = the complete image).
   size_t stride = 1;
@@ -45,7 +45,7 @@ std::vector<CrashPlan> CrashImageGenerator::Enumerate(
   for (size_t p = 0; p < boundaries; p += stride) {
     positions.push_back(p);
   }
-  for (size_t f : budget.forced_boundaries) {
+  for (size_t f : forced_boundaries) {
     if (f < boundaries) {
       positions.push_back(f);
     }
@@ -69,7 +69,7 @@ std::vector<CrashPlan> CrashImageGenerator::Enumerate(
       // landed write, not a barrier write, no completed barrier in between.
       const uint64_t open_epoch = (*writes_)[p - 1].epoch;
       size_t drops = 0;
-      for (size_t j = p - 1; j-- > 0 && drops < budget.max_drops_per_boundary;) {
+      for (size_t j = p - 1; j-- > 0 && drops < CrashEnumerationBudget::kMaxDropsPerBoundary;) {
         const WriteRecord& candidate = (*writes_)[j];
         if (candidate.epoch != open_epoch) {
           break;  // Left the open epoch; everything earlier is ordered.

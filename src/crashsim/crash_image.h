@@ -43,6 +43,10 @@ struct CrashPlan {
 
 // How many crash states to enumerate and of which kinds.
 struct CrashEnumerationBudget {
+  // Reorder variants drop at most this many requests per boundary, the
+  // latest ones of the open flush epoch.
+  static constexpr size_t kMaxDropsPerBoundary = 2;
+
   // Cap on prefix boundaries; 0 = one per journal write (plus the complete
   // image). When the journal is longer, boundaries are strided evenly.
   size_t max_boundaries = 0;
@@ -52,13 +56,6 @@ struct CrashEnumerationBudget {
   std::vector<uint64_t> torn_variants = {1, 4, 8, 12};
   // Also emit reorder (dropped-write) variants within the open flush epoch.
   bool reorder_within_epoch = false;
-  size_t max_drops_per_boundary = 2;
-  // Journal positions that must appear as boundaries even when
-  // max_boundaries strides past them (each also gets its torn variants).
-  // Lets a sweep pin crash points inside a narrow window of interest —
-  // e.g. the single-sector intent publish/retire writes of a cross-shard
-  // namespace operation, which a coarse stride would sample right over.
-  std::vector<size_t> forced_boundaries;
 };
 
 class CrashImageGenerator {
@@ -73,8 +70,13 @@ class CrashImageGenerator {
   // durability barrier (sync/fsync/checkpoint) completed — requests on
   // opposite sides of a completed barrier are ordered even when the flush
   // epochs alone would not prove it (e.g. an fsync that found nothing dirty).
+  // `forced_boundaries` are journal positions that are boundaries even when
+  // max_boundaries strides past them (each also gets its torn variants): the
+  // explorer pins the crash points on both sides of every intent-region
+  // write, a window a coarse stride would sample right over.
   std::vector<CrashPlan> Enumerate(const CrashEnumerationBudget& budget,
-                                   const std::vector<size_t>& barrier_positions = {}) const;
+                                   const std::vector<size_t>& barrier_positions = {},
+                                   const std::vector<size_t>& forced_boundaries = {}) const;
 
   // The post-crash image for `plan`: an overlay on the shared image where
   // writes [0, plan.prefix) landed, holding as private sectors the torn

@@ -1,11 +1,12 @@
 #include "src/crashsim/explorer.h"
 
-#include <cstring>
+#include <algorithm>
+#include <functional>
 #include <sstream>
 
 #include "src/disk/memory_disk.h"
-#include "src/disk/recording_disk.h"
 #include "src/fsbase/path.h"
+#include "src/lfs/sharded_lfs.h"
 #include "src/obs/metrics.h"
 #include "src/obs/tracer.h"
 
@@ -13,35 +14,75 @@ namespace logfs {
 
 namespace {
 
+// The logs holding `inos`, ascending and distinct.
+std::vector<uint32_t> LogsOf(const ShardedLfs& fs, std::initializer_list<InodeNum> inos) {
+  std::vector<uint32_t> logs;
+  for (InodeNum ino : inos) {
+    logs.push_back(fs.ShardOf(ino));
+  }
+  std::sort(logs.begin(), logs.end());
+  logs.erase(std::unique(logs.begin(), logs.end()), logs.end());
+  return logs;
+}
+
+// Every log's checkpoint count.
+std::vector<uint64_t> CheckpointCounts(ShardedLfs* fs) {
+  std::vector<uint64_t> counts;
+  for (uint32_t i = 0; i < fs->shard_count(); ++i) {
+    counts.push_back(fs->shard(i)->checkpoint_count());
+  }
+  return counts;
+}
+
 // Replays the workload against `fs` while shadowing every state change in
 // `model`. Op indices are 1-based; the caller closes op 0 (the baseline)
 // and op N+1 (the unmount) itself.
-Status RunModeledWorkload(const std::vector<TraceOp>& workload, LfsFileSystem* fs,
+Status RunModeledWorkload(const std::vector<TraceOp>& workload, ShardedLfs* fs,
                           const RecordingDisk* rec, WorkloadModel* model) {
   PathFs paths(fs);
   std::vector<std::byte> buffer;
+  // The model keeps no inode identity, so it cannot follow a write through
+  // one name of a file to its others: such a write is refused.
+  auto writable = [&](const std::string& path) -> Result<InodeNum> {
+    ASSIGN_OR_RETURN(InodeNum ino, paths.Resolve(path));
+    ASSIGN_OR_RETURN(FileStat stat, fs->Stat(ino));
+    if (stat.nlink > 1) {
+      return InvalidArgumentError("crash workload changes " + path + ", which has " +
+                                  std::to_string(stat.nlink) + " names");
+    }
+    return ino;
+  };
   for (size_t i = 0; i < workload.size(); ++i) {
     const TraceOp& op = workload[i];
     const size_t op_index = i + 1;
-    const uint64_t checkpoints_before = fs->checkpoint_count();
+    const std::vector<uint64_t> checkpoints_before = CheckpointCounts(fs);
     WorkloadModel::OpMark mark;
+    std::string leaf;
     switch (op.kind) {
       case TraceOp::Kind::kMkdir:
-        RETURN_IF_ERROR(paths.Mkdir(op.path).status());
-        model->SetDir(op_index, op.path);
+      case TraceOp::Kind::kCreate: {
+        const bool mkdir = op.kind == TraceOp::Kind::kMkdir;
+        ASSIGN_OR_RETURN(InodeNum dir, paths.ResolveParent(op.path, &leaf));
+        ASSIGN_OR_RETURN(InodeNum ino,
+                         fs->Create(dir, leaf, mkdir ? FileType::kDirectory : FileType::kRegular));
+        if (mkdir) {
+          model->SetDir(op_index, op.path);
+        } else {
+          model->SetFile(op_index, op.path, {});
+        }
+        mark.logs = LogsOf(*fs, {dir, ino});
         break;
-      case TraceOp::Kind::kCreate:
-        RETURN_IF_ERROR(paths.CreateFile(op.path).status());
-        model->SetFile(op_index, op.path, {});
-        break;
+      }
       case TraceOp::Kind::kWrite: {
-        ASSIGN_OR_RETURN(InodeNum ino, paths.Resolve(op.path));
+        ASSIGN_OR_RETURN(InodeNum ino, writable(op.path));
         std::vector<std::byte> payload = TracePayload(op.length, op.seed);
         ASSIGN_OR_RETURN(uint64_t n, fs->Write(ino, op.offset, payload));
         if (n != payload.size()) {
           return IoError("short write during crash exploration workload");
         }
         model->ApplyWrite(op_index, op.path, op.offset, std::move(payload));
+        model->InodeChanged(op_index, ino);
+        mark.logs = LogsOf(*fs, {ino});
         break;
       }
       case TraceOp::Kind::kRead: {
@@ -51,21 +92,45 @@ Status RunModeledWorkload(const std::vector<TraceOp>& workload, LfsFileSystem* f
         break;
       }
       case TraceOp::Kind::kUnlink:
-        RETURN_IF_ERROR(paths.Unlink(op.path));
+      case TraceOp::Kind::kRmdir: {
+        ASSIGN_OR_RETURN(InodeNum dir, paths.ResolveParent(op.path, &leaf));
+        ASSIGN_OR_RETURN(InodeNum ino, fs->Lookup(dir, leaf));
+        RETURN_IF_ERROR(op.kind == TraceOp::Kind::kUnlink ? fs->Unlink(dir, leaf)
+                                                          : fs->Rmdir(dir, leaf));
         model->Remove(op_index, op.path);
+        model->InodeChanged(op_index, ino);
+        mark.logs = LogsOf(*fs, {dir, ino});
         break;
-      case TraceOp::Kind::kRmdir:
-        RETURN_IF_ERROR(paths.Rmdir(op.path));
-        model->Remove(op_index, op.path);
-        break;
-      case TraceOp::Kind::kRename:
-        RETURN_IF_ERROR(paths.Rename(op.path, op.path2));
+      }
+      case TraceOp::Kind::kRename: {
+        ASSIGN_OR_RETURN(InodeNum from_dir, paths.ResolveParent(op.path, &leaf));
+        ASSIGN_OR_RETURN(InodeNum ino, fs->Lookup(from_dir, leaf));
+        std::string to_leaf;
+        ASSIGN_OR_RETURN(InodeNum to_dir, paths.ResolveParent(op.path2, &to_leaf));
+        // A replaced victim is unlinked; with none, `ino` stands in for it.
+        const InodeNum victim = fs->Lookup(to_dir, to_leaf).value_or(ino);
+        RETURN_IF_ERROR(fs->Rename(from_dir, leaf, to_dir, to_leaf));
         model->Rename(op_index, op.path, op.path2);
+        if (victim != ino) {
+          model->InodeChanged(op_index, victim);
+        }
+        mark.logs = LogsOf(*fs, {from_dir, to_dir, ino, victim});
         break;
-      case TraceOp::Kind::kTruncate: {
+      }
+      case TraceOp::Kind::kLink: {
         ASSIGN_OR_RETURN(InodeNum ino, paths.Resolve(op.path));
+        ASSIGN_OR_RETURN(InodeNum dir, paths.ResolveParent(op.path2, &leaf));
+        RETURN_IF_ERROR(fs->Link(dir, leaf, ino));
+        model->Link(op_index, op.path, op.path2);
+        mark.logs = LogsOf(*fs, {dir, ino});
+        break;
+      }
+      case TraceOp::Kind::kTruncate: {
+        ASSIGN_OR_RETURN(InodeNum ino, writable(op.path));
         RETURN_IF_ERROR(fs->Truncate(ino, op.length));
         model->Truncate(op_index, op.path, op.length);
+        model->InodeChanged(op_index, ino);
+        mark.logs = LogsOf(*fs, {ino});
         break;
       }
       case TraceOp::Kind::kSync:
@@ -75,7 +140,8 @@ Status RunModeledWorkload(const std::vector<TraceOp>& workload, LfsFileSystem* f
       case TraceOp::Kind::kFsync: {
         ASSIGN_OR_RETURN(InodeNum ino, paths.Resolve(op.path));
         RETURN_IF_ERROR(fs->Fsync(ino));
-        mark.fsync_path = op.path;
+        model->Fsynced(op_index, op.path, ino);
+        mark.fsynced_log = fs->ShardOf(ino);
         break;
       }
       case TraceOp::Kind::kIdle:
@@ -87,17 +153,19 @@ Status RunModeledWorkload(const std::vector<TraceOp>& workload, LfsFileSystem* f
         RETURN_IF_ERROR(fs->CleanNow(static_cast<uint32_t>(op.length)).status());
         break;
     }
-    // A checkpoint that completed inside a state-neutral op is a global
-    // barrier at this op's close: the checkpointed state is exactly the
-    // logical state at both ends of the op. (A mid-op checkpoint inside a
-    // mutating op commits an intermediate state, so no barrier is claimed —
-    // the Oracle's old-or-new/torn acceptance covers what it exposed.)
+    // A checkpoint on every log that completed inside a state-neutral op is
+    // a global barrier at this op's close: the checkpointed state is exactly
+    // the logical state at both ends of the op. (A mid-op checkpoint inside
+    // a mutating op commits an intermediate state, so no barrier is claimed
+    // — the Oracle's old-or-new/torn acceptance covers what it exposed; nor
+    // is one claimed when only some logs checkpointed.)
     const bool state_neutral =
         op.kind == TraceOp::Kind::kSync || op.kind == TraceOp::Kind::kFsync ||
         op.kind == TraceOp::Kind::kRead || op.kind == TraceOp::Kind::kIdle ||
         op.kind == TraceOp::Kind::kClean;
-    if (state_neutral && fs->checkpoint_count() > checkpoints_before) {
-      mark.global_barrier = true;
+    if (state_neutral &&
+        std::ranges::equal(checkpoints_before, CheckpointCounts(fs), std::less<>())) {
+      mark.global_barrier = true;  // Every log's count went up.
     }
     mark.writes_after = rec->write_count();
     model->CloseOp(std::move(mark));
@@ -115,59 +183,74 @@ std::string ExploreReport::Summary() const {
   return os.str();
 }
 
-Result<ExploreReport> ExploreCrashStates(const std::vector<TraceOp>& workload,
-                                         const ExploreBudget& budget,
-                                         const ExploreRigParams& rig) {
-  // 1. Format, snapshot the pristine image, and mount through the recorder.
+std::string ExploreReport::Violations() const {
+  std::string lines;
+  for (const CrashStateResult& result : results) {
+    for (const std::string& violation : result.verdict.violations) {
+      lines += result.plan.Describe() + (result.roll_forward ? " [rf] " : " [cp] ") +
+               violation + "\n";
+    }
+  }
+  return lines;
+}
+
+Result<CrashRecording> RecordCrashWorkload(const std::vector<TraceOp>& workload,
+                                           const ExploreRigParams& rig) {
+  // Format, snapshot the pristine image, and mount through the recorder.
   MemoryDisk disk(rig.sectors, /*clock=*/nullptr);
-  RETURN_IF_ERROR(LfsFileSystem::Format(&disk, rig.lfs));
+  RETURN_IF_ERROR(ShardedLfs::Format(&disk, rig.lfs, rig.lfs.shard_count));
+  CrashRecording recording;
   std::span<const std::byte> formatted = disk.RawImage();
-  std::vector<std::byte> base_image(formatted.begin(), formatted.end());
+  recording.base_image.assign(formatted.begin(), formatted.end());
 
   RecordingDisk rec(&disk);
-  ASSIGN_OR_RETURN(auto fs,
-                   LfsFileSystem::Mount(&rec, /*clock=*/nullptr, /*cpu=*/nullptr,
-                                        rig.mount_options));
+  ASSIGN_OR_RETURN(auto fs, ShardedLfs::Mount(&rec, /*clock=*/nullptr, /*cpu=*/nullptr,
+                                              rig.mount_options));
 
-  // 2. Run the workload, shadowing it in the model. Op 0 is the baseline
+  // Run the workload, shadowing it in the model. Op 0 is the baseline
   // (format + mount): a global barrier — before any workload op, the
   // durable state is "everything absent".
-  WorkloadModel model;
-  model.CloseOp({rec.write_count(), /*global_barrier=*/true, {}});
+  WorkloadModel& model = recording.model;
+  model.CloseOp({rec.write_count(), /*global_barrier=*/true, {}, {}});
   RETURN_IF_ERROR(RunModeledWorkload(workload, fs.get(), &rec, &model));
-  fs.reset();  // Unmount syncs: one final checkpoint, one final barrier.
-  model.CloseOp({rec.write_count(), /*global_barrier=*/true, {}});
+  fs.reset();  // Unmount checkpoints every log: one final barrier.
+  model.CloseOp({rec.write_count(), /*global_barrier=*/true, {}, {}});
+  recording.writes = rec.writes();
+  return recording;
+}
 
-  // 3. Enumerate and judge crash states.
-  CrashEnumerationBudget enumeration;
-  enumeration.max_boundaries = budget.max_boundaries;
-  enumeration.torn_variants = budget.torn_variants;
-  enumeration.reorder_within_epoch = budget.reorder_within_epoch;
-  enumeration.max_drops_per_boundary = budget.max_drops_per_boundary;
-
-  CrashImageGenerator generator(std::move(base_image), &rec.writes());
-  std::vector<CrashPlan> plans =
-      generator.Enumerate(enumeration, model.BarrierWritePositions());
-
-  std::vector<bool> modes;
-  if (budget.check_roll_forward) modes.push_back(true);
-  if (budget.check_checkpoint_only) modes.push_back(false);
-  if (modes.empty()) {
-    return InvalidArgumentError("crash exploration needs at least one mount mode");
+Result<ExploreReport> JudgeCrashStates(const CrashRecording& recording,
+                                       const CrashEnumerationBudget& budget,
+                                       const LfsFileSystem::Options& mount_options) {
+  // Pin a boundary before and after every intent-region write: "before"
+  // is the op never having started (or never retired), "after" the
+  // published-but-unapplied (or retired) record itself.
+  if (recording.base_image.size() < 4096) {
+    return InvalidArgumentError("crash recording has no superblock");
+  }
+  ASSIGN_OR_RETURN(LfsSuperblock sb, DecodeLfsSuperblock(std::span<const std::byte>(
+                                         recording.base_image.data(), 4096)));
+  std::vector<size_t> forced;
+  for (size_t i = 0; sb.has_intent_region() && i < recording.writes.size(); ++i) {
+    if (recording.writes[i].first >= sb.intent_start_sector) {
+      forced.push_back(i);
+      forced.push_back(i + 1);
+    }
   }
 
+  CrashImageGenerator generator(recording.base_image, &recording.writes);
+  std::vector<CrashPlan> plans =
+      generator.Enumerate(budget, recording.model.BarrierWritePositions(), forced);
+
   ExploreReport report;
-  report.journal_writes = rec.write_count();
+  report.journal_writes = recording.writes.size();
   report.plans = plans.size();
-  Oracle oracle(&model);
+  Oracle oracle(&recording.model);
   for (const CrashPlan& plan : plans) {
     ASSIGN_OR_RETURN(OverlayDisk image, generator.Image(plan));
-    for (bool roll_forward : modes) {
-      CrashStateResult result;
-      result.plan = plan;
-      result.roll_forward = roll_forward;
-      result.verdict = oracle.CheckImage(image, plan.prefix, roll_forward,
-                                         rig.mount_options, budget.verify_data);
+    for (bool roll_forward : {true, false}) {
+      CrashStateResult result{plan, roll_forward,
+                              oracle.CheckImage(image, plan.prefix, roll_forward, mount_options)};
       ++report.states_checked;
       if (!result.verdict.ok()) {
         ++report.failed_states;
@@ -193,6 +276,13 @@ Result<ExploreReport> ExploreCrashStates(const std::vector<TraceOp>& workload,
     obs::Registry().GetCounter("logfs.crashsim.violations").Increment(report.violations);
   }
   return report;
+}
+
+Result<ExploreReport> ExploreCrashStates(const std::vector<TraceOp>& workload,
+                                         const CrashEnumerationBudget& budget,
+                                         const ExploreRigParams& rig) {
+  ASSIGN_OR_RETURN(CrashRecording recording, RecordCrashWorkload(workload, rig));
+  return JudgeCrashStates(recording, budget, rig.mount_options);
 }
 
 }  // namespace logfs

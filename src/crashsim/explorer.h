@@ -1,15 +1,23 @@
-// ExploreCrashStates: the crash-state exploration driver.
+// ExploreCrashStates: the crash-state exploration driver, one for every
+// front-end.
 //
-// Runs a trace workload against an LFS instance whose block device is
-// wrapped in a RecordingDisk, shadowing every op in a WorkloadModel. Then
-// enumerates candidate post-crash images with CrashImageGenerator and has
-// the Oracle remount and judge each one — under roll-forward recovery,
-// checkpoint-only recovery, or both.
+// Record: formats a rig through ShardedLfs at LfsParams::shard_count (at
+// one log the router is the single-log passthrough, byte for byte), runs a
+// trace workload through it on a RecordingDisk, and shadows every op in a
+// WorkloadModel, with the logs each op edited.
 //
-// The three invariants checked per image (see oracle.h):
+// Judge: enumerates candidate post-crash images with CrashImageGenerator,
+// pinning a boundary on both sides of every write to the intent region the
+// formatted superblock locates, and has the Oracle remount and judge each
+// one under roll-forward and under checkpoint-only recovery. The serve
+// crash sweep and the sharded suite's self-test hand the judge journals of
+// their own.
+//
+// The invariants checked per image (see oracle.h):
 //   1. the mount succeeds,
-//   2. LfsChecker finds no structural damage,
-//   3. every path shows a state the durability contract allows.
+//   2. CheckShardedLfs finds no damage,
+//   3. every path shows a state the durability contract allows,
+//   4. under roll-forward, every fsynced inode reads back its bytes.
 #ifndef LOGFS_SRC_CRASHSIM_EXPLORER_H_
 #define LOGFS_SRC_CRASHSIM_EXPLORER_H_
 
@@ -19,6 +27,7 @@
 
 #include "src/crashsim/crash_image.h"
 #include "src/crashsim/oracle.h"
+#include "src/disk/recording_disk.h"
 #include "src/lfs/lfs_file_system.h"
 #include "src/lfs/lfs_format.h"
 #include "src/util/result.h"
@@ -26,23 +35,9 @@
 
 namespace logfs {
 
-// How much of the crash-state space to cover.
-struct ExploreBudget {
-  // Forwarded to CrashEnumerationBudget (see crash_image.h).
-  size_t max_boundaries = 0;
-  std::vector<uint64_t> torn_variants = {1, 4, 8, 12};
-  bool reorder_within_epoch = false;
-  size_t max_drops_per_boundary = 2;
-  // Which mount modes every image is judged under.
-  bool check_roll_forward = true;
-  bool check_checkpoint_only = true;
-  // Have LfsChecker also read every file's bytes back.
-  bool verify_data = true;
-};
-
 // The simulated rig the workload runs on. Small by default — 24 MB is
-// 24 segments, enough for the cleaner to matter while keeping hundreds of
-// image materializations cheap.
+// 24 segments, enough for the cleaner to matter while every crash image
+// stays a small copy-on-write overlay.
 struct ExploreRigParams {
   ExploreRigParams() {
     lfs.max_inodes = 2048;
@@ -51,11 +46,18 @@ struct ExploreRigParams {
     lfs.reserved_segments = 3;
   }
   uint64_t sectors = 49152;  // 24 MB.
-  LfsParams lfs;
+  LfsParams lfs;  // shard_count >= 2 puts that many logs behind the router.
   // Used for the workload mount and for every Oracle remount (roll_forward
   // is overridden per check). Setting unsafe_skip_rollforward_crc here is
   // how the self-test weakens recovery to prove the Oracle notices.
   LfsFileSystem::Options mount_options;
+};
+
+// One recorded run: what the judge needs.
+struct CrashRecording {
+  std::vector<std::byte> base_image;  // The disk right after Format.
+  std::vector<WriteRecord> writes;    // Every write from mount to unmount.
+  WorkloadModel model;
 };
 
 // Verdict for one (crash plan, mount mode) pair.
@@ -75,14 +77,27 @@ struct ExploreReport {
 
   bool ok() const { return failed_states == 0; }
   std::string Summary() const;
+  // Every violation, one line each: "<plan> [rf|cp] <violation>".
+  std::string Violations() const;
 };
 
-// Formats a fresh rig, replays `workload` while recording, then enumerates
-// and judges crash states under `budget`. Errors are infrastructure
-// failures (the workload itself failing, images not materializing);
-// invariant violations are reported in the returned ExploreReport.
+// Formats a fresh rig and replays `workload` while recording. Fails if an
+// op fails, or if a write or truncate goes through a name of a file that
+// has others (the model keeps no inode identity).
+Result<CrashRecording> RecordCrashWorkload(const std::vector<TraceOp>& workload,
+                                           const ExploreRigParams& rig = {});
+
+// Enumerates the recording's crash states under `budget` and judges each
+// in both mount modes. Errors are infrastructure failures (images not
+// materializing, an unreadable superblock); invariant violations are
+// reported in the returned ExploreReport.
+Result<ExploreReport> JudgeCrashStates(const CrashRecording& recording,
+                                       const CrashEnumerationBudget& budget,
+                                       const LfsFileSystem::Options& mount_options);
+
+// RecordCrashWorkload, then JudgeCrashStates.
 Result<ExploreReport> ExploreCrashStates(const std::vector<TraceOp>& workload,
-                                         const ExploreBudget& budget = {},
+                                         const CrashEnumerationBudget& budget = {},
                                          const ExploreRigParams& rig = {});
 
 }  // namespace logfs

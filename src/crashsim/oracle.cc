@@ -5,7 +5,7 @@
 
 #include "src/fsbase/path.h"
 #include "src/lfs/lfs_blackbox.h"
-#include "src/lfs/lfs_check.h"
+#include "src/lfs/sharded_lfs.h"
 #include "src/obs/metrics.h"
 
 namespace logfs {
@@ -25,19 +25,13 @@ void WorkloadModel::SetFile(size_t op, const std::string& path,
 
 void WorkloadModel::ApplyWrite(size_t op, const std::string& path, uint64_t offset,
                                std::vector<std::byte> payload) {
-  WriteShape shape;
-  auto it = current_.find(path);
-  if (it != current_.end() && it->second.kind == StateKind::kFile) {
-    shape.pre = it->second.content;
-  }
-  shape.offset = offset;
-  shape.payload = payload;
-
+  WriteShape shape{Current(path).content, offset, std::move(payload)};
   std::vector<std::byte> content = shape.pre;
-  if (content.size() < offset + payload.size()) {
-    content.resize(offset + payload.size(), std::byte{0});
+  if (content.size() < offset + shape.payload.size()) {
+    content.resize(offset + shape.payload.size(), std::byte{0});
   }
-  std::copy(payload.begin(), payload.end(), content.begin() + static_cast<ptrdiff_t>(offset));
+  std::copy(shape.payload.begin(), shape.payload.end(),
+            content.begin() + static_cast<ptrdiff_t>(offset));
   PushEvent(op, path, PathState{StateKind::kFile, std::move(content)}, std::move(shape));
 }
 
@@ -50,37 +44,60 @@ void WorkloadModel::Remove(size_t op, const std::string& path) {
 }
 
 void WorkloadModel::Rename(size_t op, const std::string& from, const std::string& to) {
-  PathState moved;
-  auto it = current_.find(from);
-  if (it != current_.end()) {
-    moved = it->second;
+  // A directory carries its subtree: every modeled path under `from` moves
+  // with it, to the same place under `to`. Each entry is a suffix of `from`.
+  std::vector<std::pair<std::string, PathState>> moved = {{"", Current(from)}};
+  for (const auto& [path, state] : current_) {
+    if (path.size() > from.size() && path[from.size()] == '/' && path.starts_with(from) &&
+        state.kind != StateKind::kAbsent) {
+      moved.emplace_back(path.substr(from.size()), state);
+    }
   }
-  PushEvent(op, from, PathState{StateKind::kAbsent, {}});
-  PushEvent(op, to, std::move(moved));
+  for (const auto& [suffix, state] : moved) {
+    PushEvent(op, from + suffix, PathState{});
+  }
+  for (auto& [suffix, state] : moved) {
+    PushEvent(op, to + suffix, std::move(state));
+  }
+}
+
+void WorkloadModel::Link(size_t op, const std::string& from, const std::string& to) {
+  PushEvent(op, to, Current(from));
 }
 
 void WorkloadModel::Truncate(size_t op, const std::string& path, uint64_t size) {
-  PathState state;
-  auto it = current_.find(path);
-  if (it != current_.end()) {
-    state = it->second;
-  }
+  PathState state = Current(path);
   state.kind = StateKind::kFile;
   state.content.resize(size, std::byte{0});
   PushEvent(op, path, std::move(state));
 }
 
+void WorkloadModel::Fsynced(size_t op, const std::string& path, InodeNum ino) {
+  PathState state = Current(path);
+  if (state.kind == StateKind::kFile) {
+    fsynced_.push_back(FsyncedInode{op, ino, std::move(state.content)});
+  }
+}
+
+void WorkloadModel::InodeChanged(size_t op, InodeNum ino) {
+  for (FsyncedInode& f : fsynced_) {
+    if (f.ino == ino && f.changed_at == kNever) {
+      f.changed_at = op;
+    }
+  }
+}
+
 void WorkloadModel::CloseOp(OpMark mark) { marks_.push_back(std::move(mark)); }
 
-const WorkloadModel::PathState* WorkloadModel::Current(const std::string& path) const {
+WorkloadModel::PathState WorkloadModel::Current(const std::string& path) const {
   auto it = current_.find(path);
-  return it == current_.end() ? nullptr : &it->second;
+  return it == current_.end() ? PathState{} : it->second;
 }
 
 std::vector<size_t> WorkloadModel::BarrierWritePositions() const {
   std::vector<size_t> positions;
   for (const OpMark& mark : marks_) {
-    if (mark.global_barrier || !mark.fsync_path.empty()) {
+    if (mark.global_barrier || mark.fsynced_log.has_value()) {
       positions.push_back(mark.writes_after);
     }
   }
@@ -138,27 +155,80 @@ bool SameContent(const std::vector<std::byte>& a, const std::vector<std::byte>& 
          (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
 }
 
+// Which ops a crash after `crash_prefix` journal writes must preserve under
+// one mount mode: every op up to the last completed Sync, and under
+// roll-forward every op whose logs each saw a later completed Fsync.
+class Coverage {
+ public:
+  Coverage(const std::vector<WorkloadModel::OpMark>& marks, size_t crash_prefix,
+           bool roll_forward)
+      : marks_(marks) {
+    for (size_t i = 0; i < marks.size() && marks[i].writes_after <= crash_prefix; ++i) {
+      completed_ = i;
+      if (marks[i].global_barrier) {
+        synced_ = i;
+      }
+      if (roll_forward && marks[i].fsynced_log.has_value()) {
+        fsynced_[*marks[i].fsynced_log] = i;
+      }
+    }
+  }
+
+  bool Covers(size_t op) const {
+    if (op <= synced_) {
+      return true;
+    }
+    const std::vector<uint32_t>& logs = marks_[op].logs;
+    return !logs.empty() && std::all_of(logs.begin(), logs.end(), [&](uint32_t log) {
+      auto it = fsynced_.find(log);
+      return it != fsynced_.end() && op <= it->second;
+    });
+  }
+
+  // The op before the first uncovered change to `path` or to one of its
+  // ancestors, or the last completed op if there is none.
+  size_t Floor(const WorkloadModel& model, const std::string& path) const {
+    size_t floor = completed_;
+    auto lower_to_first_uncovered = [&](const std::string& p) {
+      auto it = model.histories().find(p);
+      if (it == model.histories().end()) {
+        return;
+      }
+      for (const WorkloadModel::PathEvent& event : it->second) {
+        if (event.op_index > floor) {
+          break;
+        }
+        if (!Covers(event.op_index)) {
+          floor = event.op_index - 1;
+          break;
+        }
+      }
+    };
+    lower_to_first_uncovered(path);
+    for (size_t slash = path.find('/', 1); slash != std::string::npos;
+         slash = path.find('/', slash + 1)) {
+      lower_to_first_uncovered(path.substr(0, slash));
+    }
+    return floor;
+  }
+
+ private:
+  const std::vector<WorkloadModel::OpMark>& marks_;
+  size_t completed_ = 0;
+  size_t synced_ = 0;
+  std::map<uint32_t, size_t> fsynced_;  // Log -> its last completed Fsync.
+};
+
 }  // namespace
 
 size_t Oracle::DurableFloor(const std::string& path, size_t crash_prefix,
                             bool roll_forward) const {
-  const std::vector<WorkloadModel::OpMark>& marks = model_->marks();
-  size_t floor = 0;
-  for (size_t i = 0; i < marks.size(); ++i) {
-    if (marks[i].writes_after > crash_prefix) {
-      break;  // This op's writes were cut; nothing later is covered either.
-    }
-    if (marks[i].global_barrier || (roll_forward && marks[i].fsync_path == path)) {
-      floor = i;
-    }
-  }
-  return floor;
+  return Coverage(model_->marks(), crash_prefix, roll_forward).Floor(*model_, path);
 }
 
 OracleVerdict Oracle::CheckImage(const OverlayDisk& image, size_t crash_prefix,
                                  bool roll_forward,
-                                 const LfsFileSystem::Options& base_options,
-                                 bool verify_data) const {
+                                 const LfsFileSystem::Options& base_options) const {
   OracleVerdict verdict;
   OverlayDisk disk = image;
 
@@ -178,16 +248,15 @@ OracleVerdict Oracle::CheckImage(const OverlayDisk& image, size_t crash_prefix,
 
   LfsFileSystem::Options options = base_options;
   options.roll_forward = roll_forward;
-  auto mounted = LfsFileSystem::Mount(&disk, /*clock=*/nullptr, /*cpu=*/nullptr, options);
+  auto mounted = ShardedLfs::Mount(&disk, /*clock=*/nullptr, /*cpu=*/nullptr, options);
   if (!mounted.ok()) {
     verdict.violations.push_back("mount failed: " + mounted.status().ToString());
     return verdict;
   }
-  verdict.mount_ok = true;
-  LfsFileSystem* fs = mounted->get();
+  ShardedLfs* fs = mounted->get();
+  verdict.reconciled = fs->reconcile_report().has_value();
 
-  LfsChecker checker(fs);
-  auto report = checker.Check(verify_data);
+  auto report = CheckShardedLfs(fs);
   if (!report.ok()) {
     verdict.violations.push_back("checker errored: " + report.status().ToString());
   } else if (!report->ok()) {
@@ -197,9 +266,10 @@ OracleVerdict Oracle::CheckImage(const OverlayDisk& image, size_t crash_prefix,
   }
 
   const std::vector<WorkloadModel::OpMark>& marks = model_->marks();
+  const Coverage coverage(marks, crash_prefix, roll_forward);
   PathFs paths(fs);
   for (const auto& [path, history] : model_->histories()) {
-    const size_t floor = DurableFloor(path, crash_prefix, roll_forward);
+    const size_t floor = coverage.Floor(*model_, path);
 
     // Acceptable states: the durable floor state, plus every state from an
     // op that had started (issued at least one journal write, or could have
@@ -217,58 +287,68 @@ OracleVerdict Oracle::CheckImage(const OverlayDisk& image, size_t crash_prefix,
         candidates.push_back(&event);
       }
     }
-    WorkloadModel::PathState implicit_absent;  // Never-created paths.
-    const WorkloadModel::PathState& floor_state =
-        floor_event != nullptr ? floor_event->state : implicit_absent;
 
-    // Observe the mounted file system.
+    // Observe the mounted file system as a modeled state.
+    using Kind = WorkloadModel::StateKind;
+    WorkloadModel::PathState observed;
     auto stat = paths.Stat(path);
-    const bool exists = stat.ok();
-    if (!exists && stat.status().code() != ErrorCode::kNotFound) {
+    if (!stat.ok() && stat.status().code() != ErrorCode::kNotFound) {
       verdict.violations.push_back(path + ": stat failed: " + stat.status().ToString());
       continue;
     }
-
-    auto matches = [&](const WorkloadModel::PathState& state,
-                       const std::vector<std::byte>* actual_content) {
-      if (!exists) {
-        return state.kind == WorkloadModel::StateKind::kAbsent;
-      }
-      if (stat->type == FileType::kDirectory) {
-        return state.kind == WorkloadModel::StateKind::kDir;
-      }
-      return state.kind == WorkloadModel::StateKind::kFile && actual_content != nullptr &&
-             SameContent(*actual_content, state.content);
-    };
-
-    std::vector<std::byte> content;
-    const std::vector<std::byte>* content_ptr = nullptr;
-    if (exists && stat->type != FileType::kDirectory) {
+    if (stat.ok() && stat->type == FileType::kDirectory) {
+      observed.kind = Kind::kDir;
+    } else if (stat.ok()) {
       auto bytes = paths.ReadFile(path);
       if (!bytes.ok()) {
         verdict.violations.push_back(path + ": unreadable: " + bytes.status().ToString());
         continue;
       }
-      content = std::move(*bytes);
-      content_ptr = &content;
+      observed = {Kind::kFile, std::move(*bytes)};
     }
 
-    bool accepted = matches(floor_state, content_ptr);
-    for (size_t i = 0; !accepted && i < candidates.size(); ++i) {
-      accepted = matches(candidates[i]->state, content_ptr);
-      if (!accepted && content_ptr != nullptr && candidates[i]->write.has_value()) {
-        accepted = MatchesPartialWrite(content, *candidates[i]->write);
-      }
-    }
+    // Absent and directory states hold no content; a never-created path is
+    // absent at the floor.
+    auto same = [&](const WorkloadModel::PathState& state) {
+      return state.kind == observed.kind && SameContent(state.content, observed.content);
+    };
+    const bool accepted =
+        same(floor_event != nullptr ? floor_event->state : WorkloadModel::PathState{}) ||
+        std::any_of(candidates.begin(), candidates.end(), [&](const WorkloadModel::PathEvent* e) {
+          return same(e->state) || (observed.kind == Kind::kFile && e->write.has_value() &&
+                                    MatchesPartialWrite(observed.content, *e->write));
+        });
     if (!accepted) {
-      std::string observed = !exists ? "absent"
-                             : stat->type == FileType::kDirectory
-                                 ? "directory"
-                                 : std::to_string(content.size()) + "-byte file";
+      const std::string shown = observed.kind == Kind::kAbsent ? "absent"
+                                : observed.kind == Kind::kDir
+                                    ? "directory"
+                                    : std::to_string(observed.content.size()) + "-byte file";
       verdict.violations.push_back(
-          path + ": observed " + observed + " matches no acceptable state (floor op " +
+          path + ": observed " + shown + " matches no acceptable state (floor op " +
           std::to_string(floor) + ", " + std::to_string(candidates.size() + 1) +
           " candidates)");
+    }
+  }
+
+  // The per-inode fsync rule: a roll-forward guarantee, checked while no op
+  // that changes the inode again has started.
+  for (const WorkloadModel::FsyncedInode& f : model_->fsynced()) {
+    const bool changing = f.changed_at != WorkloadModel::kNever &&
+                          crash_prefix > marks[f.changed_at - 1].writes_after;
+    if (!roll_forward || marks[f.op_index].writes_after > crash_prefix || changing) {
+      continue;
+    }
+    ++verdict.fsynced_checked;
+    std::vector<std::byte> bytes(f.content.size());
+    auto stat = fs->Stat(f.ino);
+    auto read = stat.ok() ? fs->Read(f.ino, 0, bytes) : Result<uint64_t>(stat.status());
+    if (!read.ok() || stat->size != f.content.size() || !SameContent(bytes, f.content)) {
+      const std::string observed = read.ok() ? std::to_string(stat->size) + "-byte file"
+                                             : read.status().ToString();
+      verdict.violations.push_back("ino " + std::to_string(f.ino) + ": observed " + observed +
+                                   ", not the " + std::to_string(f.content.size()) +
+                                   " bytes its fsync at op " + std::to_string(f.op_index) +
+                                   " made durable");
     }
   }
   return verdict;

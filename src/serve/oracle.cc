@@ -3,7 +3,6 @@
 #include <sstream>
 #include <utility>
 
-#include "src/crashsim/oracle.h"
 #include "src/serve/driver.h"
 
 namespace logfs::serve {
@@ -12,9 +11,7 @@ std::string ServeCrashReport::Summary() const {
   std::ostringstream os;
   os << "serve crash sweep: " << ops_completed << " client ops (" << drive_errors
      << " errors), " << online_reads_checked << " reads checked online ("
-     << online_violations << " stale), " << journal_writes << " journal writes, " << plans
-     << " crash images, " << states_checked << " states checked, " << failed_states
-     << " failed";
+     << online_violations << " stale); " << crash.Summary();
   return os.str();
 }
 
@@ -24,20 +21,21 @@ Result<ServeCrashReport> ExploreServeCrashStates(const ServeCrashSweepParams& pa
   cp.clients = params.load.clients;
   cp.mount_options.roll_forward = true;  // The protocol's recovery contract.
 
-  WorkloadModel model;
+  CrashRecording recording;
+  WorkloadModel& model = recording.model;
   size_t op_index = 0;
   uint64_t last_modeled_seq = 0;
   RecordingDisk* rec = nullptr;  // Bound after Create; hooks fire only later.
 
   cp.server_open_hook = [&](const std::string& path, uint64_t seq) {
     model.SetFile(++op_index, path, {});
-    model.CloseOp({rec->write_count(), /*global_barrier=*/false, {}});
+    model.CloseOp({rec->write_count(), /*global_barrier=*/false, {}, {}});
     last_modeled_seq = seq;
   };
   cp.server_write_hook = [&](const std::string& path, uint64_t offset,
                              std::span<const std::byte> data, uint64_t seq) {
     model.ApplyWrite(++op_index, path, offset, {data.begin(), data.end()});
-    model.CloseOp({rec->write_count(), /*global_barrier=*/false, {}});
+    model.CloseOp({rec->write_count(), /*global_barrier=*/false, {}, {}});
     last_modeled_seq = seq;
   };
   cp.server_sync_hook = [&](uint64_t synced_seq) {
@@ -45,14 +43,14 @@ Result<ServeCrashReport> ExploreServeCrashStates(const ServeCrashSweepParams& pa
     // modeled so far (see header).
     if (synced_seq >= last_modeled_seq) {
       ++op_index;
-      model.CloseOp({rec->write_count(), /*global_barrier=*/true, {}});
+      model.CloseOp({rec->write_count(), /*global_barrier=*/true, {}, {}});
     }
   };
 
   ASSIGN_OR_RETURN(auto cluster, ServeCluster::Create(cp));
   rec = cluster->recording();
   // Op 0, the baseline: format + mount, durably empty.
-  model.CloseOp({rec->write_count(), /*global_barrier=*/true, {}});
+  model.CloseOp({rec->write_count(), /*global_barrier=*/true, {}, {}});
 
   ServeLoad load = MakeSharedLoad(params.load);
   ASSIGN_OR_RETURN(DriveStats drive, DriveSharedLoad(*cluster, load));
@@ -60,44 +58,21 @@ Result<ServeCrashReport> ExploreServeCrashStates(const ServeCrashSweepParams& pa
   // Final quiesce: the complete image must show exactly the end state.
   RETURN_IF_ERROR(cluster->fs()->Sync());
   ++op_index;
-  model.CloseOp({rec->write_count(), /*global_barrier=*/true, {}});
+  model.CloseOp({rec->write_count(), /*global_barrier=*/true, {}, {}});
 
-  CrashImageGenerator generator(cluster->base_image(), &rec->writes());
-  std::vector<CrashPlan> plans =
-      generator.Enumerate(params.budget, model.BarrierWritePositions());
-
+  recording.base_image = cluster->base_image();
+  recording.writes = rec->writes();
   ServeCrashReport report;
-  report.journal_writes = rec->write_count();
-  report.plans = plans.size();
+  ASSIGN_OR_RETURN(report.crash, JudgeCrashStates(recording, params.budget, cp.mount_options));
   report.ops_completed = drive.ops_completed;
   report.drive_errors = drive.errors;
   report.online_reads_checked = cluster->shadow().reads_checked();
   report.online_violations = cluster->shadow().violation_count();
   for (const std::string& v : cluster->shadow().violations()) {
-    if (report.violations.size() < params.max_violation_reports) {
-      report.violations.push_back("online: " + v);
-    }
+    report.online_errors.push_back("online: " + v);
   }
   for (const std::string& e : drive.first_errors) {
-    if (report.violations.size() < params.max_violation_reports) {
-      report.violations.push_back("drive: " + e);
-    }
-  }
-
-  Oracle oracle(&model);
-  for (const CrashPlan& plan : plans) {
-    ASSIGN_OR_RETURN(OverlayDisk image, generator.Image(plan));
-    OracleVerdict verdict = oracle.CheckImage(image, plan.prefix, /*roll_forward=*/true,
-                                              cp.mount_options, params.verify_data);
-    ++report.states_checked;
-    if (!verdict.ok()) {
-      ++report.failed_states;
-      for (const std::string& v : verdict.violations) {
-        if (report.violations.size() < params.max_violation_reports) {
-          report.violations.push_back(plan.Describe() + ": " + v);
-        }
-      }
-    }
+    report.online_errors.push_back("drive: " + e);
   }
   return report;
 }

@@ -9,10 +9,11 @@
 // journal length, and each durable-horizon advance (commit, pre-grant sync,
 // background checkpoint) is a global barrier.
 //
-// The sweep: every recorded crash image (prefix/torn/reorder, enumerated by
-// the crashsim generator) is remounted with roll-forward and judged by the
-// crashsim Oracle. The serve-level claim this proves is exactly the lease
-// protocol's grant-time durability rule: anything a client could have
+// The sweep: the crash explorer's judge (src/crashsim/explorer.h) takes
+// the recorded journal and the model and remounts every crash image
+// (prefix/torn/reorder) under roll-forward and checkpoint-only recovery.
+// The serve-level claim this proves is exactly the lease protocol's
+// grant-time durability rule: anything a client could have
 // observed under a granted lease was synced before the grant, so it sits at
 // or below a barrier — and the Oracle fails any image where content behind
 // a barrier is missing (a stale read after recovery) or ahead of the write
@@ -28,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "src/crashsim/crash_image.h"
+#include "src/crashsim/explorer.h"
 #include "src/serve/cluster.h"
 #include "src/util/result.h"
 #include "src/workload/serve_load.h"
@@ -40,25 +41,18 @@ struct ServeCrashSweepParams {
   // record_disk, clients, and the server hooks are overridden internally.
   ServeClusterParams cluster;
   CrashEnumerationBudget budget;
-  bool verify_data = true;
-  size_t max_violation_reports = 16;
 };
 
 struct ServeCrashReport {
-  size_t journal_writes = 0;
-  size_t plans = 0;
-  size_t states_checked = 0;
-  size_t failed_states = 0;
+  ExploreReport crash;  // The judged crash states.
   // The online referee's tally from the recorded run itself.
   uint64_t online_reads_checked = 0;
   uint64_t online_violations = 0;
   uint64_t ops_completed = 0;
   uint64_t drive_errors = 0;
-  std::vector<std::string> violations;  // Capped at max_violation_reports.
+  std::vector<std::string> online_errors;  // The referee's and the driver's reports.
 
-  bool ok() const {
-    return failed_states == 0 && online_violations == 0 && drive_errors == 0;
-  }
+  bool ok() const { return crash.ok() && online_violations == 0 && drive_errors == 0; }
   std::string Summary() const;
 };
 

@@ -59,10 +59,10 @@ Result<std::vector<TraceOp>> ParseTrace(std::string_view text) {
       if (!(tokens >> op.path >> op.offset >> op.length)) {
         return bad("read needs <path> <offset> <length>");
       }
-    } else if (verb == "rename") {
-      op.kind = TraceOp::Kind::kRename;
+    } else if (verb == "rename" || verb == "link") {
+      op.kind = verb == "rename" ? TraceOp::Kind::kRename : TraceOp::Kind::kLink;
       if (!(tokens >> op.path >> op.path2)) {
-        return bad("rename needs <from> <to>");
+        return bad(verb == "rename" ? "rename needs <from> <to>" : "link needs <existing> <new>");
       }
     } else if (verb == "trunc") {
       op.kind = TraceOp::Kind::kTruncate;
@@ -113,6 +113,9 @@ std::string FormatTrace(const std::vector<TraceOp>& ops) {
         break;
       case TraceOp::Kind::kRename:
         os << "rename " << op.path << " " << op.path2;
+        break;
+      case TraceOp::Kind::kLink:
+        os << "link " << op.path << " " << op.path2;
         break;
       case TraceOp::Kind::kTruncate:
         os << "trunc " << op.path << " " << op.length;
@@ -170,6 +173,13 @@ Result<TraceReplayResult> ReplayTrace(Testbed& bed, const std::vector<TraceOp>& 
       case TraceOp::Kind::kRename:
         RETURN_IF_ERROR(bed.paths->Rename(op.path, op.path2));
         break;
+      case TraceOp::Kind::kLink: {
+        ASSIGN_OR_RETURN(InodeNum target, bed.paths->Resolve(op.path));
+        std::string leaf;
+        ASSIGN_OR_RETURN(InodeNum dir, bed.paths->ResolveParent(op.path2, &leaf));
+        RETURN_IF_ERROR(bed.fs->Link(dir, leaf, target));
+        break;
+      }
       case TraceOp::Kind::kTruncate: {
         ASSIGN_OR_RETURN(InodeNum ino, bed.paths->Resolve(op.path));
         RETURN_IF_ERROR(bed.fs->Truncate(ino, op.length));

@@ -9,6 +9,7 @@
 //   unlink <path>
 //   rmdir  <path>
 //   rename <from> <to>
+//   link   <existing> <new>     # a hard link
 //   trunc  <path> <size>
 //   sync
 //   fsync  <path>
@@ -41,6 +42,7 @@ struct TraceOp {
     kUnlink,
     kRmdir,
     kRename,
+    kLink,
     kTruncate,
     kSync,
     kFsync,
@@ -49,7 +51,7 @@ struct TraceOp {
   };
   Kind kind = Kind::kSync;
   std::string path;
-  std::string path2;     // Rename target.
+  std::string path2;     // Rename target; link's new name.
   uint64_t offset = 0;
   uint64_t length = 0;   // Also: truncate size; clean max_victims.
   uint64_t seed = 0;

@@ -1,8 +1,9 @@
 // Tests for the crash-state exploration subsystem (src/crashsim/):
 // RecordingDisk journaling and flush epochs, CrashImageGenerator
-// enumeration and materialization, and the full explorer sweep — including
-// the self-test that deliberately weakens roll-forward's summary-CRC check
-// and expects the Oracle to notice.
+// enumeration and materialization, and the explorer on the single log —
+// including the self-test that deliberately weakens roll-forward's
+// summary-CRC check and expects the Oracle to notice. The sharded sweeps
+// are sharded_crash_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -240,44 +241,63 @@ TEST(CrashImageGeneratorTest, EveryPlanOfAnExplorerJournalMatchesFullReplay) {
 
 // --- Explorer sweeps -------------------------------------------------------
 
+std::vector<TraceOp> Trace(std::string_view text) {
+  auto ops = ParseTrace(text);
+  EXPECT_TRUE(ops.ok()) << ops.status().ToString();
+  return ops.ok() ? *ops : std::vector<TraceOp>{};
+}
+
 // The acceptance sweep: a mixed create/write/fsync/unlink/sync/clean
 // workload, a few hundred crash states, both mount modes — and zero
 // violations of the durability contract.
 TEST(CrashExplorerTest, MixedWorkloadSurvivesEnumeratedCrashes) {
   std::vector<TraceOp> workload = GenerateCrashTrace(40, /*seed=*/1234);
-  ExploreBudget budget;
-  budget.max_boundaries = 0;  // Every boundary.
-  auto report = ExploreCrashStates(workload, budget);
+  auto report = ExploreCrashStates(workload);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GE(report->states_checked, 200u);
   EXPECT_GT(report->journal_writes, 0u);
-  std::string failures;
-  for (const CrashStateResult& result : report->results) {
-    for (const std::string& violation : result.verdict.violations) {
-      failures += result.plan.Describe() +
-                  (result.roll_forward ? " [rf] " : " [cp] ") + violation + "\n";
-    }
-  }
-  EXPECT_EQ(report->failed_states, 0u) << failures;
+  EXPECT_EQ(report->failed_states, 0u) << report->Violations();
 }
 
 // Reordering within a flush epoch must also be survivable: LFS only relies
 // on ordering across its synchronous checkpoint-region writes.
 TEST(CrashExplorerTest, ReorderedEpochsSurvive) {
   std::vector<TraceOp> workload = GenerateCrashTrace(12, /*seed=*/77);
-  ExploreBudget budget;
-  budget.max_boundaries = 0;  // Every boundary.
+  CrashEnumerationBudget budget;  // Every boundary.
   budget.torn_variants = {};
   budget.reorder_within_epoch = true;
   auto report = ExploreCrashStates(workload, budget);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  std::string failures;
-  for (const CrashStateResult& result : report->results) {
-    for (const std::string& violation : result.verdict.violations) {
-      failures += result.plan.Describe() + " " + violation + "\n";
-    }
-  }
-  EXPECT_EQ(report->failed_states, 0u) << failures;
+  EXPECT_EQ(report->failed_states, 0u) << report->Violations();
+}
+
+// A renamed directory carries its files. The model moves /a/f to /b/f at
+// the rename, so /b/f is judged, and once the second sync lands no image
+// may show /a/f. A model that moved only /a would fail every image after
+// that sync with "/a/f: observed absent".
+TEST(CrashExplorerTest, RenamedDirectoryCarriesItsFiles) {
+  auto recording = RecordCrashWorkload(
+      Trace("mkdir /a\ncreate /a/f\nwrite /a/f 0 4096\nsync\nrename /a /b\nsync\n"));
+  ASSERT_TRUE(recording.ok()) << recording.status().ToString();
+  EXPECT_TRUE(recording->model.histories().contains("/b/f"));
+  auto report = JudgeCrashStates(*recording, {}, {});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->states_checked, 0u);
+  EXPECT_EQ(report->failed_states, 0u) << report->Violations();
+}
+
+// A hard link is a second modeled name with the same state; unlinking one
+// name leaves the other. The model keeps no inode identity, so recording
+// refuses a write through a file that has two names.
+TEST(CrashExplorerTest, LinkedNamesAreJudgedAndNeverWrittenThrough) {
+  auto report = ExploreCrashStates(Trace(
+      "create /f\nwrite /f 0 8192 3\nlink /f /g\nsync\nunlink /f\nfsync /g\n"
+      "write /g 0 4096 4\nfsync /g\n"));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->failed_states, 0u) << report->Violations();
+
+  auto refused = RecordCrashWorkload(Trace("create /f\nlink /f /g\nwrite /g 0 4096\n"));
+  EXPECT_EQ(refused.status().code(), ErrorCode::kInvalidArgument);
 }
 
 // The flight recorder's acceptance sweep: from EVERY enumerated crash image
@@ -292,13 +312,9 @@ TEST(CrashExplorerTest, BlackBoxRecoversFromEveryCrashImage) {
     GTEST_SKIP() << "metrics compiled out: no black box is embedded";
   }
   SimClock clock;
-  MemoryDisk disk(49152, &clock);  // 24 MB, the explorer's rig geometry.
-  LfsParams params;
-  params.max_inodes = 2048;
-  params.clean_start_segments = 4;
-  params.clean_stop_segments = 6;
-  params.reserved_segments = 3;
-  ASSERT_TRUE(LfsFileSystem::Format(&disk, params).ok());
+  const ExploreRigParams rig;
+  MemoryDisk disk(rig.sectors, &clock);
+  ASSERT_TRUE(LfsFileSystem::Format(&disk, rig.lfs).ok());
   std::span<const std::byte> raw = disk.RawImage();
   std::vector<std::byte> base(raw.begin(), raw.end());
 
@@ -351,20 +367,23 @@ TEST(CrashExplorerTest, BlackBoxRecoversFromEveryCrashImage) {
 // Self-test: if recovery is deliberately broken — roll-forward accepting a
 // summary block whose segment content never landed (summary CRC skipped) —
 // the Oracle must catch it. This is the explorer auditing itself: a sweep
-// that cannot detect an injected bug would be worthless.
+// that cannot detect an injected bug would be worthless. Only roll-forward
+// reads summaries, so checkpoint-only states must stay clean.
 TEST(CrashExplorerTest, DetectsDeliberatelyBrokenRollForward) {
   std::vector<TraceOp> workload = GenerateCrashTrace(30, /*seed=*/4321);
-  ExploreBudget budget;
-  budget.max_boundaries = 0;  // Every boundary.
-  budget.torn_variants = {8};  // Exactly one 4 KB block: the summary alone.
-  budget.check_checkpoint_only = false;  // Only roll-forward uses summaries.
+  CrashEnumerationBudget budget;  // Every boundary.
+  budget.torn_variants = {8};     // Exactly one 4 KB block: the summary alone.
   ExploreRigParams rig;
   rig.mount_options.unsafe_skip_rollforward_crc = true;
   auto report = ExploreCrashStates(workload, budget, rig);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GT(report->failed_states, 0u)
-      << "Oracle failed to notice CRC-less roll-forward on "
-      << report->states_checked << " states";
+  size_t failed[2] = {0, 0};  // Indexed by roll_forward.
+  for (const CrashStateResult& result : report->results) {
+    failed[result.roll_forward] += !result.verdict.ok();
+  }
+  EXPECT_GT(failed[true], 0u) << "Oracle failed to notice CRC-less roll-forward on "
+                              << report->states_checked << " states";
+  EXPECT_EQ(failed[false], 0u) << report->Violations();
 }
 
 }  // namespace

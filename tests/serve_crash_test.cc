@@ -190,13 +190,14 @@ TEST(ServeCrashTest, CrashImageSweepFindsNoStaleReads) {
 
   auto report = ExploreServeCrashStates(params);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GT(report->states_checked, 0u);
+  EXPECT_GT(report->crash.states_checked, 0u);
   EXPECT_GT(report->online_reads_checked, 0u);
   std::string detail;
-  for (const std::string& v : report->violations) {
-    detail += "\n  " + v;
+  for (const std::string& e : report->online_errors) {
+    detail += "\n  " + e;
   }
-  EXPECT_TRUE(report->ok()) << report->Summary() << detail;
+  EXPECT_TRUE(report->ok()) << report->Summary() << detail << "\n"
+                            << report->crash.Violations();
 }
 
 }  // namespace

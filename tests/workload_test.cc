@@ -171,16 +171,19 @@ TEST(TraceTest, ParseFormatRoundTrip) {
       "sync\n"
       "idle 2.5\n"
       "unlink /a/g\n"
-      "rmdir /a\n";
+      "rmdir /a\n"
+      "link /b/f /c/f\n";
   auto ops = ParseTrace(text);
   ASSERT_TRUE(ops.ok());
-  ASSERT_EQ(ops->size(), 11u);
+  ASSERT_EQ(ops->size(), 12u);
   EXPECT_EQ((*ops)[0].kind, TraceOp::Kind::kMkdir);
   EXPECT_EQ((*ops)[2].kind, TraceOp::Kind::kWrite);
   EXPECT_EQ((*ops)[2].length, 100u);
   EXPECT_EQ((*ops)[2].seed, 7u);
   EXPECT_EQ((*ops)[5].path2, "/a/g");
   EXPECT_DOUBLE_EQ((*ops)[8].seconds, 2.5);
+  EXPECT_EQ((*ops)[11].kind, TraceOp::Kind::kLink);
+  EXPECT_EQ((*ops)[11].path2, "/c/f");
   // Round trip through the formatter.
   auto again = ParseTrace(FormatTrace(*ops));
   ASSERT_TRUE(again.ok());
@@ -188,6 +191,7 @@ TEST(TraceTest, ParseFormatRoundTrip) {
   for (size_t i = 0; i < ops->size(); ++i) {
     EXPECT_EQ((*again)[i].kind, (*ops)[i].kind) << i;
     EXPECT_EQ((*again)[i].path, (*ops)[i].path) << i;
+    EXPECT_EQ((*again)[i].path2, (*ops)[i].path2) << i;
   }
 }
 
@@ -195,6 +199,7 @@ TEST(TraceTest, ParseErrorsAreReported) {
   EXPECT_FALSE(ParseTrace("frobnicate /x\n").ok());
   EXPECT_FALSE(ParseTrace("write /x\n").ok());
   EXPECT_FALSE(ParseTrace("rename /only-one\n").ok());
+  EXPECT_FALSE(ParseTrace("link /only-one\n").ok());
   EXPECT_TRUE(ParseTrace("\n\n# only comments\n").ok());
 }
 

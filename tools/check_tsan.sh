@@ -18,9 +18,11 @@
 # The address/undefined sweep for the single-threaded robustness surfaces
 # lives in a second tree: `ctest -L "crash|fault|serve"` under
 # -DLOGFS_SANITIZE=address,undefined (pass --asan to run it too). The
-# crash and fault labels include the cross-shard intent matrix
-# (sharded_crash_test) and the intent fault/repair suite
-# (sharded_intent_test); the cache label adds the buffer cache's
+# crash and fault labels include the sharded crash sweeps
+# (sharded_crash_test, whose workloads run through the crash explorer at
+# 4 shards), the crash_explorer walkthrough's self-test and reordered
+# sweep, and the intent fault/repair suite (sharded_intent_test); the
+# cache label adds the buffer cache's
 # differential suite (iterators stored inside cached blocks). Three
 # unlabelled suites run after the labels: sharded_lfs_test (the shard
 # router), fs_conformance_test (the FileSystem contract, which drives the

@@ -26,9 +26,12 @@
 //                                              8-class latency attribution
 //                                              (default: the slowest request)
 //      ./build/examples/lfs_inspect intents    cross-shard intent log: pending
-//                                              and retired records, then the
+//                                              and retired records, markers
+//                                              and free masks, then the
 //                                              reconciliation verdicts after a
-//                                              simulated crash + remount
+//                                              simulated crash + remount;
+//                                              exits nonzero unless exactly
+//                                              the unsynced ops read pending
 //      ./build/examples/lfs_inspect check [--repair]
 //                                              global namespace check against
 //                                              cross-shard damage seeded
@@ -815,6 +818,7 @@ int RunShards() {
 
 const char* IntentKindName(IntentKind kind) {
   switch (kind) {
+    case IntentKind::kMarker: return "marker";
     case IntentKind::kCreate: return "create";
     case IntentKind::kLink:   return "link";
     case IntentKind::kUnlink: return "unlink";
@@ -824,13 +828,19 @@ const char* IntentKindName(IntentKind kind) {
   return "?";
 }
 
+// One decoded slot: its state as the newest mask leaves it, the free mask
+// it carries, then what the op names (a marker names nothing).
 void PrintIntentRecord(const LoadedIntent& li) {
   const IntentRecord& r = li.record;
-  std::cout << "  slot " << std::setw(2) << li.slot << "  op " << std::setw(3)
-            << r.op_id << "  "
-            << (li.state == IntentState::kPending ? "PENDING" : "RETIRED")
-            << "  " << IntentKindName(r.kind) << "  dir " << r.from_dir << "/'"
-            << r.from_name << "'";
+  std::cout << "  slot " << std::setw(2) << li.slot << "  op " << std::setw(3) << r.op_id
+            << "  " << (li.state == IntentState::kPending ? "PENDING" : "RETIRED")
+            << "  free 0x" << std::hex << std::setw(16) << std::setfill('0') << li.free_mask
+            << std::dec << std::setfill(' ') << "  " << IntentKindName(r.kind);
+  if (r.kind == IntentKind::kMarker) {
+    std::cout << "\n";
+    return;
+  }
+  std::cout << "  dir " << r.from_dir << "/'" << r.from_name << "'";
   if (r.kind == IntentKind::kRename) {
     std::cout << " -> dir " << r.to_dir << "/'" << r.to_name << "'";
   }
@@ -884,10 +894,14 @@ int RunIntents() {
   for (int i = 0; i < 6; ++i) {
     (void)(*fs)->Rename(*a, "f" + std::to_string(i), *b, "r" + std::to_string(i));
   }
-  (void)(*fs)->Sync();  // Durable horizon advances: intents retire.
+  // Durable horizon advances: the intents retire, and one marker records it.
+  (void)(*fs)->Sync();
+  const uint64_t first_unsynced = (*fs)->intent_log()->next_op_id();
 
   // Round 2: more cross-shard ops, NOT synced — their intents stay
-  // pending on disk until the next retirement barrier.
+  // pending on disk until a later synchronous intent write retires them.
+  // Each unlink removes a name in /b from a file whose inode lives on /a's
+  // shard, so it publishes too.
   for (int i = 0; i < 3; ++i) {
     (void)(*fs)->Rename(*b, "r" + std::to_string(i), *a, "back" + std::to_string(i));
     (void)(*fs)->Unlink(*b, "r" + std::to_string(i + 3));
@@ -895,18 +909,30 @@ int RunIntents() {
 
   std::cout << "--- region after 6 synced renames + 6 unsynced ops ---\n";
   IntentLog log(&disk, sb.intent_start_sector, sb.intent_sectors);
-  auto slots = log.LoadAll();
-  if (!slots.ok()) {
+  auto scan = log.LoadAll();
+  if (!scan.ok()) {
     return 1;
   }
-  uint32_t pending = 0;
-  for (const LoadedIntent& li : *slots) {
+  std::map<IntentKind, int> pending;
+  bool synced_retired = true;
+  for (const LoadedIntent& li : scan->records) {
     PrintIntentRecord(li);
-    pending += li.state == IntentState::kPending ? 1 : 0;
+    if (li.state == IntentState::kPending && li.record.op_id < first_unsynced) {
+      synced_retired = false;
+    } else if (li.state == IntentState::kPending) {
+      ++pending[li.record.kind];
+    }
   }
-  std::cout << (*slots).size() << " decodable slots, " << pending
-            << " pending (the unsynced ops; the synced round was retired at "
-               "the Sync barrier)\n\n";
+  const bool as_expected =
+      synced_retired &&
+      pending == std::map<IntentKind, int>{{IntentKind::kUnlink, 3}, {IntentKind::kRename, 3}};
+  std::cout << scan->records.size() << " decodable slots; the synced round reads "
+            << (synced_retired ? "retired" : "PENDING") << "; pending: "
+            << pending[IntentKind::kRename] << " renames, " << pending[IntentKind::kUnlink]
+            << " unlinks (expected 3 and 3, the unsynced ops)\n\n";
+  if (!as_expected) {
+    return 1;
+  }
 
   // Crash now: remount a copy of the raw image. Per-shard roll-forward
   // replays what it can; the pending intents drive the cross-shard

@@ -134,6 +134,8 @@ class Repairer {
       }
       case IntentKind::kRename:
         return SettleRename(in);
+      case IntentKind::kMarker:
+        break;  // Names no operation, and never reads PENDING.
     }
     return OkStatus();
   }

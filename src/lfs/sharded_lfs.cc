@@ -218,6 +218,12 @@ Result<std::unique_ptr<ShardedLfs>> ShardedLfs::Mount(BlockDevice* device, SimCl
       return CorruptedError("shard " + std::to_string(i) +
                             " superblock disagrees with shard 0 about the layout");
     }
+    const std::string prefix = "logfs.shard." + std::to_string(i) + ".";
+    auto gauge = [&prefix](const char* name) { return &obs::Registry().GetGauge(prefix + name); };
+    shard->gauges = {gauge("clean_segments"), gauge("quarantined_segments"),
+                     gauge("live_bytes"),     gauge("checkpoints"),
+                     gauge("cleaner_passes"), gauge("segments_cleaned"),
+                     gauge("write_cost")};
     sfs->shards_.push_back(std::move(shard));
   }
   sfs->intent_dev_ = std::make_unique<ResilientDisk>(device, clock);
@@ -227,44 +233,38 @@ Result<std::unique_ptr<ShardedLfs>> ShardedLfs::Mount(BlockDevice* device, SimCl
   return sfs;
 }
 
+ShardedLfs::~ShardedLfs() {
+  if (intents_ != nullptr) {
+    (void)Sync();
+  }
+}
+
 // Mount-time cross-shard reconciliation: every shard has already rolled
 // forward individually; unretired intents are the only operations whose
-// halves can disagree. Repair first, make the repair durable, THEN retire —
-// retiring before the sync would leave damage with no intent if we crash
-// in between.
+// halves can disagree, and an unreadable slot may hide one, so the repair
+// then walks the whole namespace. Repair first, make the repair durable,
+// THEN retire — retiring before the sync would leave damage with no intent
+// if we crash in between. One marker retires the whole batch at once.
 Status ShardedLfs::ReconcileIntents() {
-  ASSIGN_OR_RETURN(std::vector<LoadedIntent> all, intents_->LoadAll());
-  std::vector<LoadedIntent> pending_slots;
-  for (LoadedIntent& li : all) {
+  ASSIGN_OR_RETURN(IntentScan scan, intents_->LoadAll());
+  std::vector<IntentRecord> pending;
+  for (LoadedIntent& li : scan.records) {
     if (li.state == IntentState::kPending) {
-      pending_slots.push_back(std::move(li));
+      pending.push_back(std::move(li.record));
     }
   }
-  if (pending_slots.empty()) {
+  if (pending.empty() && scan.unreadable_slots == 0) {
     return OkStatus();
   }
-  std::sort(pending_slots.begin(), pending_slots.end(),
-            [](const LoadedIntent& a, const LoadedIntent& b) {
-              return a.record.op_id < b.record.op_id;
-            });
-  std::vector<IntentRecord> pending;
-  pending.reserve(pending_slots.size());
-  for (const LoadedIntent& li : pending_slots) {
-    pending.push_back(li.record);
-  }
+  std::sort(pending.begin(), pending.end(), [](const IntentRecord& a, const IntentRecord& b) {
+    return a.op_id < b.op_id;
+  });
   ASSIGN_OR_RETURN(RepairReport rep, RepairDurably(pending));
-  for (const LoadedIntent& li : pending_slots) {
-    Status retired = intents_->RetireSlot(li.slot, li.record);
-    if (!retired.ok() && retired.code() == ErrorCode::kCrashed) {
-      return retired;
-    }
-    // A media error on the retire leaves the slot pending: the next mount
-    // re-reconciles it, which is a no-op on the now-repaired image.
-  }
+  intents_->RetireSettled();
+  // A marker lost to media errors leaves the batch to the next publish.
+  RETURN_IF_ERROR(intents_->WriteRetireMarker());
   if constexpr (obs::kMetricsEnabled) {
-    obs::Registry()
-        .GetCounter("logfs.intent.reconciled")
-        .Increment(pending_slots.size());
+    obs::Registry().GetCounter("logfs.intent.reconciled").Increment(pending.size());
   }
   reconcile_report_ = std::move(rep);
   return OkStatus();
@@ -292,27 +292,27 @@ Result<RepairReport> ShardedLfs::RepairDurably(std::span<const IntentRecord> pen
   return repaired;
 }
 
-Status ShardedLfs::RetireDurableIntents() {
+Status ShardedLfs::ForEachShardThenRetire(
+    const std::function<Status(uint32_t, LfsFileSystem*)>& step, bool marker) {
+  std::vector<uint64_t> synced(shards_.size());
+  for (uint32_t i = 0; i < shards_.size(); ++i) {
+    std::lock_guard<std::mutex> lock(shards_[i]->mu);
+    RETURN_IF_ERROR(step(i, shards_[i]->fs.get()));
+    synced[i] = shards_[i]->fs->synced_seq();
+  }
   if (intents_ == nullptr) {
     return OkStatus();
   }
-  std::vector<uint64_t> synced(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i]->mu);
-    synced[i] = shards_[i]->fs->synced_seq();
-  }
-  return intents_->RetireCovered(synced);
+  intents_->RetireCovered(synced);
+  return marker ? intents_->WriteRetireMarker() : OkStatus();
 }
 
 Status ShardedLfs::DrainIntents() {
   if constexpr (obs::kMetricsEnabled) {
     obs::Registry().GetCounter("logfs.intent.ring_full_drains").Increment();
   }
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    RETURN_IF_ERROR(shard->fs->Sync());
-  }
-  return RetireDurableIntents();
+  return ForEachShardThenRetire([](uint32_t, LfsFileSystem* f) { return f->Sync(); },
+                                /*marker=*/false);
 }
 
 // --- locking helpers -----------------------------------------------------------
@@ -567,19 +567,13 @@ Status ShardedLfs::Fsync(InodeNum ino) {
 // --- fan-out operations --------------------------------------------------------
 
 Status ShardedLfs::Sync() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    RETURN_IF_ERROR(shard->fs->Sync());
-  }
-  return RetireDurableIntents();
+  return ForEachShardThenRetire([](uint32_t, LfsFileSystem* f) { return f->Sync(); },
+                                /*marker=*/true);
 }
 
 Status ShardedLfs::Checkpoint() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    RETURN_IF_ERROR(shard->fs->Checkpoint());
-  }
-  return RetireDurableIntents();
+  return ForEachShardThenRetire([](uint32_t, LfsFileSystem* f) { return f->Checkpoint(); },
+                                /*marker=*/true);
 }
 
 Status ShardedLfs::DropCaches() {
@@ -590,14 +584,23 @@ Status ShardedLfs::DropCaches() {
   return OkStatus();
 }
 
+// One pass, one lock per shard: tick it and publish its gauges. Interval
+// checkpoints may have advanced durable horizons; the retirements ride on
+// the next synchronous intent-region write.
 Status ShardedLfs::Tick() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    RETURN_IF_ERROR(shard->fs->Tick());
+  const bool multi = shards_.size() > 1;
+  std::vector<double> utils;
+  auto tick = [this, multi, &utils](uint32_t i, LfsFileSystem* f) {
+    Status ticked = f->Tick();
+    if (ticked.ok() && multi) {
+      PublishShardGauges(i, &utils);
+    }
+    return ticked;
+  };
+  RETURN_IF_ERROR(ForEachShardThenRetire(tick, /*marker=*/false));
+  if (multi) {
+    obs::PublishUtilization(utils);
   }
-  // Interval checkpoints may have advanced durable horizons.
-  RETURN_IF_ERROR(RetireDurableIntents());
-  PublishShardMetrics();
   return OkStatus();
 }
 
@@ -635,41 +638,36 @@ void ShardedLfs::PublishShardMetrics() {
     // seed single-log image.
     return;
   }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    // The shard lock serializes these reads against mutating ops — Tick
-    // and the other callers invoke this with no shard lock held.
-    std::lock_guard<std::mutex> lock(shards_[i]->mu);
-    LfsFileSystem* f = shards_[i]->fs.get();
-    const std::string prefix = "logfs.shard." + std::to_string(i) + ".";
-    auto& registry = obs::Registry();
-    registry.GetGauge(prefix + "clean_segments").Set(f->CleanSegmentCount());
-    registry.GetGauge(prefix + "quarantined_segments").Set(f->QuarantinedSegmentCount());
-    registry.GetGauge(prefix + "live_bytes")
-        .Set(static_cast<double>(f->TotalLiveBytes()));
-    registry.GetGauge(prefix + "checkpoints")
-        .Set(static_cast<double>(f->checkpoint_count()));
-    const LfsFileSystem::CleanerStats& cs = f->cleaner_stats();
-    registry.GetGauge(prefix + "cleaner_passes").Set(static_cast<double>(cs.passes));
-    registry.GetGauge(prefix + "segments_cleaned")
-        .Set(static_cast<double>(cs.segments_cleaned));
-    // The paper's write-cost figure of merit at this shard's current
-    // overall utilization.
-    const LfsSuperblock& sb = f->superblock();
-    const double capacity =
-        static_cast<double>(sb.num_segments) * static_cast<double>(sb.segment_size);
-    const double u =
-        capacity > 0.0 ? static_cast<double>(f->TotalLiveBytes()) / capacity : 0.0;
-    registry.GetGauge(prefix + "write_cost").Set(PaperWriteCost(u));
-  }
-  // Each shard's Tick republished logfs.seg.util.* with only its own
-  // segments (last writer wins); overwrite with the merged distribution so
-  // the global gauges describe the whole volume.
   std::vector<double> utils;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->fs->CollectSegmentUtilization(&utils);
+  for (uint32_t i = 0; i < shards_.size(); ++i) {
+    // The shard lock serializes these reads against mutating ops.
+    std::lock_guard<std::mutex> lock(shards_[i]->mu);
+    PublishShardGauges(i, &utils);
   }
   obs::PublishUtilization(utils);
+}
+
+void ShardedLfs::PublishShardGauges(uint32_t i, std::vector<double>* utils) {
+  LfsFileSystem* f = shards_[i]->fs.get();
+  const ShardGauges& g = shards_[i]->gauges;
+  g.clean_segments->Set(f->CleanSegmentCount());
+  g.quarantined_segments->Set(f->QuarantinedSegmentCount());
+  g.live_bytes->Set(static_cast<double>(f->TotalLiveBytes()));
+  g.checkpoints->Set(static_cast<double>(f->checkpoint_count()));
+  const LfsFileSystem::CleanerStats& cs = f->cleaner_stats();
+  g.cleaner_passes->Set(static_cast<double>(cs.passes));
+  g.segments_cleaned->Set(static_cast<double>(cs.segments_cleaned));
+  // The paper's write-cost figure of merit at this shard's current overall
+  // utilization.
+  const LfsSuperblock& sb = f->superblock();
+  const double capacity =
+      static_cast<double>(sb.num_segments) * static_cast<double>(sb.segment_size);
+  const double u = capacity > 0.0 ? static_cast<double>(f->TotalLiveBytes()) / capacity : 0.0;
+  g.write_cost->Set(PaperWriteCost(u));
+  // Each shard's Tick publishes logfs.seg.util.* with only its own segments
+  // (last writer wins); the caller overwrites them with the merged
+  // distribution so the global gauges describe the whole volume.
+  f->CollectSegmentUtilization(utils);
 }
 
 // --- global checker ------------------------------------------------------------

@@ -50,6 +50,7 @@
 #ifndef LOGFS_SRC_LFS_SHARDED_LFS_H_
 #define LOGFS_SRC_LFS_SHARDED_LFS_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -64,6 +65,7 @@
 #include "src/lfs/lfs_file_system.h"
 #include "src/lfs/lfs_intent.h"
 #include "src/lfs/lfs_repair.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace_context.h"
 
 namespace logfs {
@@ -86,6 +88,11 @@ class ShardedLfs : public FileSystem {
   static Result<std::unique_ptr<ShardedLfs>> Mount(BlockDevice* device, SimClock* clock,
                                                    CpuModel* cpu, Options options = {});
 
+  // A clean unmount of a multi-log volume Syncs, so its intents retire and
+  // the next mount has nothing to reconcile. The single-log passthrough
+  // leaves unmount to the log's own destructor (byte-identical to the seed).
+  ~ShardedLfs() override;
+
   // --- FileSystem interface: safe for concurrent callers ---
   Result<InodeNum> Create(InodeNum dir, std::string_view name, FileType type) override;
   Result<InodeNum> Lookup(InodeNum dir, std::string_view name) override;
@@ -99,10 +106,11 @@ class ShardedLfs : public FileSystem {
   Status Truncate(InodeNum ino, uint64_t new_size) override;
   Result<FileStat> Stat(InodeNum ino) override;
   Result<std::vector<DirEntry>> ReadDir(InodeNum dir) override;
-  Status Sync() override;             // Per-shard checkpoints, ascending order.
+  Status Sync() override;             // Per-shard checkpoints; orders retirements.
   Status Fsync(InodeNum ino) override;
   Status DropCaches() override;
   Status Tick() override;             // Also refreshes logfs.shard.<i>.* gauges.
+                                      // Writes nothing to the intent region.
   std::string name() const override { return "LFS-sharded"; }
 
   // --- administration / introspection ---
@@ -113,7 +121,7 @@ class ShardedLfs : public FileSystem {
   // (no concurrent router operations) while poking a shard directly.
   LfsFileSystem* shard(uint32_t i) { return shards_[i]->fs.get(); }
 
-  // Fan-out: forces a checkpoint on every shard.
+  // Fan-out: forces a checkpoint on every shard; orders retirements like Sync.
   Status Checkpoint();
   // Fan-out: cleans up to `max_victims` segments PER SHARD; returns the
   // total cleaned.
@@ -121,7 +129,8 @@ class ShardedLfs : public FileSystem {
   // Fan-out: scrubs up to `max_segments` PER SHARD; aggregates the reports.
   Result<LfsFileSystem::ScrubReport> Scrub(uint32_t max_segments);
   // Publishes per-shard gauges (logfs.shard.<i>.clean_segments, .live_bytes,
-  // .write_cost, ...). Called from Tick(); callable directly by tools.
+  // .write_cost, ...) and the merged segment utilization. Tick() publishes
+  // the same in its one pass over the shards; callable directly by tools.
   void PublishShardMetrics();
 
   // Cross-shard intent log. Present on every N>=2 volume (Format writes the
@@ -130,17 +139,29 @@ class ShardedLfs : public FileSystem {
   // byte-identical to the seed).
   bool intent_log_enabled() const { return intents_ != nullptr; }
   IntentLog* intent_log() { return intents_.get(); }
-  // What mount-time intent reconciliation did (nullopt when there were no
-  // pending intents). For lfs_inspect and tests.
+  // What mount-time intent reconciliation did (nullopt when no intent read
+  // pending and every slot was readable). For lfs_inspect and tests.
   const std::optional<RepairReport>& reconcile_report() const {
     return reconcile_report_;
   }
 
  private:
+  // logfs.shard.<i>.*, resolved once at mount (multi-log volumes only).
+  struct ShardGauges {
+    obs::Gauge* clean_segments = nullptr;
+    obs::Gauge* quarantined_segments = nullptr;
+    obs::Gauge* live_bytes = nullptr;
+    obs::Gauge* checkpoints = nullptr;
+    obs::Gauge* cleaner_passes = nullptr;
+    obs::Gauge* segments_cleaned = nullptr;
+    obs::Gauge* write_cost = nullptr;
+  };
+
   struct Shard {
     std::unique_ptr<WindowDisk> window;  // null for the unsharded passthrough
     std::unique_ptr<LfsFileSystem> fs;
     std::mutex mu;
+    ShardGauges gauges;
   };
 
   // Shard-mutex acquisition with trace attribution: locks every shard in
@@ -224,15 +245,23 @@ class ShardedLfs : public FileSystem {
   Result<bool> IsInSubtreeGlobal(InodeNum candidate, InodeNum ancestor);
 
   // Mount-time intent reconciliation: loads pending intents, repairs the
-  // namespace from them, syncs every shard and retires the settled slots
-  // (in that order — retiring before the repair is durable would leave
-  // damage with no intent on a subsequent crash).
+  // namespace from them (with the full walk when a slot was unreadable),
+  // syncs every shard and then writes one retire marker for the settled
+  // slots (in that order — retiring before the repair is durable would
+  // leave damage with no intent on a subsequent crash).
   Status ReconcileIntents();
-  // Snapshots every shard's durable horizon and retires covered intents.
-  // Takes each shard lock briefly; callers must hold none.
-  Status RetireDurableIntents();
-  // Full drain for a kBusy publish: sync every shard, then retire.
+  // Runs `step` on every shard in ascending order, each under its lock
+  // alone, then retires the intents the shards' durable horizons now cover
+  // and, with `marker`, writes a retire marker so those retirements are
+  // durable. Callers must hold no shard lock.
+  Status ForEachShardThenRetire(const std::function<Status(uint32_t, LfsFileSystem*)>& step,
+                                bool marker);
+  // Full drain for a kBusy publish: sync every shard, then retire. No
+  // marker: the publish it unblocks carries the retirements.
   Status DrainIntents();
+  // Sets shard i's logfs.shard.<i>.* gauges and appends its segment
+  // utilizations to `utils`. Caller holds shard i's lock; multi-log only.
+  void PublishShardGauges(uint32_t i, std::vector<double>* utils);
   // The repair bracket of mount-time reconciliation and of
   // CheckShardedLfs(kRepair): the repairer over every shard with `pending`
   // as its work list, then a Sync of every shard, all of it written as

@@ -882,7 +882,9 @@ void Client::WritebackBlocks(uint64_t handle, std::vector<uint64_t> indices, Sta
       ++st->inflight;
       ++stats_.writebacks;
       CountMetric("logfs.serve.client.writebacks");
-      Call(std::move(req), [this, handle, b, st, pump, maybe_finish](Response&& resp) {
+      const uint64_t discards = h2->dirty_discards;
+      Call(std::move(req), [this, handle, b, discards, st, pump,
+                            maybe_finish](Response&& resp) {
         --st->inflight;
         Handle* hh = Find(handle);
         if (resp.code == ErrorCode::kOk && hh != nullptr) {
@@ -894,7 +896,10 @@ void Client::WritebackBlocks(uint64_t handle, std::vector<uint64_t> indices, Sta
             bit->second.seq_epoch = resp.server_epoch;
           }
           max_write_seq_ = std::max(max_write_seq_, resp.mutation_seq);
-        } else if (resp.code != ErrorCode::kOk && st->first_error.ok()) {
+        } else if (resp.code != ErrorCode::kOk && st->first_error.ok() &&
+                   !StoredSince(handle, b, discards)) {
+          // A refused copy of a block another write-back stored (a recall
+          // flush re-sent it while this one was lost) is no error.
           st->first_error = ToStatus(resp);
         }
         (*pump)();
@@ -904,6 +909,15 @@ void Client::WritebackBlocks(uint64_t handle, std::vector<uint64_t> indices, Sta
     maybe_finish();
   };
   (*pump)();
+}
+
+bool Client::StoredSince(uint64_t handle, uint64_t b, uint64_t discards) {
+  const Handle* h = Find(handle);
+  if (h == nullptr) {
+    return false;
+  }
+  auto it = h->blocks.find(b);
+  return it != h->blocks.end() ? !it->second.dirty : h->dirty_discards == discards;
 }
 
 void Client::CommitSeq(uint64_t seq, StatusCb then, obs::TraceContext ctx) {
@@ -1166,6 +1180,7 @@ void Client::MaybeRenew(uint64_t handle) {
 
 void Client::InvalidateFile(Handle& h) {
   for (const auto& [b, blk] : h.blocks) {
+    h.dirty_discards += blk.dirty ? 1 : 0;
     if (blk.dirty || blk.unstable) {
       ++stats_.discards;
       CountMetric("logfs.serve.client.discards");

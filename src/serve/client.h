@@ -159,6 +159,10 @@ class Client {
     // void: we already promised the server the lease was gone, and the
     // delayed (or dedup-cache-replayed) grant reflects a pre-revoke world.
     uint64_t last_revoke_action = 0;
+    // Dirty blocks InvalidateFile dropped unwritten, so far. A write-back
+    // whose block has left the cache by its refusal left it clean iff this
+    // has not moved since the send.
+    uint64_t dirty_discards = 0;
   };
   struct Outstanding {
     Request request;
@@ -213,6 +217,11 @@ class Client {
   void EnsureWriteLease(uint64_t handle, bool reclaim, StatusCb then);
   // Writes the given blocks back (bounded parallelism); `then` fires after
   // every ack. Blocks that fail with a lost lease are surfaced as kBusy.
+  // Whether another write-back stored block `b` after one sent when the
+  // handle's dirty_discards read `discards`: the block is cached clean, or
+  // it left the cache with no dirty block dropped since (a recall flush
+  // committed it and invalidated the file).
+  bool StoredSince(uint64_t handle, uint64_t b, uint64_t discards);
   void WritebackBlocks(uint64_t handle, std::vector<uint64_t> indices, StatusCb then,
                        obs::TraceContext ctx = {});
   void CommitSeq(uint64_t seq, StatusCb then, obs::TraceContext ctx = {});

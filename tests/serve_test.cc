@@ -365,6 +365,61 @@ TEST(ServeTest, WritebackAfterLeaseExpiryIsRejectedStale) {
   EXPECT_EQ(*read, winner);
 }
 
+// A commit's write-back is lost, and a recall arrives before its RTO fires:
+// the recall flush re-sends the still-dirty block, commits it and acks, and
+// the server revokes the lease. The commit's retransmitted copy then comes
+// back refused as a stale write-back, yet its block is already committed,
+// so the commit must still succeed.
+TEST(ServeTest, RefusedLateCopyOfARecallFlushedBlockIsNotACommitError) {
+  ServeClusterParams params;
+  params.clients = 2;
+  bool synced = false;
+  params.server_sync_hook = [&synced](uint64_t) { synced = true; };
+  auto cluster = ServeCluster::Create(params);
+  ASSERT_TRUE(cluster.ok());
+  ServeCluster& c = **cluster;
+  Client* a = c.client(0);
+  Client* b = c.client(1);
+
+  auto ha = OpenSync(c, a, "/f");
+  auto hb = OpenSync(c, b, "/f");
+  ASSERT_TRUE(ha.ok() && hb.ok());
+  const auto payload = Bytes(4096, 7);
+  ASSERT_TRUE(WriteSync(c, a, *ha, 0, payload).ok());
+
+  // The commit sends its one write-back at once; the transport loses it.
+  const uint64_t stale_before = c.server()->stale_writebacks();
+  std::optional<Status> committed;
+  c.transport()->set_drop_probability(1.0);
+  a->Commit([&](Status st) { committed = st; });
+  c.transport()->set_drop_probability(0.0);
+
+  // B's read recalls A's lease. The recall flush re-sends the block and
+  // commits it, and that sync holds the clock past the copy's RTO, so its
+  // retransmission is due at once, ahead of the answer to A's commit. Lose
+  // what is due then, and A acks the recall before the copy is sent again.
+  std::optional<Result<std::vector<std::byte>>> read;
+  synced = false;
+  b->Read(*hb, 0, payload.size(),
+          [&](Result<std::vector<std::byte>> r) { read = std::move(r); });
+  while (!synced) {
+    ASSERT_TRUE(c.events()->RunOne());
+  }
+  const double answered = c.clock()->Now();
+  c.transport()->set_drop_probability(1.0);
+  c.events()->RunUntil(answered);
+  c.transport()->set_drop_probability(0.0);
+  ASSERT_TRUE(c.Settle().ok());
+
+  EXPECT_GT(c.server()->stale_writebacks(), stale_before) << "the late copy was never refused";
+  ASSERT_TRUE(committed.has_value());
+  EXPECT_TRUE(committed->ok()) << committed->ToString();
+  ASSERT_TRUE(read.has_value());
+  ASSERT_TRUE(read->ok()) << read->status().ToString();
+  EXPECT_EQ(**read, payload);
+  EXPECT_EQ(c.shadow().violation_count(), 0u);
+}
+
 TEST(ServeTest, WriteOnReadOnlyDemotedServerFailsCleanly) {
   // Hand-built rig so a FaultInjectingDisk sits under the LFS: both
   // checkpoint regions go write-bad, the next sync demotes the mount, and a

@@ -155,8 +155,9 @@ std::vector<TraceOp> BasicWorkload() {
 //   * two moves of a non-empty directory to another parent, the first
 //     followed by an Fsync of the file inside it.
 // A mid-run sync retires the first wave of intents, so the journal holds
-// RETIRED slot rewrites (mid-completion crash points) and later publishes;
-// the tail leaves several intents unretired.
+// its retire marker and later publishes whose masks carry the same
+// retirements; the tail leaves several intents unretired until the
+// unmount's marker.
 std::vector<TraceOp> CrossShardWorkload() {
   ShardedTrace t;
   for (int d = 0; d < 6; ++d) {

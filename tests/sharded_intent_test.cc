@@ -11,6 +11,9 @@
 //   * which renames publish — device writes counted at the intent region,
 //     and two fsynced crash images that recover exactly only under the
 //     publish rule;
+//   * retirement — the free mask rule on a bare region, an intent retired
+//     in memory read PENDING until a synchronous write carries it, mount
+//     with unreadable slots, and a clean unmount's marker;
 //   * the online repairer — CheckShardedLfs(..., RepairMode::kRepair)
 //     fixes damage no intent names (dangling dirents, orphans, wrong
 //     nlinks, seeded through the shard seams) in place and reports a clean
@@ -21,6 +24,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -108,17 +112,34 @@ struct ShardedRig {
 };
 
 // A crash at this instant: the rig's disk as its writes left it, mounted on
-// a copy-on-write overlay so the live mount's disk is left alone.
+// a copy-on-write overlay so the live mount's disk is left alone. The mount
+// reads through a fault injector, which `arm` may set up first, and its
+// writes are journaled.
 struct CrashImage {
-  explicit CrashImage(const MemoryDisk& disk) : overlay(disk.RawImage()), cpu(&clock, 10.0) {
-    auto mounted = ShardedLfs::Mount(&overlay, &clock, &cpu);
+  explicit CrashImage(const MemoryDisk& disk,
+                      const std::function<void(FaultInjectingDisk&)>& arm = {})
+      : overlay(disk.RawImage()), rec(&overlay), fault(&rec), cpu(&clock, 10.0) {
+    if (arm) {
+      arm(fault);
+    }
+    auto mounted = ShardedLfs::Mount(&fault, &clock, &cpu);
     EXPECT_TRUE(mounted.ok()) << mounted.status().ToString();
     if (mounted.ok()) {
       fs = std::move(mounted).value();
     }
   }
 
+  // Writes the mount made to the intent region.
+  size_t IntentWrites() const {
+    const uint64_t start = fs->shard(0)->superblock().intent_start_sector;
+    return static_cast<size_t>(
+        std::count_if(rec.writes().begin(), rec.writes().end(),
+                      [start](const WriteRecord& w) { return w.first >= start; }));
+  }
+
   OverlayDisk overlay;
+  RecordingDisk rec;
+  FaultInjectingDisk fault;
   SimClock clock;
   CpuModel cpu;
   std::unique_ptr<ShardedLfs> fs;
@@ -139,21 +160,40 @@ TEST(IntentCodecTest, RoundTripsEveryField) {
   rec.from_name = "old-name";
   rec.to_name = "new-name";
 
+  const uint64_t mask = 0x8000'0000'0000'00F1ull;
+
   std::vector<std::byte> slot(kIntentSlotBytes);
-  ASSERT_TRUE(EncodeIntentSlot(rec, IntentState::kPending, slot).ok());
+  ASSERT_TRUE(EncodeIntentSlot(rec, IntentState::kPending, mask, slot).ok());
   auto decoded = DecodeIntentSlot(slot);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->second, IntentState::kPending);
-  EXPECT_EQ(decoded->first.op_id, rec.op_id);
-  EXPECT_EQ(decoded->first.kind, IntentKind::kRename);
-  EXPECT_EQ(decoded->first.from_dir, 7u);
-  EXPECT_EQ(decoded->first.to_dir, 10u);
-  EXPECT_EQ(decoded->first.child, 13u);
-  EXPECT_EQ(decoded->first.victim, 22u);
-  EXPECT_EQ(decoded->first.child_type, FileType::kDirectory);
-  EXPECT_EQ(decoded->first.victim_type, FileType::kRegular);
-  EXPECT_EQ(decoded->first.from_name, "old-name");
-  EXPECT_EQ(decoded->first.to_name, "new-name");
+  EXPECT_EQ(decoded->state, IntentState::kPending);
+  EXPECT_EQ(decoded->free_mask, mask);
+  const IntentRecord& got = decoded->record;
+  EXPECT_EQ(got.op_id, rec.op_id);
+  EXPECT_EQ(got.kind, IntentKind::kRename);
+  EXPECT_EQ(got.from_dir, 7u);
+  EXPECT_EQ(got.to_dir, 10u);
+  EXPECT_EQ(got.child, 13u);
+  EXPECT_EQ(got.victim, 22u);
+  EXPECT_EQ(got.child_type, FileType::kDirectory);
+  EXPECT_EQ(got.victim_type, FileType::kRegular);
+  EXPECT_EQ(got.from_name, "old-name");
+  EXPECT_EQ(got.to_name, "new-name");
+
+  // A retire marker names no operation and is the only RETIRED record.
+  IntentRecord marker;
+  marker.op_id = 9;
+  marker.kind = IntentKind::kMarker;
+  ASSERT_TRUE(EncodeIntentSlot(marker, IntentState::kRetired, ~mask, slot).ok());
+  decoded = DecodeIntentSlot(slot);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->state, IntentState::kRetired);
+  EXPECT_EQ(decoded->record.kind, IntentKind::kMarker);
+  EXPECT_EQ(decoded->free_mask, ~mask);
+  ASSERT_TRUE(EncodeIntentSlot(rec, IntentState::kRetired, mask, slot).ok());
+  EXPECT_FALSE(DecodeIntentSlot(slot).ok()) << "a RETIRED record must be a marker";
+  ASSERT_TRUE(EncodeIntentSlot(marker, IntentState::kPending, mask, slot).ok());
+  EXPECT_FALSE(DecodeIntentSlot(slot).ok()) << "a marker must be RETIRED";
 }
 
 TEST(IntentCodecTest, RejectsGarbageAndBitFlips) {
@@ -173,8 +213,8 @@ TEST(IntentCodecTest, RejectsGarbageAndBitFlips) {
   rec.child_type = FileType::kRegular;
   rec.from_name = "victim-of-a-tear";
   std::vector<std::byte> slot(kIntentSlotBytes);
-  ASSERT_TRUE(EncodeIntentSlot(rec, IntentState::kPending, slot).ok());
-  for (size_t i = 0; i < 52; ++i) {  // Header + both encoded names.
+  ASSERT_TRUE(EncodeIntentSlot(rec, IntentState::kPending, ~uint64_t{1}, slot).ok());
+  for (size_t i = 0; i < 64; ++i) {  // Header, free mask and both encoded names.
     std::vector<std::byte> bent = slot;
     bent[i] ^= std::byte{0x40};
     EXPECT_FALSE(DecodeIntentSlot(bent).ok()) << "byte " << i;
@@ -190,8 +230,129 @@ TEST(IntentCodecTest, RejectsGarbageAndBitFlips) {
   std::fill(torn.begin() + kSectorSize, torn.end(), std::byte{0xEE});
   auto after_tear = DecodeIntentSlot(torn);
   ASSERT_TRUE(after_tear.ok());
-  EXPECT_EQ(after_tear->first.op_id, rec.op_id);
-  EXPECT_EQ(after_tear->first.from_name, rec.from_name);
+  EXPECT_EQ(after_tear->record.op_id, rec.op_id);
+  EXPECT_EQ(after_tear->record.from_name, rec.from_name);
+}
+
+// --- the free mask -------------------------------------------------------------
+
+// An intent region at sector 0 of a bare disk, for the log on its own.
+struct BareRegion {
+  BareRegion() : disk(kIntentRegionSectors, &clock) {}
+
+  // Writes `rec` into `slot` as the log would.
+  void Put(uint32_t slot, const IntentRecord& rec, uint64_t free_mask) {
+    std::vector<std::byte> buf(kIntentSlotBytes);
+    const IntentState state =
+        rec.kind == IntentKind::kMarker ? IntentState::kRetired : IntentState::kPending;
+    ASSERT_TRUE(EncodeIntentSlot(rec, state, free_mask, buf).ok());
+    ASSERT_TRUE(disk.WriteSectors(SlotSector(slot), buf).ok());
+  }
+  // Tears `slot`: its first sector reads as garbage.
+  void Tear(uint32_t slot) {
+    std::vector<std::byte> junk(kSectorSize, std::byte{0xEE});
+    ASSERT_TRUE(disk.WriteSectors(SlotSector(slot), junk).ok());
+  }
+  // Op id -> state, as a fresh mount's LoadAll reads the region.
+  std::map<uint64_t, IntentState> Load() {
+    IntentLog log(&disk, 0, kIntentRegionSectors);
+    auto scan = log.LoadAll();
+    EXPECT_TRUE(scan.ok());
+    std::map<uint64_t, IntentState> out;
+    for (const LoadedIntent& li : scan.ok() ? scan->records : std::vector<LoadedIntent>{}) {
+      out[li.record.op_id] = li.state;
+    }
+    return out;
+  }
+  static uint64_t SlotSector(uint32_t slot) {
+    return static_cast<uint64_t>(slot) * (kIntentSlotBytes / kSectorSize);
+  }
+
+  SimClock clock;
+  MemoryDisk disk;
+};
+
+IntentRecord Op(uint64_t op_id, IntentKind kind = IntentKind::kRename) {
+  IntentRecord rec;
+  rec.op_id = op_id;
+  rec.kind = kind;
+  return rec;
+}
+
+constexpr uint64_t Bit(uint32_t slot) { return uint64_t{1} << slot; }
+
+// Slot 0 holds op 1. Op 2's mask marks slot 0 free and op 3's does not: the
+// newest record decides, and when it is torn the one before it does.
+TEST(IntentMaskTest, OnlyTheNewestRecordsMaskApplies) {
+  BareRegion region;
+  region.Put(0, Op(1), ~Bit(0));
+  region.Put(1, Op(2, IntentKind::kMarker), ~uint64_t{0});
+  region.Put(2, Op(3, IntentKind::kMarker), ~Bit(0));
+  EXPECT_EQ(region.Load()[1], IntentState::kPending);
+
+  region.Tear(2);
+  std::map<uint64_t, IntentState> states = region.Load();
+  EXPECT_EQ(states.count(3), 0u);
+  EXPECT_EQ(states[1], IntentState::kRetired) << "op 2's mask applies";
+
+  // A newest PENDING record applies its mask to older records only.
+  region.Put(3, Op(4), ~uint64_t{0});
+  states = region.Load();
+  EXPECT_EQ(states[4], IntentState::kPending);
+  EXPECT_EQ(states[1], IntentState::kRetired);
+}
+
+// The log end to end: a retirement writes nothing, the next synchronous
+// write carries it, and no write lands in the newest record's slot, so
+// tearing the write after it leaves that record's mask in force.
+TEST(IntentMaskTest, RetirementRidesOnTheNextSynchronousWrite) {
+  BareRegion region;
+  IntentLog log(&region.disk, 0, kIntentRegionSectors);
+  ASSERT_TRUE(log.LoadAll().ok());
+  // Ops 1-4 name children 101-104; op 4 alone is not yet durable.
+  std::vector<uint32_t> slots;
+  for (uint64_t seq : {1, 2, 2, 9}) {
+    IntentRecord rec;
+    rec.child = static_cast<InodeNum>(101 + slots.size());
+    auto slot = log.Publish(&rec);
+    ASSERT_TRUE(slot.ok());
+    log.MarkApplied(*slot, {{0, seq}});
+    slots.push_back(*slot);
+  }
+  const uint64_t writes = region.disk.stats().write_ops;
+  const uint64_t horizon[] = {2};
+  log.RetireCovered(horizon);
+  EXPECT_EQ(region.disk.stats().write_ops, writes) << "retiring is in memory only";
+  EXPECT_EQ(log.PendingCount(), 1u);
+  EXPECT_TRUE(log.NamesUnretired(102)) << "op 2 still reads PENDING on disk";
+  std::map<uint64_t, IntentState> states = region.Load();
+  EXPECT_EQ(states[2], IntentState::kPending);
+  EXPECT_EQ(states[3], IntentState::kPending);
+
+  ASSERT_TRUE(log.WriteRetireMarker().ok());
+  EXPECT_EQ(region.disk.stats().write_ops, writes + 1);
+  EXPECT_FALSE(log.NamesUnretired(102));
+  EXPECT_TRUE(log.NamesUnretired(104));
+  states = region.Load();
+  EXPECT_EQ(states.count(1), 0u) << "the marker took op 1's free slot";
+  EXPECT_EQ(states[2], IntentState::kRetired);
+  EXPECT_EQ(states[3], IntentState::kRetired);
+  EXPECT_EQ(states[4], IntentState::kPending);
+  ASSERT_TRUE(log.WriteRetireMarker().ok());
+  EXPECT_EQ(region.disk.stats().write_ops, writes + 1) << "nothing left to order";
+
+  // The next publish skips the marker's slot; torn, it leaves the marker
+  // (op 5) newest.
+  IntentRecord next;
+  auto slot = log.Publish(&next);
+  ASSERT_TRUE(slot.ok());
+  EXPECT_NE(*slot, slots[0]);
+  region.Tear(*slot);
+  states = region.Load();
+  EXPECT_EQ(states.count(next.op_id), 0u);
+  EXPECT_EQ(states[5], IntentState::kRetired);
+  EXPECT_EQ(states[3], IntentState::kRetired);
+  EXPECT_EQ(states[4], IntentState::kPending);
 }
 
 // --- ring-full drain ---------------------------------------------------------
@@ -357,9 +518,9 @@ TEST(ShardedIntentTest, RenameOfAnInodePendingIntentsNamePublishes) {
   EXPECT_TRUE(report->ok()) << report->Summary();
 }
 
-// Device writes to the intent region, per rename: none on one shard, one
-// across shards, one where the guard holds, and the guard lets go once a
-// synchronous publish has ordered the RETIRED overwrites.
+// Device writes to the intent region: per rename none on one shard, one
+// across shards and one where the guard holds; none for a Tick; at most one
+// (a retire marker) for a Sync, after which the guard lets go.
 TEST(ShardedIntentTest, IntentWritesOnlyWhereRecoveryNeedsThem) {
   ShardedRig rig;
   const InodeNum a = rig.DirOnOtherShard(99, "count-a");
@@ -379,25 +540,136 @@ TEST(ShardedIntentTest, IntentWritesOnlyWhereRecoveryNeedsThem) {
                        const char* to_name) {
     return [=, &rig] { return rig.fs->Rename(from, from_name, to, to_name); };
   };
+  auto sync = [&rig] { return rig.fs->Sync(); };
+  auto tick = [&rig] { return rig.fs->Tick(); };
   EXPECT_EQ(intent_writes(rename(a, "x", a, "x2")), 0u) << "same shard, synced volume";
   EXPECT_EQ(intent_writes(rename(a, "z", b, "z")), 1u) << "cross-shard";
   EXPECT_EQ(intent_writes(rename(b, "z", a, "z")), 1u) << "cross-shard, back";
   EXPECT_EQ(intent_writes(rename(a, "z", a, "z2")), 1u) << "same shard, pending intents";
 
-  // Sync retires all three, but no barrier orders those RETIRED writes
-  // yet, so z's next rename still publishes (and x's, never named, not).
-  ASSERT_TRUE(rig.fs->Sync().ok());
+  // Fsyncs make all three durable and a Tick retires them, in memory only:
+  // until a synchronous write carries that, z's next rename still
+  // publishes (and x's, never named, not).
+  ASSERT_TRUE(rig.fs->Fsync(a).ok());
+  ASSERT_TRUE(rig.fs->Fsync(b).ok());
+  EXPECT_EQ(intent_writes(tick), 0u);
   EXPECT_EQ(rig.fs->intent_log()->PendingCount(), 0u);
   EXPECT_EQ(intent_writes(rename(a, "z2", a, "z3")), 1u) << "retired, unordered";
   EXPECT_EQ(intent_writes(rename(a, "x2", a, "x3")), 0u);
-  ASSERT_TRUE(rig.fs->Sync().ok());
-  // A cross-shard publish is synchronous: every earlier retire is behind it.
-  EXPECT_EQ(intent_writes(rename(a, "w", b, "w")), 1u);
+  EXPECT_EQ(intent_writes(sync), 1u) << "one marker retires z2 -> z3";
+  EXPECT_EQ(intent_writes(sync), 0u) << "nothing retired since";
   EXPECT_EQ(intent_writes(rename(a, "z3", a, "z4")), 0u) << "retired, ordered";
+  EXPECT_EQ(intent_writes(rename(a, "w", b, "w")), 1u);
+  EXPECT_EQ(intent_writes(tick), 0u);
 
   auto report = CheckShardedLfs(rig.fs.get());
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
+// --- retirement at mount and unmount -------------------------------------------
+
+// Three durable cross-shard renames, retired by a Tick: an image taken then
+// still reads their intents PENDING and settles them, with one marker for
+// the batch; an image taken after the next Sync's marker settles nothing.
+TEST(ShardedIntentTest, RetiredIntentReadsPendingUntilTheNextSynchronousWrite) {
+  ShardedRig rig;
+  const InodeNum a = rig.DirOnOtherShard(99, "ret-a");
+  const InodeNum b = rig.DirOnOtherShard(rig.fs->ShardOf(a), "ret-b");
+  const std::vector<std::string> names = {"p", "q", "r"};
+  for (const std::string& name : names) {
+    ASSERT_TRUE(rig.fs->Create(a, name, FileType::kRegular).ok());
+  }
+  ASSERT_TRUE(rig.fs->Sync().ok());
+  for (const std::string& name : names) {
+    ASSERT_TRUE(rig.fs->Rename(a, name, b, name).ok());
+  }
+  ASSERT_TRUE(rig.fs->Fsync(a).ok());
+  ASSERT_TRUE(rig.fs->Fsync(b).ok());
+  ASSERT_TRUE(rig.fs->Tick().ok());
+  ASSERT_EQ(rig.fs->intent_log()->PendingCount(), 0u);
+
+  auto expect_moved = [&](ShardedLfs* fs) {
+    for (const std::string& name : names) {
+      EXPECT_EQ(fs->Lookup(a, name).status().code(), ErrorCode::kNotFound) << name;
+      EXPECT_TRUE(fs->Lookup(b, name).ok()) << name;
+    }
+    auto report = CheckShardedLfs(fs);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->ok()) << report->Summary();
+  };
+  {
+    CrashImage before(*rig.inner);
+    ASSERT_NE(before.fs, nullptr);
+    ASSERT_TRUE(before.fs->reconcile_report().has_value());
+    EXPECT_EQ(before.fs->reconcile_report()->intents_settled, names.size());
+    EXPECT_EQ(before.IntentWrites(), 1u) << "one marker for the settled batch";
+    expect_moved(before.fs.get());
+  }
+  ASSERT_TRUE(rig.fs->Sync().ok());
+  CrashImage after(*rig.inner);
+  ASSERT_NE(after.fs, nullptr);
+  EXPECT_FALSE(after.fs->reconcile_report().has_value());
+  EXPECT_EQ(after.IntentWrites(), 0u);
+  expect_moved(after.fs.get());
+}
+
+// A slot mount cannot read may hide a pending intent, so mount walks the
+// whole namespace. A cross-shard mkdir whose dirent reached its log and
+// whose inode did not is repaired although no intent can be read.
+TEST(ShardedIntentTest, UnreadableIntentSlotsRunTheFullRepairWalk) {
+  ShardedRig rig;
+  const uint32_t root_shard = rig.fs->ShardOf(kRootIno);
+  const InodeNum far = rig.DirOnOtherShard(root_shard, "far");
+  ASSERT_TRUE(rig.fs->Fsync(kRootIno).ok());  // The dirent's log only.
+
+  const LfsSuperblock& sb = rig.fs->shard(0)->superblock();
+  CrashImage image(*rig.inner, [&sb](FaultInjectingDisk& disk) {
+    disk.MarkBadSectors(sb.intent_start_sector, sb.intent_sectors,
+                        FaultInjectingDisk::BadSectorMode::kRead);
+  });
+  ASSERT_NE(image.fs, nullptr);
+  ASSERT_TRUE(image.fs->reconcile_report().has_value());
+  EXPECT_EQ(image.fs->reconcile_report()->intents_settled, 0u);
+  auto root = image.fs->ReadDir(kRootIno);
+  ASSERT_TRUE(root.ok());
+  for (const DirEntry& e : *root) {
+    EXPECT_NE(e.ino, far) << "dangling entry '" << e.name << "' survived";
+  }
+  auto report = CheckShardedLfs(image.fs.get());
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
+// A clean unmount Syncs, so the fsynced chain B/x -> C/x -> C/y leaves no
+// intent pending and the remount settles nothing (before, the first
+// rename's roll-back brought B/x back beside C/y).
+TEST(ShardedIntentTest, CleanUnmountRetiresItsIntents) {
+  ShardedRig rig;
+  const InodeNum b = rig.DirOnOtherShard(99, "um-b");
+  const InodeNum c = rig.DirOnOtherShard(rig.fs->ShardOf(b), "um-c");
+  auto x = rig.fs->Create(b, "x", FileType::kRegular);
+  ASSERT_TRUE(x.ok());
+  ASSERT_TRUE(rig.fs->Sync().ok());
+  ASSERT_TRUE(rig.fs->Rename(b, "x", c, "x").ok());
+  ASSERT_TRUE(rig.fs->Rename(c, "x", c, "y").ok());
+  for (InodeNum ino : {*x, b, c}) {
+    ASSERT_TRUE(rig.fs->Fsync(ino).ok());
+  }
+  ASSERT_GT(rig.fs->intent_log()->PendingCount(), 0u);
+  rig.fs.reset();
+
+  CrashImage remount(*rig.inner);
+  ASSERT_NE(remount.fs, nullptr);
+  EXPECT_FALSE(remount.fs->reconcile_report().has_value())
+      << remount.fs->reconcile_report()->intents_settled << " intents settled at mount";
+  EXPECT_EQ(remount.fs->Lookup(b, "x").status().code(), ErrorCode::kNotFound);
+  auto y = remount.fs->Lookup(c, "y");
+  ASSERT_TRUE(y.ok());
+  EXPECT_EQ(*y, *x);
+  auto stat = remount.fs->Stat(*x);
+  ASSERT_TRUE(stat.ok());
+  EXPECT_EQ(stat->nlink, 1u);
 }
 
 // --- the online repairer -----------------------------------------------------
